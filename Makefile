@@ -44,7 +44,7 @@ bench:
 # No pipe here: /bin/sh has no pipefail, and `... | tee` would mask a
 # failing benchmark behind tee's exit status.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting|BenchmarkFederationParallelKernel' -benchmem . > bench_smoke.txt
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting|BenchmarkFederationParallelKernel' -benchmem . > bench_smoke.txt
 	cat bench_smoke.txt
 	$(GO) run ./cmd/dias-experiments $(BENCH_SMOKE_ARGS) -bench-out BENCH_results.json > /dev/null
 
@@ -107,10 +107,12 @@ determinism:
 # more on the parallel kernel (-sim-workers 8) and byte-diffed against
 # the serial run — with the
 # memory high-water ceiling asserted on both runs. The ceiling (MiB of
-# Go-runtime Sys, a monotone RSS proxy) is ~3x the observed high-water;
-# a per-job leak anywhere on the streaming path blows well past it.
+# Go-runtime Sys, a monotone RSS proxy) is ~3x the observed high-water
+# (19 MiB at -workers 8, 11 MiB at -workers 1 since nobody-reads-it
+# stages carry counts, not records; 755 MiB before); a per-job leak
+# anywhere on the streaming path blows well past it.
 SCALE_SMOKE_JOBS = 50000
-SCALE_SMOKE_MAX_SYS_MB = 2048
+SCALE_SMOKE_MAX_SYS_MB = 64
 scale-smoke:
 	$(GO) run ./cmd/dias-experiments -fig scale -jobs $(SCALE_SMOKE_JOBS) -workers 1 -bench-out '' -max-sys-mb $(SCALE_SMOKE_MAX_SYS_MB) > scale-smoke-w1.txt
 	$(GO) run ./cmd/dias-experiments -fig scale -jobs $(SCALE_SMOKE_JOBS) -workers 8 -bench-out '' -max-sys-mb $(SCALE_SMOKE_MAX_SYS_MB) > scale-smoke-w8.txt

@@ -12,16 +12,20 @@ package dias_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dias"
+	"dias/internal/analytics"
 	"dias/internal/cluster"
 	"dias/internal/core"
 	"dias/internal/engine"
 	"dias/internal/experiments"
 	"dias/internal/federation"
 	"dias/internal/runner"
+	"dias/internal/simtime"
 	"dias/internal/telemetry"
+	"dias/internal/workload"
 )
 
 // benchScale keeps per-iteration work bounded for testing.B; -short
@@ -141,6 +145,60 @@ func BenchmarkKernelChurnTraced(b *testing.B) {
 		if col.SeenJobs() != 200 {
 			b.Fatalf("traced %d jobs, want 200", col.SeenJobs())
 		}
+	}
+}
+
+// BenchmarkEngineTextJob runs one warm 50-partition word-popularity job
+// per iteration straight through engine.Submit on each execution plane:
+// payload (the submitter reads JobResult.Output, so map output is bucketed
+// and the reduce stage computes) and count-only (nobody reads it, so both
+// stages carry record counts). The simulated job is identical on both —
+// internal/engine's oracle test holds that line — so the ns/op and
+// allocs/op gap is exactly what the count-only plane saves per job.
+func BenchmarkEngineTextJob(b *testing.B) {
+	corpus, err := workload.SynthesizeCorpus(rand.New(rand.NewSource(1)), workload.DefaultCorpusConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := analytics.WordPopularityJob("text", corpus, 10, 1<<28)
+	planes := []struct {
+		name    string
+		discard bool
+	}{{"payload", false}, {"count-only", true}}
+	for _, plane := range planes {
+		b.Run(plane.name, func(b *testing.B) {
+			sim := simtime.New()
+			clu, err := cluster.New(sim, cluster.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := engine.New(sim, clu, nil, engine.DefaultCostModel(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			completed := 0
+			opts := engine.SubmitOptions{
+				DiscardOutput: plane.discard,
+				OnComplete:    func(engine.JobResult) { completed++ },
+			}
+			run := func() {
+				if _, err := eng.Submit(job, opts); err != nil {
+					b.Fatal(err)
+				}
+				sim.Run()
+			}
+			// The second submission of a template fills the stage memo.
+			run()
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			if completed != b.N+2 {
+				b.Fatalf("completed %d jobs, want %d", completed, b.N+2)
+			}
+		})
 	}
 }
 

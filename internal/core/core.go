@@ -146,7 +146,7 @@ type StateObserver interface {
 	// evicted job returning to the head of its buffer).
 	JobQueued(class int)
 	// JobDequeued reports the head-of-buffer class-k job leaving for the
-	// engine (or being dropped on an invalid submission).
+	// engine (or failing there on an invalid submission).
 	JobDequeued(class int)
 	// BusyChanged reports the engine occupancy flipping: true when a job
 	// is dispatched, false when it completes or is evicted.
@@ -515,15 +515,15 @@ func (s *Scheduler) dispatchNext() {
 		drops = s.cfg.DropRatios[next.class]
 	}
 	id, err := s.eng.Submit(next.job, engine.SubmitOptions{
-		DropRatios: drops,
-		OnComplete: next.completeFn,
-		Span:       next.span,
+		DropRatios:    drops,
+		OnComplete:    next.completeFn,
+		Span:          next.span,
+		DiscardOutput: !s.cfg.KeepOutputs,
 	})
 	if err != nil {
-		// Invalid job: drop it rather than wedging the queue. Validation
-		// happens at submission time in experiments, so this is defensive.
-		s.freeEntry(next)
-		s.dispatchNext()
+		// Invalid job: report it failed rather than wedging the queue or
+		// losing it (every submitted job produces exactly one record).
+		s.onComplete(next, engine.JobResult{Failed: true, FailureReason: err.Error()})
 		return
 	}
 	next.engineID = id

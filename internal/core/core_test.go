@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 
 	"dias/internal/cluster"
 	"dias/internal/engine"
 	"dias/internal/simtime"
+	"dias/internal/telemetry"
 	"dias/internal/trace"
 )
 
@@ -403,6 +405,152 @@ func TestKeepOutputs(t *testing.T) {
 	r2.sim.Run()
 	if r2.sch.Records()[0].Output != nil {
 		t.Fatal("output kept without KeepOutputs")
+	}
+}
+
+// fanOutJob is a map+reduce job whose record counts differ per partition
+// and per bucket, so every per-record cost in the timing model is live.
+func fanOutJob(name string, n, r int) *engine.Job {
+	input := make(engine.Dataset, n)
+	for i := range input {
+		for j := 0; j <= i; j++ {
+			input[i] = append(input[i], engine.Record{Key: "k" + strconv.Itoa(i*j), Value: 1.0})
+		}
+	}
+	double := func(in []engine.Record) []engine.Record {
+		out := make([]engine.Record, 0, 2*len(in))
+		for _, rec := range in {
+			out = append(out, rec, engine.Record{Key: rec.Key + "'", Value: rec.Value})
+		}
+		return out
+	}
+	return &engine.Job{
+		Name:  name,
+		Input: input,
+		Stages: []engine.Stage{
+			{Kind: engine.ShuffleMap, OutPartitions: r, Compute: double},
+			{Kind: engine.Result, Deps: []int{0}, Compute: double},
+		},
+	}
+}
+
+// TestKeepOutputsOnlyAddsOutput is the scheduler's side of the count-only
+// ≡ payload oracle: KeepOutputs decides whether the engine carries records
+// or counts, and nothing but JobRecord.Output may tell the two apart —
+// under dropping, noise, eviction and re-execution.
+func TestKeepOutputsOnlyAddsOutput(t *testing.T) {
+	policies := map[string]func() Config{
+		"P":  func() Config { return PolicyP(2) },
+		"DA": func() Config { return PolicyDA([]float64{0.3, 0}) },
+	}
+	for name, policy := range policies {
+		run := func(keep bool) ([]JobRecord, float64) {
+			cfg := policy()
+			cfg.KeepOutputs = keep
+			sim := simtime.New()
+			clu, err := cluster.New(sim, cluster.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := engine.New(sim, clu, nil, engine.DefaultCostModel(), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sch, err := New(sim, clu, eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			low, high := fanOutJob("low", 12, 4), fanOutJob("high", 5, 3)
+			for i := 0; i < 12; i++ {
+				class, job := 0, low
+				if i%3 == 2 {
+					class, job = 1, high
+				}
+				sim.At(simtime.Time(2.5*float64(i)), func() {
+					if err := sch.Arrive(class, job); err != nil {
+						t.Errorf("arrive: %v", err)
+					}
+				})
+			}
+			sim.Run()
+			return sch.Records(), eng.WastedSlotSeconds()
+		}
+		kept, keptWaste := run(true)
+		counted, countedWaste := run(false)
+		if len(kept) != 12 || len(counted) != 12 {
+			t.Fatalf("%s: %d and %d records, want 12", name, len(kept), len(counted))
+		}
+		if name == "P" && keptWaste == 0 {
+			t.Fatalf("%s: no eviction happened — the test is not exercising Kill", name)
+		}
+		if keptWaste != countedWaste {
+			t.Errorf("%s: wasted slot-seconds %g with outputs, %g without", name, keptWaste, countedWaste)
+		}
+		for i := range kept {
+			if len(kept[i].Output) == 0 {
+				t.Errorf("%s: record %d kept no output", name, i)
+			}
+			if counted[i].Output != nil {
+				t.Errorf("%s: record %d has output without KeepOutputs", name, i)
+			}
+			kept[i].Output = nil
+			if !reflect.DeepEqual(kept[i], counted[i]) {
+				t.Errorf("%s: record %d differs beyond Output:\n%+v\n%+v", name, i, kept[i], counted[i])
+			}
+		}
+	}
+}
+
+// TestInvalidJobYieldsFailedRecord pins conservation at the dispatch
+// boundary: a job the engine refuses to run still produces exactly one
+// record (failed), closes its tracer span, and does not wedge the queue.
+func TestInvalidJobYieldsFailedRecord(t *testing.T) {
+	col := telemetry.NewCollector(telemetry.Config{})
+	cfg := PolicyNP(1)
+	cfg.Tracer = col.Member(0)
+	streamed := 0
+	cfg.OnRecord = func(JobRecord) { streamed++ }
+	r := newRig(t, 1, 10, cfg)
+	r.sim.At(0, func() {
+		_ = r.sch.Arrive(0, simpleJob("a", 1))
+		_ = r.sch.Arrive(0, &engine.Job{Name: "no-stages"})
+		_ = r.sch.Arrive(0, simpleJob("c", 1))
+	})
+	r.sim.Run()
+	var completed, failed, rejected int
+	for _, rec := range r.sch.Records() {
+		switch {
+		case rec.Rejected:
+			rejected++
+		case rec.Failed:
+			failed++
+			if rec.Name != "no-stages" || rec.ExecSec != 0 || rec.ResponseSec != 10 {
+				t.Errorf("failed record %+v, want no-stages failing at dispatch after 10 s queued", rec)
+			}
+		default:
+			completed++
+		}
+	}
+	if completed != 2 || failed != 1 || rejected != 0 {
+		t.Fatalf("completed %d + failed %d + rejected %d, want 2 + 1 + 0 = 3 submitted", completed, failed, rejected)
+	}
+	if streamed != 3 {
+		t.Errorf("OnRecord saw %d records, want 3", streamed)
+	}
+	if r.sch.Busy() || r.sch.QueuedJobs() != 0 {
+		t.Error("scheduler not idle after drain")
+	}
+	fails := 0
+	for _, ev := range col.Events() {
+		if ev.Kind == telemetry.KindFail {
+			fails++
+			if ev.Detail == "" {
+				t.Error("failure event carries no reason")
+			}
+		}
+	}
+	if fails != 1 {
+		t.Errorf("%d failure events on the tracer, want 1 (the span must close)", fails)
 	}
 }
 

@@ -24,14 +24,28 @@
 // rescaling and speculation scans — and therefore whole simulations — are
 // deterministic per seed with no map-iteration randomness.
 //
+// # What a stage carries
+//
+// Simulated time depends on how many records a task reads and a shuffle
+// moves, never on what they contain. A stage therefore carries records
+// only when its contents have a reader — a ShuffleMap consumer, or the
+// Result stage of a submission that keeps JobResult.Output — and
+// per-bucket record counts otherwise (SubmitOptions.DiscardOutput is the
+// one fact the submitter supplies; the rest follows from the DAG). Both
+// planes yield the same counts, so every duration, RNG draw and StageStat
+// is identical; the count-only plane just skips the bucket appends, the
+// Result-stage Compute and the output concatenation.
+//
 // # Output memoization
 //
 // TaskFunc implementations must be pure, deterministic transforms. The
-// engine exploits this: when the same *Job value is submitted more than
-// once (experiment drivers re-execute fixed job templates for every
-// arrival), the outputs of input-reading stages — whose task inputs are
-// the template's own stable partitions — are computed once and served
-// from a per-engine cache on every later execution. Simulated task
+// engine exploits this: outputs of input-reading stages — whose task
+// inputs are a template's own stable partitions — are cached per engine
+// under the identity of the Stage and of the input records, as records or
+// as per-bucket counts depending on the plane, so experiment drivers that
+// re-execute fixed job templates (or shallow clones of them) for every
+// arrival compute each partition once. Every submission reads the cache;
+// only a template's second and later submissions write it. Simulated task
 // durations are priced by the cost model from input sizes, so memoization
 // changes no timing, only removes redundant host-CPU work.
 package engine

@@ -49,10 +49,12 @@ const (
 // TaskFunc transforms one input partition into output records. It must be
 // a pure, deterministic function of its input: it must not mutate the
 // input slice, and it must not retain or later mutate the returned slice.
-// The engine relies on this to memoize input-reading stage outputs when
-// the same *Job value is submitted repeatedly (simulated re-executions of
-// a job template), and to alias shuffle outputs as downstream inputs
-// without defensive copying.
+// The engine relies on this three ways: it memoizes input-reading stage
+// outputs by the identity of the Stage and of the input records (so a
+// Stage's Compute and a template's input must not change once submitted),
+// it aliases shuffle outputs as downstream inputs without defensive
+// copying, and it does not call Compute at all for a stage whose output
+// nobody reads.
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.
@@ -274,9 +276,11 @@ func (s StageStat) Waves(slots int) int {
 
 // JobResult is delivered to the submitter when a job completes.
 type JobResult struct {
-	JobID  JobID
-	Name   string
-	Output []Record // concatenated Result-stage output
+	JobID JobID
+	Name  string
+	// Output is the concatenated Result-stage output; nil when the
+	// submission set SubmitOptions.DiscardOutput.
+	Output []Record
 	// Stages holds per-stage profiling stats, indexed like Job.Stages.
 	Stages []StageStat
 	// StartedAt/FinishedAt bound the final (successful) attempt.
@@ -311,6 +315,11 @@ type SubmitOptions struct {
 	// task events the engine emits carry it, joining the execution to the
 	// submitter's job lifecycle span.
 	Span telemetry.SpanID
+	// DiscardOutput declares that nobody reads JobResult.Output. The engine
+	// then carries record counts instead of records through every stage
+	// whose contents have no consumer left (see execution.carries); every
+	// simulated duration, RNG draw and StageStat is the same either way.
+	DiscardOutput bool
 }
 
 // task is one unit of schedulable work. Tasks are pooled on the engine's
@@ -321,7 +330,10 @@ type task struct {
 	exec      *execution
 	stage     int
 	partition int
-	input     []Record
+	// input holds the task's records when its stage reads them; records is
+	// the input size the cost model prices, known even when input is nil.
+	input   []Record
+	records int
 
 	// speculative marks a backup copy of a straggling task; twin links the
 	// two copies of the same partition.
@@ -355,8 +367,15 @@ type execution struct {
 	opts SubmitOptions
 
 	startedAt simtime.Time
-	// outputs[s] is the shuffle output of stage s, bucketed.
-	outputs []Dataset
+	// carries[s] reports whether stage s's output contents have a reader:
+	// a ShuffleMap consumer (which computes over them) or a Result stage
+	// whose output the submitter keeps. A stage that carries nothing keeps
+	// only record counts, which is all the timing model prices.
+	carries []bool
+	// outputs[s] is the shuffle output of stage s, bucketed, when it
+	// carries; outCounts[s] is its per-bucket record counts when not.
+	outputs   []Dataset
+	outCounts [][]int
 	// resultOut accumulates Result-stage task outputs.
 	resultOut []Record
 	// pendingTasks[s] counts unfinished tasks of stage s.
@@ -390,8 +409,8 @@ type execution struct {
 	// swap-remove); a deterministic replacement for the old map, so DVFS
 	// rescaling and speculation scans are reproducible per seed.
 	running []*task
-	// memoize marks a re-submitted job template whose input-reading stage
-	// outputs may be served from the engine's memo cache.
+	// memoize marks a re-submitted job template, whose input-reading stage
+	// outputs are written to the engine's memo cache.
 	memoize bool
 	done    bool
 	evicted bool
@@ -452,18 +471,21 @@ type Engine struct {
 	// FailNode's per-node abort sweep.
 	permScratch  []int
 	abortScratch []*task
-	// jobSeen tracks submitted job templates; a second submission of the
-	// same *Job enables output memoization for its input-reading stages.
-	// Entries are deliberately never evicted (a template may be
-	// re-submitted arbitrarily long after it last completed), so an
-	// engine retains one pointer-sized entry per distinct job over its
-	// lifetime; experiment drivers pre-schedule every arrival's job
-	// anyway, so this adds no meaningful peak memory to a run.
-	jobSeen map[*Job]bool
-	// memo caches pure stage outputs per (template, stage, partition);
-	// populated only for jobs actually re-submitted, so its size is
-	// bounded by the re-used templates, not by total submissions.
-	memo map[memoKey][]Record
+	// seen tracks submitted job templates; a second submission of the same
+	// template lets its input-reading stages write the memo. Entries are
+	// deliberately never evicted (a template may be re-submitted
+	// arbitrarily long after it last completed), so an engine retains one
+	// small entry per distinct template over its lifetime; experiment
+	// drivers pre-schedule every arrival's job anyway, so this adds no
+	// meaningful peak memory to a run.
+	seen map[templateKey]bool
+	// memo caches pure stage outputs and memoCounts their per-bucket record
+	// counts (the count-only plane's form of the same output). Every
+	// submission reads them; only re-submitted templates write them, so
+	// their size is bounded by the re-used templates, not by total
+	// submissions.
+	memo       map[memoKey][]Record
+	memoCounts map[memoKey][]int32
 
 	wastedSlotSeconds    float64
 	completedJobs        int
@@ -498,30 +520,52 @@ func New(sim *simtime.Simulation, clu *cluster.Cluster, fs *dfs.FS, cost CostMod
 		return nil, errors.New("engine: nil simulation or cluster")
 	}
 	e := &Engine{
-		sim:     sim,
-		clu:     clu,
-		fs:      fs,
-		cost:    cost,
-		rng:     rand.New(rand.NewSource(seed)),
-		execs:   make(map[JobID]*execution),
-		jobSeen: make(map[*Job]bool),
-		memo:    make(map[memoKey][]Record),
+		sim:        sim,
+		clu:        clu,
+		fs:         fs,
+		cost:       cost,
+		rng:        rand.New(rand.NewSource(seed)),
+		execs:      make(map[JobID]*execution),
+		seen:       make(map[templateKey]bool),
+		memo:       make(map[memoKey][]Record),
+		memoCounts: make(map[memoKey][]int32),
 	}
 	clu.OnSpeedChange(e.rescaleRunning)
 	return e, nil
 }
 
-// memoKey addresses one cached stage output: the partition of an
-// input-reading stage of a job template.
+// templateKey identifies a job template by the backing arrays of its
+// stages and input, which shallow clones of one *Job (same DAG and data
+// under another Name or InputPath) share.
+type templateKey struct {
+	stages *Stage
+	input  *Partition
+}
+
+// memoKey addresses one cached stage output by what makes it pure: the
+// Stage computed and the input records it was computed over. Shallow
+// clones of a template therefore share entries, and the pointers keep
+// both alive, so an address is never reused while its entry exists.
 type memoKey struct {
-	job       *Job
-	stage     int32
-	partition int32
+	stage *Stage
+	data  *Record
+	n     int
+}
+
+// memoKeyOf returns the memo address of t's output, if it has one: only
+// input-reading stages qualify (their task inputs are the template's own
+// stable partitions), and a nil Compute or an empty input costs nothing
+// to redo.
+func memoKeyOf(t *task, s *Stage) (memoKey, bool) {
+	if s.Compute == nil || len(s.Deps) != 0 || len(t.input) == 0 {
+		return memoKey{}, false
+	}
+	return memoKey{stage: s, data: &t.input[0], n: len(t.input)}, true
 }
 
 // newTask takes a task struct off the freelist (or allocates one with its
 // completion closure bound) and initializes it for one unit of work.
-func (e *Engine) newTask(ex *execution, stage, partition int, input []Record) *task {
+func (e *Engine) newTask(ex *execution, stage, partition int, input []Record, records int) *task {
 	var t *task
 	if n := len(e.taskFree); n > 0 {
 		t = e.taskFree[n-1]
@@ -531,7 +575,7 @@ func (e *Engine) newTask(ex *execution, stage, partition int, input []Record) *t
 		t = &task{}
 		t.completeFn = func() { e.completeTask(t) }
 	}
-	t.exec, t.stage, t.partition, t.input = ex, stage, partition, input
+	t.exec, t.stage, t.partition, t.input, t.records = ex, stage, partition, input, records
 	return t
 }
 
@@ -562,7 +606,20 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 	ex.id = e.nextID
 	ex.job, ex.opts = job, opts
 	ex.startedAt = e.sim.Now()
+	ex.carries = resetSlice(ex.carries, ns)
+	for si := range job.Stages {
+		st := &job.Stages[si]
+		if st.Kind == Result {
+			ex.carries[si] = !opts.DiscardOutput
+		}
+		if st.Kind == ShuffleMap || ex.carries[si] {
+			for _, d := range st.Deps {
+				ex.carries[d] = true
+			}
+		}
+	}
 	ex.outputs = growSlice(ex.outputs, ns)
+	ex.outCounts = growSlice(ex.outCounts, ns)
 	ex.pendingTasks = resetSlice(ex.pendingTasks, ns)
 	ex.stageStarted = resetSlice(ex.stageStarted, ns)
 	ex.stageDone = resetSlice(ex.stageDone, ns)
@@ -591,6 +648,20 @@ func (e *Engine) freeExecution(ex *execution) {
 	ex.stageStats = nil // escaped as JobResult.Stages
 	ex.inputBlockCache = nil
 	e.execFree = append(e.execFree, ex)
+}
+
+// resetBuckets returns n empty shuffle buckets, reusing the previous
+// life's bucket slices: truncated in place when the fan-out fits,
+// reallocated (dropping the old buckets) when not.
+func resetBuckets(buckets Dataset, n int) Dataset {
+	if cap(buckets) < n {
+		return make(Dataset, n)
+	}
+	buckets = buckets[:n]
+	for b := range buckets {
+		buckets[b] = buckets[b][:0]
+	}
+	return buckets
 }
 
 // growSlice returns s resized to length n, reusing its capacity;
@@ -677,12 +748,12 @@ func (e *Engine) Submit(job *Job, opts SubmitOptions) (JobID, error) {
 		}
 	}
 	ex := e.newExecution(job, opts)
-	if e.jobSeen[job] {
-		// The template was executed before on this engine: its pure
-		// input-reading stage outputs can be served from the memo cache.
+	if tk := (templateKey{&job.Stages[0], &job.Input[0]}); e.seen[tk] {
+		// The template was executed before on this engine: it is worth
+		// caching its pure input-reading stage outputs from now on.
 		ex.memoize = true
 	} else {
-		e.jobSeen[job] = true
+		e.seen[tk] = true
 	}
 	for si, st := range job.Stages {
 		ex.stageStats[si].Name = st.Name
@@ -736,9 +807,39 @@ func (e *Engine) startReadyStages(ex *execution) {
 	}
 }
 
-// stageInput materialises the input partitions of a stage. Single-parent
-// stages alias the parent's shuffle output directly (tasks never mutate
-// their inputs); only multi-parent stages concatenate into fresh buckets.
+// partitions returns the number of input partitions (tasks before
+// dropping) of a stage.
+func (ex *execution) partitions(si int) int {
+	s := &ex.job.Stages[si]
+	if len(s.Deps) == 0 {
+		return len(ex.job.Input)
+	}
+	return ex.job.Stages[s.Deps[0]].OutPartitions
+}
+
+// inputRecords returns the size of input partition p of a stage without
+// materialising it: each parent contributes its bucket's length or count,
+// whichever it kept.
+func (ex *execution) inputRecords(si, p int) int {
+	s := &ex.job.Stages[si]
+	if len(s.Deps) == 0 {
+		return len(ex.job.Input[p])
+	}
+	n := 0
+	for _, d := range s.Deps {
+		if ex.carries[d] {
+			n += len(ex.outputs[d][p])
+		} else {
+			n += ex.outCounts[d][p]
+		}
+	}
+	return n
+}
+
+// stageInput materialises the input partitions of a stage whose parents
+// all carry records. Single-parent stages alias the parent's shuffle
+// output directly (tasks never mutate their inputs); only multi-parent
+// stages concatenate into fresh buckets.
 func (ex *execution) stageInput(si int) Dataset {
 	s := ex.job.Stages[si]
 	switch len(s.Deps) {
@@ -760,37 +861,41 @@ func (ex *execution) stageInput(si int) Dataset {
 func (e *Engine) startStage(ex *execution, si int) {
 	ex.stageStarted[si] = true
 	ex.stageStats[si].StartedAt = e.sim.Now()
-	in := ex.stageInput(si)
-	n := len(in)
+	s := &ex.job.Stages[si]
+	// A Result stage nobody reads is the one stage that never looks at its
+	// input records: its tasks are priced by their input counts alone.
+	readsInput := s.Kind == ShuffleMap || ex.carries[si]
+	var in Dataset
+	if readsInput {
+		in = ex.stageInput(si)
+	}
+	n := ex.partitions(si)
 	ex.tasksTotal += n
 	selected := e.findMissingPartitions(n, ex.drop(si))
 	ex.tasksDropped += n - len(selected)
 	ex.stageStats[si].TasksDropped = n - len(selected)
 	if e.tracer != nil && ex.opts.Span != 0 {
-		e.tracer.StageStarted(e.sim.Now(), ex.opts.Span, si, ex.job.Stages[si].Name, len(selected), n-len(selected))
+		e.tracer.StageStarted(e.sim.Now(), ex.opts.Span, si, s.Name, len(selected), n-len(selected))
 	}
 	ex.pendingTasks[si] = len(selected)
 	ex.donePartitions[si] = resetSlice(ex.donePartitions[si], n)
-	if s := ex.job.Stages[si]; s.Kind == ShuffleMap {
-		// Reuse the previous life's bucket slices: truncated in place when
-		// the fan-out fits, reallocated (dropping the old buckets) when not.
-		buckets := ex.outputs[si]
-		if cap(buckets) >= s.OutPartitions {
-			buckets = buckets[:s.OutPartitions]
-			for b := range buckets {
-				buckets[b] = buckets[b][:0]
-			}
+	if s.Kind == ShuffleMap {
+		if ex.carries[si] {
+			ex.outputs[si] = resetBuckets(ex.outputs[si], s.OutPartitions)
 		} else {
-			buckets = make(Dataset, s.OutPartitions)
+			ex.outCounts[si] = resetSlice(ex.outCounts[si], s.OutPartitions)
 		}
-		ex.outputs[si] = buckets
 	}
 	if len(selected) == 0 {
 		e.finishStage(ex, si)
 		return
 	}
 	for _, p := range selected {
-		ex.pending.PushBack(e.newTask(ex, si, p, in[p]))
+		if readsInput {
+			ex.pending.PushBack(e.newTask(ex, si, p, in[p], len(in[p])))
+		} else {
+			ex.pending.PushBack(e.newTask(ex, si, p, nil, ex.inputRecords(si, p)))
+		}
 	}
 	e.dispatch()
 }
@@ -856,7 +961,7 @@ func (e *Engine) taskWork(t *task) float64 {
 	if s := t.exec.job.Stages[t.stage].PerRecordSec; s > 0 {
 		perRecord = s
 	}
-	work := e.cost.TaskOverheadSec + perRecord*float64(len(t.input))
+	work := e.cost.TaskOverheadSec + perRecord*float64(t.records)
 	// Stage-0 tasks backed by a dfs file pay the block fetch, priced by
 	// the locality of the slot they landed on.
 	if t.stage == 0 && e.fs != nil && t.partition < len(t.exec.inputBlockCache) {
@@ -952,33 +1057,19 @@ func (e *Engine) completeTask(t *task) {
 	ex.stageDurations[t.stage] = append(ex.stageDurations[t.stage], duration)
 
 	s := &ex.job.Stages[t.stage]
-	var out []Record
-	switch {
-	case s.Compute == nil:
-		out = t.input
-	case ex.memoize && len(s.Deps) == 0:
-		// Re-executed template, input-reading stage: the partition's input
-		// is the template's own (stable) data, so the pure Compute output
-		// can be cached across executions.
-		k := memoKey{job: ex.job, stage: int32(t.stage), partition: int32(t.partition)}
-		cached, ok := e.memo[k]
-		if !ok {
-			cached = s.Compute(t.input)
-			e.memo[k] = cached
-		}
-		out = cached
-	default:
-		out = s.Compute(t.input)
-	}
-	switch s.Kind {
-	case ShuffleMap:
+	switch carries := ex.carries[t.stage]; {
+	case s.Kind == ShuffleMap && carries:
 		buckets := ex.outputs[t.stage]
-		for _, r := range out {
+		for _, r := range e.taskOutput(ex, t, s) {
 			b := bucketOf(r.Key, len(buckets))
 			buckets[b] = append(buckets[b], r)
 		}
-	case Result:
-		ex.resultOut = append(ex.resultOut, out...)
+	case s.Kind == ShuffleMap:
+		e.countOutput(ex, t, s)
+	case carries:
+		ex.resultOut = append(ex.resultOut, e.taskOutput(ex, t, s)...)
+	default:
+		// A Result stage nobody reads: its output is never computed.
 	}
 
 	stage := t.stage
@@ -990,6 +1081,57 @@ func (e *Engine) completeTask(t *task) {
 		e.maybeSpeculate(ex, stage)
 	}
 	e.dispatch()
+}
+
+// taskOutput returns the records a finished task produced, from the memo
+// when its stage and input were computed before on this engine.
+func (e *Engine) taskOutput(ex *execution, t *task, s *Stage) []Record {
+	if s.Compute == nil {
+		return t.input
+	}
+	k, pure := memoKeyOf(t, s)
+	if pure {
+		if out, ok := e.memo[k]; ok {
+			return out
+		}
+	}
+	out := s.Compute(t.input)
+	if pure && ex.memoize {
+		e.memo[k] = out
+	}
+	return out
+}
+
+// countOutput adds a finished ShuffleMap task's output to its stage's
+// per-bucket record counts without keeping the records: the count-only
+// form of taskOutput plus bucketing, memoized the same way.
+func (e *Engine) countOutput(ex *execution, t *task, s *Stage) {
+	counts := ex.outCounts[t.stage]
+	k, pure := memoKeyOf(t, s)
+	var cached []int32
+	if pure {
+		cached = e.memoCounts[k]
+	}
+	if cached == nil {
+		out := t.input
+		if s.Compute != nil {
+			out = s.Compute(t.input)
+		}
+		if !pure || !ex.memoize {
+			for _, r := range out {
+				counts[bucketOf(r.Key, len(counts))]++
+			}
+			return
+		}
+		cached = make([]int32, len(counts)) // non-nil: OutPartitions > 0
+		for _, r := range out {
+			cached[bucketOf(r.Key, len(cached))]++
+		}
+		e.memoCounts[k] = cached
+	}
+	for b, c := range cached {
+		counts[b] += int(c)
+	}
 }
 
 // failTask aborts an attempt the fault injector doomed: the machine time
@@ -1150,7 +1292,7 @@ func (e *Engine) maybeSpeculate(ex *execution, stage int) {
 		if now.Sub(t.startedAt).Seconds() <= threshold {
 			continue
 		}
-		backup := e.newTask(ex, stage, t.partition, t.input)
+		backup := e.newTask(ex, stage, t.partition, t.input, t.records)
 		backup.speculative = true
 		backup.twin = t
 		t.twin = backup
@@ -1195,7 +1337,14 @@ func (e *Engine) finishStage(ex *execution, si int) {
 		e.completeJob(ex)
 		return
 	}
-	shuffled := ex.outputs[si].Records()
+	shuffled := 0
+	if ex.carries[si] {
+		shuffled = ex.outputs[si].Records()
+	} else {
+		for _, c := range ex.outCounts[si] {
+			shuffled += c
+		}
+	}
 	delay := e.cost.ShuffleBaseSec + e.cost.ShufflePerRecordSec*float64(shuffled)
 	id := ex.id
 	e.sim.After(simtime.Duration(delay/e.clu.Speed()), func() {

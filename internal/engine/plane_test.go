@@ -1,0 +1,536 @@
+package engine_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dias/internal/analytics"
+	"dias/internal/cluster"
+	"dias/internal/engine"
+	"dias/internal/simtime"
+	"dias/internal/workload"
+)
+
+// planeRig is a small cluster (8 slots on 4 nodes, so every stage below
+// runs in waves) under an engine whose cost model prices every record:
+// per-record task time, per-record shuffle time and lognormal noise.
+type planeRig struct {
+	sim *simtime.Simulation
+	clu *cluster.Cluster
+	eng *engine.Engine
+}
+
+func planeCost() engine.CostModel {
+	return engine.CostModel{
+		TaskOverheadSec:     2,
+		PerRecordSec:        0.01,
+		SetupBaseSec:        1,
+		SetupPerByte:        1e-9,
+		ShuffleBaseSec:      0.5,
+		ShufflePerRecordSec: 1e-3,
+		NoiseSigma:          0.2,
+	}
+}
+
+func newPlaneRig(t *testing.T, cost engine.CostModel) *planeRig {
+	t.Helper()
+	sim := simtime.New()
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes, cfg.CoresPerNode = 4, 2
+	clu, err := cluster.New(sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(sim, clu, nil, cost, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &planeRig{sim: sim, clu: clu, eng: eng}
+}
+
+// skewedInput builds n partitions of growing size over a small key space,
+// so buckets, partitions and stages all see different record counts.
+func skewedInput(n int) engine.Dataset {
+	d := make(engine.Dataset, n)
+	for p := range d {
+		for j := 0; j < 3+2*p; j++ {
+			d[p] = append(d[p], engine.Record{Key: fmt.Sprintf("k%d", (p*7+j*j)%23), Value: 1.0})
+		}
+	}
+	return d
+}
+
+// echo emits every input record plus a primed copy of every third one.
+func echo(in []engine.Record) []engine.Record {
+	out := make([]engine.Record, 0, len(in)+len(in)/3+1)
+	for i, r := range in {
+		out = append(out, r)
+		if i%3 == 0 {
+			out = append(out, engine.Record{Key: r.Key + "'", Value: r.Value})
+		}
+	}
+	return out
+}
+
+// evens keeps every other record.
+func evens(in []engine.Record) []engine.Record {
+	var out []engine.Record
+	for i, r := range in {
+		if i%2 == 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+type planeJob struct {
+	name  string
+	build func(t *testing.T) *engine.Job
+	drops []float64
+}
+
+var planeJobs = []planeJob{
+	{
+		name: "word-popularity",
+		build: func(t *testing.T) *engine.Job {
+			cfg := workload.DefaultCorpusConfig()
+			cfg.Partitions, cfg.PostsPerPartition = 12, 6
+			corpus, err := workload.SynthesizeCorpus(rand.New(rand.NewSource(3)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return analytics.WordPopularityJob("text", corpus, 4, 1<<26)
+		},
+		drops: []float64{0.25},
+	},
+	{
+		// Seven stages with a drop on every shuffle: only the last shuffle
+		// and the Result stage go count-only, the rest must stay real.
+		name: "triangle-count",
+		build: func(t *testing.T) *engine.Job {
+			edges, err := workload.SynthesizeGraph(rand.New(rand.NewSource(5)), workload.GraphConfig{Nodes: 60, EdgesPerNode: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return analytics.TriangleCountJob("tc", analytics.EdgeDataset(edges, 6), 4, 1<<26)
+		},
+		drops: []float64{0.1, 0.1, 0.2, 0.1, 0.2, 0.1},
+	},
+	{
+		// The Result stage sums two parents' buckets without reading them.
+		name: "two-parent-result",
+		build: func(*testing.T) *engine.Job {
+			return &engine.Job{
+				Name:      "join",
+				Input:     skewedInput(10),
+				SizeBytes: 1 << 26,
+				Stages: []engine.Stage{
+					{Name: "left", Kind: engine.ShuffleMap, OutPartitions: 5, Compute: echo},
+					{Name: "right", Kind: engine.ShuffleMap, OutPartitions: 5, Compute: evens, PerRecordSec: 0.02},
+					{Name: "out", Kind: engine.Result, Deps: []int{0, 1}, Compute: echo},
+				},
+			}
+		},
+		drops: []float64{0.2, 0.3},
+	},
+	{
+		// A ShuffleMap stage nobody depends on: content-free on both planes,
+		// slow enough to outlive the Result stage.
+		name: "orphan-shuffle",
+		build: func(*testing.T) *engine.Job {
+			return &engine.Job{
+				Name:      "orphan",
+				Input:     skewedInput(9),
+				SizeBytes: 1 << 26,
+				Stages: []engine.Stage{
+					{Name: "orphan", Kind: engine.ShuffleMap, OutPartitions: 3, Compute: echo, PerRecordSec: 0.3},
+					{Name: "out", Kind: engine.Result, Compute: evens},
+				},
+			}
+		},
+		drops: []float64{0.1, 0.2},
+	},
+	{
+		name: "nil-compute",
+		build: func(*testing.T) *engine.Job {
+			return &engine.Job{
+				Name:      "spine",
+				Input:     skewedInput(11),
+				SizeBytes: 1 << 26,
+				Stages: []engine.Stage{
+					{Name: "map", Kind: engine.ShuffleMap, OutPartitions: 4},
+					{Name: "out", Kind: engine.Result, Deps: []int{0}},
+				},
+			}
+		},
+		drops: []float64{0.2},
+	},
+}
+
+// moduloFaults dooms the first attempt of every third task halfway through
+// and slows every fifth one down; it depends on task coordinates only.
+type moduloFaults struct{}
+
+func (moduloFaults) TaskStarted(_ string, stage, partition, attempt int) engine.TaskFault {
+	var f engine.TaskFault
+	if attempt == 0 && (stage+partition)%3 == 0 {
+		f.FailAfterFrac = 0.5
+	}
+	if (stage+2*partition)%5 == 0 {
+		f.Slowdown = 2.5
+	}
+	return f
+}
+
+// planeScenario perturbs a run. arm configures the engine once; each of
+// the run's submissions then calls during with the submission's start
+// time and JobID, to schedule what happens while it executes.
+type planeScenario struct {
+	name string
+	// noiseSigma, when positive, replaces planeCost's lognormal σ.
+	noiseSigma float64
+	arm        func(t *testing.T, r *planeRig)
+	during     func(t *testing.T, r *planeRig, out *planeOutcome, start simtime.Time, id engine.JobID)
+	// exercised reports whether the run hit the mechanism the scenario is
+	// about; it must hold for at least one job.
+	exercised func(out *planeOutcome) bool
+}
+
+var planeScenarios = []planeScenario{
+	{name: "plain"},
+	{
+		name:       "speculation",
+		noiseSigma: 0.7, // wide enough that stragglers exist
+		arm: func(t *testing.T, r *planeRig) {
+			if err := r.eng.SetSpeculation(engine.SpeculationConfig{Enabled: true, Multiplier: 1.3, MinCompleted: 2}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		exercised: func(out *planeOutcome) bool { return out.SpecLaunched > 0 && out.SpecDiscarded > 0 },
+	},
+	{
+		name: "task-faults",
+		arm: func(t *testing.T, r *planeRig) {
+			if err := r.eng.SetTaskFaults(moduloFaults{}, 4); err != nil {
+				t.Fatal(err)
+			}
+		},
+		exercised: func(out *planeOutcome) bool { return out.Retried > 0 },
+	},
+	{
+		name: "fail-node",
+		during: func(t *testing.T, r *planeRig, _ *planeOutcome, start simtime.Time, _ engine.JobID) {
+			// Mid-first-wave and mid-later-stage crashes, each repaired.
+			for i, at := range []float64{2, 9} {
+				node := i + 1
+				r.sim.At(start.Add(simtime.Duration(at)), func() {
+					if err := r.eng.FailNode(node); err != nil {
+						t.Errorf("fail node %d: %v", node, err)
+					}
+				})
+				r.sim.At(start.Add(simtime.Duration(at+2.5)), func() {
+					if err := r.eng.RepairNode(node); err != nil {
+						t.Errorf("repair node %d: %v", node, err)
+					}
+				})
+			}
+		},
+		exercised: func(out *planeOutcome) bool { return out.Retried > 0 },
+	},
+	{
+		// Every odd submission is killed mid-flight (at a different depth
+		// each time), so the next one runs on the recycled execution with
+		// the killed life's buckets and counts still attached.
+		name: "kill-resubmit",
+		during: func(t *testing.T, r *planeRig, out *planeOutcome, start simtime.Time, id engine.JobID) {
+			n := len(out.Attempts) + len(out.Results)
+			if n%2 == 1 {
+				return
+			}
+			r.sim.At(start.Add(simtime.Duration(1.5+0.8*float64(n))), func() {
+				att, err := r.eng.Kill(id)
+				if err != nil {
+					t.Errorf("kill: %v", err)
+				}
+				out.Attempts = append(out.Attempts, att)
+			})
+		},
+		exercised: func(out *planeOutcome) bool {
+			launched := 0
+			for _, a := range out.Attempts {
+				launched += a.TasksLaunched
+			}
+			return launched > 0
+		},
+	},
+}
+
+// planeOutcome is everything a run lets its caller observe.
+type planeOutcome struct {
+	Results  []engine.JobResult
+	Attempts []engine.Attempt
+	End      simtime.Time
+
+	BusySlotSec, EnergyJ, WastedSlotSec, FailureLostSec float64
+	Retried, SpecLaunched, SpecDiscarded                int
+	Completed, Evictions                                int
+}
+
+// runPlane submits the job six times back to back on one engine — so the
+// run covers the unmemoized first submission, the memo-filling second and
+// memo-served later ones, all on pooled executions — and drains the
+// simulation after each.
+func runPlane(t *testing.T, pj planeJob, sc planeScenario, discard bool) *planeOutcome {
+	t.Helper()
+	cost := planeCost()
+	if sc.noiseSigma > 0 {
+		cost.NoiseSigma = sc.noiseSigma
+	}
+	r := newPlaneRig(t, cost)
+	if sc.arm != nil {
+		sc.arm(t, r)
+	}
+	job := pj.build(t)
+	out := &planeOutcome{}
+	for i := 0; i < 6; i++ {
+		id, err := r.eng.Submit(job, engine.SubmitOptions{
+			DropRatios:    pj.drops,
+			DiscardOutput: discard,
+			OnComplete:    func(res engine.JobResult) { out.Results = append(out.Results, res) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.during != nil {
+			sc.during(t, r, out, r.sim.Now(), id)
+		}
+		r.sim.Run()
+	}
+	out.End = r.sim.Now()
+	out.BusySlotSec, out.EnergyJ = r.clu.BusySlotSeconds(), r.clu.EnergyJoules()
+	out.WastedSlotSec, out.FailureLostSec = r.eng.WastedSlotSeconds(), r.eng.FailureLostSlotSeconds()
+	out.Retried, out.SpecLaunched, out.SpecDiscarded = r.eng.TasksRetried(), r.eng.SpeculativeLaunched(), r.eng.SpeculativeDiscarded()
+	out.Completed, out.Evictions = r.eng.CompletedJobs(), r.eng.Evictions()
+	if r.eng.ActiveJobs() != 0 || r.clu.FreeSlots() != r.clu.Slots() {
+		t.Errorf("run left %d active jobs and %d of %d slots free", r.eng.ActiveJobs(), r.clu.FreeSlots(), r.clu.Slots())
+	}
+	return out
+}
+
+// TestCountOnlyMatchesPayload is the oracle pair count-only ≡ payload:
+// with the same seed, discarding the output may change nothing a caller
+// can observe except JobResult.Output — not a duration, an RNG draw, a
+// StageStat, a retry, a speculative copy or a joule.
+func TestCountOnlyMatchesPayload(t *testing.T) {
+	for _, sc := range planeScenarios {
+		exercised := sc.exercised == nil
+		for _, pj := range planeJobs {
+			t.Run(sc.name+"/"+pj.name, func(t *testing.T) {
+				payload := runPlane(t, pj, sc, false)
+				counted := runPlane(t, pj, sc, true)
+				if len(payload.Results)+len(payload.Attempts) != 6 {
+					t.Fatalf("%d results and %d evictions for 6 submissions", len(payload.Results), len(payload.Attempts))
+				}
+				for i := range payload.Results {
+					if res := &payload.Results[i]; !res.Failed {
+						if len(res.Output) == 0 {
+							t.Errorf("payload run %d delivered no output", i)
+						}
+						res.Output = nil
+					}
+				}
+				for i, res := range counted.Results {
+					if res.Output != nil {
+						t.Errorf("count-only run %d delivered %d output records", i, len(res.Output))
+					}
+				}
+				if !reflect.DeepEqual(payload, counted) {
+					t.Errorf("planes diverge:\npayload    %+v\ncount-only %+v", payload, counted)
+				}
+				if sc.exercised != nil && sc.exercised(counted) {
+					exercised = true
+				}
+			})
+		}
+		if !exercised {
+			t.Errorf("scenario %s never hit its mechanism on any job; strengthen it", sc.name)
+		}
+	}
+}
+
+// countingJob is a two-stage template over input whose map Compute counts
+// its calls; the reduce stage's output size depends on its input contents.
+func countingJob(name string, input engine.Dataset, calls *int) *engine.Job {
+	return &engine.Job{
+		Name:      name,
+		Input:     input,
+		SizeBytes: 1 << 20,
+		Stages: []engine.Stage{
+			{Name: "map", Kind: engine.ShuffleMap, OutPartitions: 3, Compute: func(in []engine.Record) []engine.Record {
+				*calls++
+				return echo(in)
+			}},
+			{Name: "reduce", Kind: engine.Result, Deps: []int{0}, Compute: evens},
+		},
+	}
+}
+
+// shallowClones mirrors what the federation drivers do to home one
+// template's data on several members: same Stages and Input backing
+// arrays under another Name and InputPath.
+func shallowClones(base *engine.Job, n int) []*engine.Job {
+	out := make([]*engine.Job, n)
+	for v := range out {
+		clone := *base
+		clone.Name = fmt.Sprintf("%s-%d", base.Name, v)
+		clone.InputPath = fmt.Sprintf("/data/%s-%d", base.Name, v)
+		out[v] = &clone
+	}
+	return out
+}
+
+// noiseFree prices records but draws nothing, so a job's duration is a
+// pure function of its record counts on any engine.
+func noiseFree() engine.CostModel {
+	c := planeCost()
+	c.NoiseSigma = 0
+	return c
+}
+
+// sameCost compares the two quantities every record count feeds — machine
+// time and makespan — up to the rounding of sums taken at different
+// absolute clock values.
+func sameCost(a, b engine.JobResult) bool {
+	near := func(x, y float64) bool { return math.Abs(x-y) < 1e-9 }
+	return near(a.SlotSeconds, b.SlotSeconds) &&
+		near(a.FinishedAt.Sub(a.StartedAt).Seconds(), b.FinishedAt.Sub(b.StartedAt).Seconds())
+}
+
+// submitRun runs one submission to completion and returns its result.
+func submitRun(t *testing.T, r *planeRig, job *engine.Job, discard bool) engine.JobResult {
+	t.Helper()
+	var res engine.JobResult
+	done := false
+	if _, err := r.eng.Submit(job, engine.SubmitOptions{
+		DiscardOutput: discard,
+		OnComplete:    func(jr engine.JobResult) { res, done = jr, true },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run()
+	if !done {
+		t.Fatalf("job %s did not complete", job.Name)
+	}
+	return res
+}
+
+// TestMemoSharedAcrossShallowClones: the memo is keyed by what makes a
+// stage output pure — the Stage and the input records — so N variants × M
+// submissions fill it with one Compute call per partition, after the one
+// unmemoized first submission, on either plane.
+func TestMemoSharedAcrossShallowClones(t *testing.T) {
+	const parts, variants, rounds = 7, 4, 3
+	for _, discard := range []bool{false, true} {
+		calls := 0
+		clones := shallowClones(countingJob("t", skewedInput(parts), &calls), variants)
+		r := newPlaneRig(t, noiseFree())
+		var first engine.JobResult
+		for round := 0; round < rounds; round++ {
+			for v, job := range clones {
+				res := submitRun(t, r, job, discard)
+				want := 2 * parts
+				if round == 0 && v == 0 {
+					first, want = res, parts
+				}
+				if calls != want {
+					t.Fatalf("discard=%v: %d map calls after variant %d round %d, want %d", discard, calls, v, round, want)
+				}
+				// Served from the memo or computed, the job is the same job.
+				if !sameCost(res, first) || len(res.Output) != len(first.Output) {
+					t.Fatalf("discard=%v: variant %d round %d ran %v slot-s / %d records, first ran %v / %d",
+						discard, v, round, res.SlotSeconds, len(res.Output), first.SlotSeconds, len(first.Output))
+				}
+				if !discard && len(res.Output) == 0 {
+					t.Fatal("a reader was present but the memo path delivered no output")
+				}
+			}
+		}
+	}
+}
+
+// TestMemoKeysDoNotCollide: templates that share a Stages array but not
+// their input, or whose partitions start at the same record but differ in
+// length, must each get their own entries — checked against a fresh engine
+// per template on the payload plane, where nothing is shared.
+func TestMemoKeysDoNotCollide(t *testing.T) {
+	var calls int
+	base := countingJob("base", skewedInput(6), &calls)
+	// Same stages, other records of other sizes.
+	other := *base
+	other.Name, other.Input = "other-input", skewedInput(9)[3:]
+	// Same stages, same first records, shorter partitions.
+	prefix := *base
+	prefix.Name, prefix.Input = "prefix", make(engine.Dataset, len(base.Input))
+	for p, part := range base.Input {
+		prefix.Input[p] = part[:len(part)-2]
+	}
+	templates := []*engine.Job{base, &other, &prefix}
+
+	for _, discard := range []bool{false, true} {
+		shared := newPlaneRig(t, noiseFree())
+		for round := 0; round < 3; round++ {
+			for _, job := range templates {
+				got := submitRun(t, shared, job, discard)
+				want := submitRun(t, newPlaneRig(t, noiseFree()), job, false)
+				if !sameCost(got, want) {
+					t.Errorf("discard=%v round %d: %s ran %v slot-s in %v on the shared engine, %v in %v alone",
+						discard, round, job.Name, got.SlotSeconds, got.FinishedAt.Sub(got.StartedAt),
+						want.SlotSeconds, want.FinishedAt.Sub(want.StartedAt))
+				}
+				if !discard && !reflect.DeepEqual(keyCounts(got.Output), keyCounts(want.Output)) {
+					t.Errorf("round %d: %s output differs on the shared engine", round, job.Name)
+				}
+			}
+		}
+	}
+}
+
+func keyCounts(rs []engine.Record) map[string]int {
+	m := make(map[string]int, len(rs))
+	for _, r := range rs {
+		m[r.Key]++
+	}
+	return m
+}
+
+// TestFirstSubmissionReadsButDoesNotWrite pins both halves of the memo's
+// admission rule, which bounds its size by the templates actually reused.
+func TestFirstSubmissionReadsButDoesNotWrite(t *testing.T) {
+	const parts = 5
+	for _, discard := range []bool{false, true} {
+		calls := 0
+		base := countingJob("t", skewedInput(parts), &calls)
+		r := newPlaneRig(t, noiseFree())
+
+		submitRun(t, r, base, discard)
+		if calls != parts {
+			t.Fatalf("discard=%v: first submission made %d calls, want %d", discard, calls, parts)
+		}
+		// Had the first submission written, this one would be free.
+		submitRun(t, r, base, discard)
+		if calls != 2*parts {
+			t.Fatalf("discard=%v: second submission brought calls to %d, want %d (first must not write)", discard, calls, 2*parts)
+		}
+		// A template the engine has never seen — its own Dataset header over
+		// the same partitions — reads what the re-submitted one wrote.
+		fresh := *base
+		fresh.Name, fresh.Input = "fresh", append(engine.Dataset(nil), base.Input...)
+		submitRun(t, r, &fresh, discard)
+		if calls != 2*parts {
+			t.Fatalf("discard=%v: a first submission over memoized partitions made %d calls", discard, calls-2*parts)
+		}
+	}
+}

@@ -70,6 +70,19 @@ func TestFigureRenderings(t *testing.T) {
 	if s := f4.String(); !strings.Contains(s, "126") || !strings.Contains(s, "0.20") {
 		t.Errorf("figure 4 rendering: %q", s)
 	}
+	// Two datasets: the "mean error" lines follow row order in every one of
+	// 32 renderings (ranging over the map swapped them in ~1 run of 8).
+	f4.Rows = append(f4.Rows, Figure4Row{Dataset: "147", Theta: 0.2, ObservedSec: 9.1, PredictedSec: 9.0, ErrPct: 1.1})
+	f4.MeanErrPct["147"] = 1.1
+	first := f4.String()
+	if !strings.HasSuffix(first, "mean error 126: 0.8%\nmean error 147: 1.1%\n") {
+		t.Errorf("figure 4 mean errors out of dataset order: %q", first)
+	}
+	for i := 1; i < 32; i++ {
+		if s := f4.String(); s != first {
+			t.Fatalf("figure 4 rendering %d differs:\n%s\nvs\n%s", i, s, first)
+		}
+	}
 	f5 := &Figure5Result{
 		Rows: []Figure5Row{{Theta: 0.2, Class: "low", ObservedSec: 47.7, PredictedSec: 46.2}},
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"dias/internal/analytics"
@@ -47,8 +48,14 @@ func (f *Figure4Result) String() string {
 		fmt.Fprintf(&b, "%-8s %5.2f   %10.2f   %10.2f   %6.1f\n",
 			r.Dataset, r.Theta, r.ObservedSec, r.PredictedSec, r.ErrPct)
 	}
-	for ds, e := range f.MeanErrPct {
-		fmt.Fprintf(&b, "mean error %s: %.1f%%\n", ds, e)
+	// Datasets in the order their rows appear, never in map order, so the
+	// rendering is byte-stable from run to run.
+	var rendered []string
+	for _, r := range f.Rows {
+		if e, ok := f.MeanErrPct[r.Dataset]; ok && !slices.Contains(rendered, r.Dataset) {
+			rendered = append(rendered, r.Dataset)
+			fmt.Fprintf(&b, "mean error %s: %.1f%%\n", r.Dataset, e)
+		}
 	}
 	return b.String()
 }

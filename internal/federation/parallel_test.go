@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"dias/internal/admission"
+	"dias/internal/analytics"
 	"dias/internal/core"
 	"dias/internal/dfs"
+	"dias/internal/engine"
 	"dias/internal/federation"
 	"dias/internal/telemetry"
 	"dias/internal/workload"
@@ -31,11 +34,59 @@ type parallelRun struct {
 	timeline string // gauge CSV export
 }
 
+// churnJobs is the payload-free job pair the kernel tests route: one
+// template per class, homed on members 0 and 1.
+func churnJobs() (workload.JobSource, []*engine.Job) {
+	jobs := workload.FixedJobs{churnJob("low", 6), churnJob("high", 3)}
+	for _, job := range jobs {
+		job.InputPath = fmt.Sprintf("/data/%s", job.Name)
+	}
+	return jobs, jobs
+}
+
+// homedVariants serves a uniformly random data-home variant of the class
+// template per arrival; index = class.
+type homedVariants [][]*engine.Job
+
+func (v homedVariants) Job(rng *rand.Rand, class int) (*engine.Job, error) {
+	return v[class][rng.Intn(len(v[class]))], nil
+}
+
+func (v homedVariants) Classes() int { return len(v) }
+
+// homedTextJobs builds two word-popularity templates and shallow-clones
+// each into one variant per member, the way the federation figure drivers
+// home one template's data on every cluster: all variants of a class
+// share one Stages array and one corpus.
+func homedTextJobs(t *testing.T, members int) (workload.JobSource, []*engine.Job) {
+	t.Helper()
+	source := make(homedVariants, 2)
+	var inputs []*engine.Job
+	for c, name := range []string{"low", "high"} {
+		cfg := workload.DefaultCorpusConfig()
+		cfg.Partitions, cfg.PostsPerPartition = 6-3*c, 5
+		corpus, err := workload.SynthesizeCorpus(rand.New(rand.NewSource(int64(31+c))), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := analytics.WordPopularityJob(name, corpus, 4, 1<<28)
+		for v := 0; v < members; v++ {
+			clone := *base
+			clone.Name = fmt.Sprintf("%s-%d", name, v)
+			clone.InputPath = fmt.Sprintf("/data/%s-%d", name, v)
+			source[c] = append(source[c], &clone)
+		}
+		// Member-major, so variant v of either class is homed on member v.
+		inputs = append(inputs, source[c]...)
+	}
+	return source, inputs
+}
+
 // runParallelScenario runs an 8-member federation — the given routing
 // policy over a data model (finite WAN lookahead), queue-depth admission
 // with spill, a mid-run member outage, telemetry on — at the given
-// sim-worker count.
-func runParallelScenario(t *testing.T, simWorkers int, routing federation.RoutingPolicy) parallelRun {
+// sim-worker count. Input i is homed on member i mod 8.
+func runParallelScenario(t *testing.T, simWorkers int, routing federation.RoutingPolicy, source workload.JobSource, inputs []*engine.Job) parallelRun {
 	t.Helper()
 	reg := telemetry.NewRegistry(telemetry.Config{GaugeIntervalSec: 40})
 	col := reg.Collector("par")
@@ -69,10 +120,8 @@ func runParallelScenario(t *testing.T, simWorkers int, routing federation.Routin
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := workload.FixedJobs{churnJob("low", 6), churnJob("high", 3)}
-	for c, job := range jobs {
-		job.InputPath = fmt.Sprintf("/data/%s", job.Name)
-		if err := fed.RegisterInput(job, c%len(fed.Members())); err != nil {
+	for i, job := range inputs {
+		if err := fed.RegisterInput(job, i%len(fed.Members())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +132,7 @@ func runParallelScenario(t *testing.T, simWorkers int, routing federation.Routin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.SubmitStream(mix, jobs, 160, 21); err != nil {
+	if err := fed.SubmitStream(mix, source, 160, 21); err != nil {
 		t.Fatal(err)
 	}
 	fed.Run()
@@ -122,7 +171,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
-			serial := runParallelScenario(t, 1, pol.make())
+			source, inputs := churnJobs()
+			serial := runParallelScenario(t, 1, pol.make(), source, inputs)
 			if len(serial.records) != 160 {
 				t.Fatalf("serial run emitted %d records for 160 submissions", len(serial.records))
 			}
@@ -130,7 +180,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatal("scenario exercises no admission spills; strengthen it")
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par := runParallelScenario(t, workers, pol.make())
+				par := runParallelScenario(t, workers, pol.make(), source, inputs)
 				if len(par.records) != len(serial.records) {
 					t.Fatalf("workers=%d: %d records vs %d serial", workers, len(par.records), len(serial.records))
 				}
@@ -160,6 +210,34 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelMatchesSerialOnSharedTemplates holds the same line where the
+// count-only plane and the stage memo are live: real map and reduce
+// payload, nobody reading the output, and every member executing
+// shallow clones of the same two templates. The memo is per engine, so
+// member goroutines share only the templates' read-only Stages and
+// corpus; the run must stay identical at any worker count (and clean
+// under the race lane).
+func TestParallelMatchesSerialOnSharedTemplates(t *testing.T) {
+	source, inputs := homedTextJobs(t, 8)
+	serial := runParallelScenario(t, 1, federation.NewJoinShortestQueue(), source, inputs)
+	if len(serial.records) != 160 {
+		t.Fatalf("serial run emitted %d records for 160 submissions", len(serial.records))
+	}
+	completed := 0
+	for _, rec := range serial.records {
+		if !rec.Rejected && !rec.Failed {
+			completed++
+		}
+	}
+	if completed < 80 {
+		t.Fatalf("only %d of 160 jobs executed; the scenario is not exercising the engine", completed)
+	}
+	par := runParallelScenario(t, 8, federation.NewJoinShortestQueue(), source, inputs)
+	if !reflect.DeepEqual(par, serial) {
+		t.Fatal("8 sim-workers diverge from the serial run on shared templates")
 	}
 }
 

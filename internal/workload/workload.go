@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -138,15 +139,18 @@ func SynthesizeGraph(rng *rand.Rand, cfg GraphConfig) ([]analytics.Edge, error) 
 			endpoints = append(endpoints, int64(u), int64(v))
 		}
 	}
+	// Targets stay in selection order in a slice, never in a map, so the
+	// edge list is a pure function of the RNG stream in every process.
+	targets := make([]int64, 0, m)
 	for v := m + 1; v < cfg.Nodes; v++ {
-		chosen := make(map[int64]bool, m)
-		for len(chosen) < m {
+		targets = targets[:0]
+		for len(targets) < m {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if t != int64(v) {
-				chosen[t] = true
+			if t != int64(v) && !slices.Contains(targets, t) {
+				targets = append(targets, t)
 			}
 		}
-		for t := range chosen {
+		for _, t := range targets {
 			edges = append(edges, analytics.Edge{U: int64(v), V: t})
 			endpoints = append(endpoints, int64(v), t)
 		}

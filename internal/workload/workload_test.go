@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -174,6 +176,33 @@ func TestSynthesizeGraph(t *testing.T) {
 	// A scale-free graph of this density has triangles.
 	if analytics.ExactTriangles(edges) == 0 {
 		t.Fatal("no triangles in scale-free graph")
+	}
+}
+
+// TestSynthesizeGraphIsDeterministic pins the edge list: it is a pure
+// function of the seed within a process (two calls agree) and across
+// processes (both agree with the constant), which a map-ordered target
+// set was not.
+func TestSynthesizeGraphIsDeterministic(t *testing.T) {
+	const golden = "4b56b30264a351f309834b3bc19e14970cb551b2d9f714e346d8ae41d967b4b4"
+	cfg := GraphConfig{Nodes: 300, EdgesPerNode: 3}
+	digest := func() string {
+		edges, err := SynthesizeGraph(rand.New(rand.NewSource(1)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, e := range edges {
+			fmt.Fprintf(h, "%d,%d;", e.U, e.V)
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	first, second := digest(), digest()
+	if first != second {
+		t.Fatalf("two calls at one seed disagree: %s vs %s", first, second)
+	}
+	if first != golden {
+		t.Errorf("edge list digest %s, want %s", first, golden)
 	}
 }
 
