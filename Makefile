@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race cover bench bench-smoke bench-baseline bench-check determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
+.PHONY: build test test-short test-race cover bench bench-smoke benchmark-smoke bench-baseline bench-check determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
 
 # The reduced figure set and scale the smoke/baseline/gate pipeline runs.
 # Changing it requires regenerating the committed baseline (bench-baseline).
@@ -47,6 +47,18 @@ bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting|BenchmarkFederationParallelKernel' -benchmem . > bench_smoke.txt
 	cat bench_smoke.txt
 	$(GO) run ./cmd/dias-experiments $(BENCH_SMOKE_ARGS) -bench-out BENCH_results.json > /dev/null
+
+# The benchmark of record (BENCHMARK.json, benchmark/) is its own module,
+# so `go build ./... && go test ./...` at the root never compiles it: a
+# change to engine.Stage or engine.Record can break it with every other
+# lane green. This builds and tests it against the tree, then drives the
+# two workloads that cover the most of the program between them through
+# the entry point BENCHMARK.json names (digest, conservation and payload
+# oracles included; a smoke run takes a few seconds).
+benchmark-smoke:
+	cd benchmark && $(GO) test -short ./...
+	bash benchmark/run.sh --workload figure-set --smoke
+	bash benchmark/run.sh --workload fed8-text --smoke
 
 # Regenerate the committed bench-regression baseline (run on the machine
 # class CI uses when the wall-clock gate matters; figure means are

@@ -5,6 +5,7 @@
 //	                 [-replicas R] [-bench-out BENCH_results.json]
 //	                 [-trace trace.json] [-events events.jsonl]
 //	                 [-timeline timeline.csv] [-max-sys-mb M]
+//	                 [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -fig list prints every registered figure with its description; -fig also
 // accepts a comma-separated list (e.g. -fig 7,federation-scaleout). The
@@ -28,6 +29,11 @@
 // figure quantities and every telemetry export are byte-identical at
 // any -workers x -sim-workers combination.
 //
+// -cpuprofile and -memprofile write pprof profiles of the figure drivers
+// alone (flag handling, report and export writing stay outside), so a
+// profile of a real figure run needs no throwaway binary; inspect with
+// `go tool pprof`. See docs/BENCHMARKING.md.
+//
 // Output is the textual form of each figure: baseline absolutes plus
 // relative differences, exactly the quantities the paper plots. Every
 // figure fans its independent simulation runs (scenario × policy × seed)
@@ -41,14 +47,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"dias/internal/experiments"
@@ -69,6 +78,8 @@ func main() {
 	eventsOut := flag.String("events", "", "write the raw telemetry event stream as JSONL here (empty = skip)")
 	timelineOut := flag.String("timeline", "", "write the gauge timeline as CSV here (empty = skip)")
 	maxSysMB := flag.Int("max-sys-mb", 0, "fail if the Go heap reserves more than this many MiB from the OS (0 = no ceiling)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure drivers here (empty = skip)")
+	memProfile := flag.String("memprofile", "", "write a heap profile taken after the last figure here (empty = skip)")
 	flag.Parse()
 
 	if *fig == "list" {
@@ -93,7 +104,8 @@ func main() {
 		os.Exit(2)
 	}
 	exports := exportPaths{trace: *traceOut, events: *eventsOut, timeline: *timelineOut}
-	if err := run(*fig, scale, *replicas, *benchOut, exports); err != nil {
+	profiles := profilePaths{cpu: *cpuProfile, mem: *memProfile}
+	if err := run(*fig, scale, *replicas, *benchOut, exports, profiles); err != nil {
 		fmt.Fprintln(os.Stderr, "dias-experiments:", err)
 		os.Exit(1)
 	}
@@ -121,6 +133,58 @@ func checkSysCeiling(maxMB int) error {
 		return fmt.Errorf("memory high-water %.0f MiB exceeds -max-sys-mb %d", sysMB, maxMB)
 	}
 	return nil
+}
+
+// profilePaths names the pprof outputs; empty paths are skipped.
+type profilePaths struct {
+	cpu, mem string
+}
+
+// start opens both files (so a bad path fails before any figure runs) and
+// begins the CPU profile. The returned stop ends it and writes the heap
+// profile; it does so once, and later calls repeat the first one's error.
+func (p profilePaths) start() (stop func() error, err error) {
+	var cpu, mem *os.File
+	fail := func(what string, err error) (func() error, error) {
+		for _, f := range []*os.File{cpu, mem} {
+			if f != nil {
+				f.Close()
+			}
+		}
+		return nil, fmt.Errorf("%s profile: %w", what, err)
+	}
+	if p.mem != "" {
+		if mem, err = os.Create(p.mem); err != nil {
+			return fail("heap", err)
+		}
+	}
+	if p.cpu != "" {
+		if cpu, err = os.Create(p.cpu); err != nil {
+			return fail("cpu", err)
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			return fail("cpu", err)
+		}
+	}
+	return sync.OnceValue(func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("cpu profile: %w", err))
+			}
+		}
+		if mem != nil {
+			runtime.GC() // the profile reports what is live as of the last collection
+			if err := pprof.WriteHeapProfile(mem); err != nil {
+				errs = append(errs, fmt.Errorf("heap profile: %w", err))
+			}
+			if err := mem.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("heap profile: %w", err))
+			}
+		}
+		return errors.Join(errs...)
+	}), nil
 }
 
 // exportPaths collects the telemetry export destinations; any non-empty
@@ -227,7 +291,7 @@ type figureReport struct {
 	Scenarios []runner.Summary `json:"scenarios,omitempty"`
 }
 
-func run(fig string, scale experiments.Scale, replicas int, benchOut string, exports exportPaths) error {
+func run(fig string, scale experiments.Scale, replicas int, benchOut string, exports exportPaths, profiles profilePaths) error {
 	// -fig accepts a comma-separated selection; "all" anywhere in the list
 	// wins.
 	want := make(map[string]bool)
@@ -268,6 +332,11 @@ func run(fig string, scale experiments.Scale, replicas int, benchOut string, exp
 		Seeds:           seeds,
 		JobsPerScenario: scale.Jobs,
 	}
+	stopProfiles, err := profiles.start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles() // a failing figure still leaves a readable CPU profile
 	start := time.Now()
 	for _, d := range experiments.Drivers() {
 		if !all && !want[d.Name] {
@@ -327,6 +396,9 @@ func run(fig string, scale experiments.Scale, replicas int, benchOut string, exp
 		report.Figures = append(report.Figures, fr)
 	}
 	report.TotalWallClockSec = time.Since(start).Seconds()
+	if err := stopProfiles(); err != nil {
+		return err
+	}
 	if reg != nil {
 		if err := exports.write(reg); err != nil {
 			return err

@@ -54,13 +54,33 @@ func TestCheckBenchOut(t *testing.T) {
 
 func TestRunRejectsUnknownFigure(t *testing.T) {
 	scale := quickTestScale()
-	if err := run("no-such-figure", scale, 1, "", exportPaths{}); err == nil {
+	if err := run("no-such-figure", scale, 1, "", exportPaths{}, profilePaths{}); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 }
 
 func TestRunEmptySelection(t *testing.T) {
-	if err := run(" , ", quickTestScale(), 1, "", exportPaths{}); err == nil {
+	if err := run(" , ", quickTestScale(), 1, "", exportPaths{}, profilePaths{}); err == nil {
 		t.Fatal("empty selection accepted")
+	}
+}
+
+// TestProfilesCoverTheDriverLoop runs one small figure with both profiles
+// armed: each file must hold a profile afterwards, and an unwritable path
+// must fail before any figure runs.
+func TestProfilesCoverTheDriverLoop(t *testing.T) {
+	dir := t.TempDir()
+	prof := profilePaths{cpu: filepath.Join(dir, "cpu.prof"), mem: filepath.Join(dir, "mem.prof")}
+	if err := run("6", quickTestScale(), 1, "", exportPaths{}, prof); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{prof.cpu, prof.mem} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", filepath.Base(path), err)
+		}
+	}
+	bad := profilePaths{cpu: prof.cpu, mem: filepath.Join(dir, "no", "such", "dir", "mem.prof")}
+	if err := run("6", quickTestScale(), 1, "", exportPaths{}, bad); err == nil {
+		t.Fatal("unwritable -memprofile accepted")
 	}
 }

@@ -197,9 +197,9 @@ func TestTriangleCountJobStructure(t *testing.T) {
 	if len(job.Stages) != 7 {
 		t.Fatalf("stages = %d, want 7", len(job.Stages))
 	}
-	for i, s := range job.Stages[:6] {
-		if s.Kind != engine.ShuffleMap {
-			t.Fatalf("stage %d kind = %v, want ShuffleMap", i, s.Kind)
+	for i := range job.Stages[:6] {
+		if kind := job.Stages[i].Kind; kind != engine.ShuffleMap {
+			t.Fatalf("stage %d kind = %v, want ShuffleMap", i, kind)
 		}
 	}
 	if job.Stages[6].Kind != engine.Result {

@@ -40,12 +40,13 @@
 //
 // TaskFunc implementations must be pure, deterministic transforms. The
 // engine exploits this: outputs of input-reading stages — whose task
-// inputs are a template's own stable partitions — are cached per engine
-// under the identity of the Stage and of the input records, as records or
-// as per-bucket counts depending on the plane, so experiment drivers that
-// re-execute fixed job templates (or shallow clones of them) for every
-// arrival compute each partition once. Every submission reads the cache;
-// only a template's second and later submissions write it. Simulated task
-// durations are priced by the cost model from input sizes, so memoization
-// changes no timing, only removes redundant host-CPU work.
+// inputs are a template's own stable partitions — are memoized on the
+// Stage itself, one entry per input partition, as records or as per-bucket
+// counts depending on the plane. The memo lives and dies with the
+// template's Stages array, so every Job that shares the array (shallow
+// clones, workload.SubJob truncations) on every engine and goroutine
+// computes each partition once, from the first submission on; nothing is
+// retained per engine or per process. Simulated task durations are priced
+// by the cost model from input sizes, so memoization changes no timing,
+// only removes redundant host-CPU work.
 package engine

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"dias/internal/cluster"
 	"dias/internal/dfs"
@@ -50,11 +51,12 @@ const (
 // a pure, deterministic function of its input: it must not mutate the
 // input slice, and it must not retain or later mutate the returned slice.
 // The engine relies on this three ways: it memoizes input-reading stage
-// outputs by the identity of the Stage and of the input records (so a
-// Stage's Compute and a template's input must not change once submitted),
-// it aliases shuffle outputs as downstream inputs without defensive
-// copying, and it does not call Compute at all for a stage whose output
-// nobody reads.
+// outputs on the Stage itself, per input partition (so a Stage's Compute
+// and OutPartitions and a template's input records must not change once
+// submitted, and any engine on any goroutine may serve the output from
+// another's call), it aliases shuffle outputs as downstream inputs without
+// defensive copying, and it does not call Compute at all for a stage whose
+// output nobody reads.
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.
@@ -74,6 +76,12 @@ type Stage struct {
 	// PerRecordSec overrides CostModel.PerRecordSec for this stage's tasks
 	// when positive (map parsing and reduce aggregation cost differently).
 	PerRecordSec float64
+
+	// memo is the slot for this stage's memoized outputs (see stageMemo).
+	// It lives in the Stages backing array, so every Job sharing that array
+	// — shallow clones, workload.SubJob truncations — shares the entries,
+	// and they are collected with the template.
+	memo atomic.Pointer[stageMemo]
 }
 
 // JobID identifies a submitted job within an Engine.
@@ -104,7 +112,8 @@ func (j *Job) Validate() error {
 	if len(j.Stages) == 0 {
 		return errors.New("engine: job has no stages")
 	}
-	for i, s := range j.Stages {
+	for i := range j.Stages {
+		s := &j.Stages[i]
 		for _, d := range s.Deps {
 			if d < 0 || d >= i {
 				return fmt.Errorf("engine: stage %d depends on %d (must be a lower index)", i, d)
@@ -409,9 +418,6 @@ type execution struct {
 	// swap-remove); a deterministic replacement for the old map, so DVFS
 	// rescaling and speculation scans are reproducible per seed.
 	running []*task
-	// memoize marks a re-submitted job template, whose input-reading stage
-	// outputs are written to the engine's memo cache.
-	memoize bool
 	done    bool
 	evicted bool
 }
@@ -471,21 +477,6 @@ type Engine struct {
 	// FailNode's per-node abort sweep.
 	permScratch  []int
 	abortScratch []*task
-	// seen tracks submitted job templates; a second submission of the same
-	// template lets its input-reading stages write the memo. Entries are
-	// deliberately never evicted (a template may be re-submitted
-	// arbitrarily long after it last completed), so an engine retains one
-	// small entry per distinct template over its lifetime; experiment
-	// drivers pre-schedule every arrival's job anyway, so this adds no
-	// meaningful peak memory to a run.
-	seen map[templateKey]bool
-	// memo caches pure stage outputs and memoCounts their per-bucket record
-	// counts (the count-only plane's form of the same output). Every
-	// submission reads them; only re-submitted templates write them, so
-	// their size is bounded by the re-used templates, not by total
-	// submissions.
-	memo       map[memoKey][]Record
-	memoCounts map[memoKey][]int32
 
 	wastedSlotSeconds    float64
 	completedJobs        int
@@ -520,47 +511,86 @@ func New(sim *simtime.Simulation, clu *cluster.Cluster, fs *dfs.FS, cost CostMod
 		return nil, errors.New("engine: nil simulation or cluster")
 	}
 	e := &Engine{
-		sim:        sim,
-		clu:        clu,
-		fs:         fs,
-		cost:       cost,
-		rng:        rand.New(rand.NewSource(seed)),
-		execs:      make(map[JobID]*execution),
-		seen:       make(map[templateKey]bool),
-		memo:       make(map[memoKey][]Record),
-		memoCounts: make(map[memoKey][]int32),
+		sim:   sim,
+		clu:   clu,
+		fs:    fs,
+		cost:  cost,
+		rng:   rand.New(rand.NewSource(seed)),
+		execs: make(map[JobID]*execution),
 	}
 	clu.OnSpeedChange(e.rescaleRunning)
 	return e, nil
 }
 
-// templateKey identifies a job template by the backing arrays of its
-// stages and input, which shallow clones of one *Job (same DAG and data
-// under another Name or InputPath) share.
-type templateKey struct {
-	stages *Stage
-	input  *Partition
+// stageMemo holds the memoized outputs of one input-reading Stage, one
+// entry per input partition. A stage output is a pure function of the
+// template, so the memo belongs to the template — it sits in the Stage's
+// own slot and dies with the Stages array — not to an engine: every
+// engine a template is submitted to, on any goroutine, reads and fills
+// the same entries.
+type stageMemo struct {
+	// owner is the Stage the memo was created for. A Stage value copied
+	// into another slice carries the slot along but not the right to it
+	// (its Compute may have been swapped), so a memo is honoured only at
+	// its owner's address.
+	owner   *Stage
+	entries []atomic.Pointer[memoEntry]
 }
 
-// memoKey addresses one cached stage output by what makes it pure: the
-// Stage computed and the input records it was computed over. Shallow
-// clones of a template therefore share entries, and the pointers keep
-// both alive, so an address is never reused while its entry exists.
-type memoKey struct {
-	stage *Stage
-	data  *Record
-	n     int
+// memoEntry is one partition's memoized output, immutable once published.
+// It holds whichever forms have been asked for so far: the records (the
+// payload plane), their per-bucket counts (the count-only plane), or both.
+type memoEntry struct {
+	// data and n identify the input records the output was computed over;
+	// an entry serves exactly that partition.
+	data *Record
+	n    int
+	// out is the Compute output when hasOut is set (it may be nil: a
+	// filter that keeps nothing); counts is nil until a count-only task
+	// asks.
+	out    []Record
+	hasOut bool
+	counts []int32
 }
 
-// memoKeyOf returns the memo address of t's output, if it has one: only
-// input-reading stages qualify (their task inputs are the template's own
-// stable partitions), and a nil Compute or an empty input costs nothing
-// to redo.
-func memoKeyOf(t *task, s *Stage) (memoKey, bool) {
-	if s.Compute == nil || len(s.Deps) != 0 || len(t.input) == 0 {
-		return memoKey{}, false
+// memoFor returns s's memo with room for n input partitions. The first
+// caller creates it; a memo too short (a workload.SubJob truncation ran
+// before its parent) or inherited by value from another Stage is replaced,
+// keeping the owner's entries. An engine racing the replacement may still
+// publish into the old memo; that entry is lost and recomputed, nothing
+// more.
+func (s *Stage) memoFor(n int) *stageMemo {
+	for {
+		m := s.memo.Load()
+		if m != nil && m.owner == s && len(m.entries) >= n {
+			return m
+		}
+		grown := &stageMemo{owner: s, entries: make([]atomic.Pointer[memoEntry], n)}
+		if m != nil && m.owner == s {
+			for p := range m.entries {
+				grown.entries[p].Store(m.entries[p].Load())
+			}
+		}
+		if s.memo.CompareAndSwap(m, grown) {
+			return grown
+		}
 	}
-	return memoKey{stage: s, data: &t.input[0], n: len(t.input)}, true
+}
+
+// memoEntryOf returns the memo cell of t's output and the entry published
+// there for t's input, if any. The cell is nil when the output is not
+// memoizable: only input-reading stages qualify (their task inputs are the
+// template's own stable partitions), and a nil Compute or an empty input
+// costs nothing to redo.
+func memoEntryOf(t *task, s *Stage) (*atomic.Pointer[memoEntry], *memoEntry) {
+	if s.Compute == nil || len(s.Deps) != 0 || len(t.input) == 0 {
+		return nil, nil
+	}
+	cell := &s.memoFor(len(t.exec.job.Input)).entries[t.partition]
+	if e := cell.Load(); e != nil && e.data == &t.input[0] && e.n == len(t.input) {
+		return cell, e
+	}
+	return cell, nil
 }
 
 // newTask takes a task struct off the freelist (or allocates one with its
@@ -634,7 +664,7 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 	ex.slotSeconds, ex.failureLostSec = 0, 0
 	ex.retries, ex.tasksTotal, ex.tasksExecuted, ex.tasksDropped = 0, 0, 0, 0
 	ex.launched, ex.specLaunched = 0, 0
-	ex.memoize, ex.done, ex.evicted = false, false, false
+	ex.done, ex.evicted = false, false
 	return ex
 }
 
@@ -748,16 +778,9 @@ func (e *Engine) Submit(job *Job, opts SubmitOptions) (JobID, error) {
 		}
 	}
 	ex := e.newExecution(job, opts)
-	if tk := (templateKey{&job.Stages[0], &job.Input[0]}); e.seen[tk] {
-		// The template was executed before on this engine: it is worth
-		// caching its pure input-reading stage outputs from now on.
-		ex.memoize = true
-	} else {
-		e.seen[tk] = true
-	}
-	for si, st := range job.Stages {
-		ex.stageStats[si].Name = st.Name
-		ex.stageStats[si].Kind = st.Kind
+	for si := range job.Stages {
+		ex.stageStats[si].Name = job.Stages[si].Name
+		ex.stageStats[si].Kind = job.Stages[si].Kind
 	}
 	if job.InputPath != "" && e.fs != nil {
 		if blocks, err := e.fs.Blocks(job.InputPath); err == nil {
@@ -841,7 +864,7 @@ func (ex *execution) inputRecords(si, p int) int {
 // output directly (tasks never mutate their inputs); only multi-parent
 // stages concatenate into fresh buckets.
 func (ex *execution) stageInput(si int) Dataset {
-	s := ex.job.Stages[si]
+	s := &ex.job.Stages[si]
 	switch len(s.Deps) {
 	case 0:
 		return ex.job.Input
@@ -1060,14 +1083,14 @@ func (e *Engine) completeTask(t *task) {
 	switch carries := ex.carries[t.stage]; {
 	case s.Kind == ShuffleMap && carries:
 		buckets := ex.outputs[t.stage]
-		for _, r := range e.taskOutput(ex, t, s) {
+		for _, r := range taskOutput(t, s) {
 			b := bucketOf(r.Key, len(buckets))
 			buckets[b] = append(buckets[b], r)
 		}
 	case s.Kind == ShuffleMap:
-		e.countOutput(ex, t, s)
+		countOutput(t, s, ex.outCounts[t.stage])
 	case carries:
-		ex.resultOut = append(ex.resultOut, e.taskOutput(ex, t, s)...)
+		ex.resultOut = append(ex.resultOut, taskOutput(t, s)...)
 	default:
 		// A Result stage nobody reads: its output is never computed.
 	}
@@ -1083,53 +1106,59 @@ func (e *Engine) completeTask(t *task) {
 	e.dispatch()
 }
 
-// taskOutput returns the records a finished task produced, from the memo
-// when its stage and input were computed before on this engine.
-func (e *Engine) taskOutput(ex *execution, t *task, s *Stage) []Record {
+// taskOutput returns the records a finished task produced, from the
+// stage's memo when this partition was computed before by any engine.
+func taskOutput(t *task, s *Stage) []Record {
 	if s.Compute == nil {
 		return t.input
 	}
-	k, pure := memoKeyOf(t, s)
-	if pure {
-		if out, ok := e.memo[k]; ok {
-			return out
-		}
+	cell, e := memoEntryOf(t, s)
+	if cell == nil {
+		return s.Compute(t.input)
 	}
-	out := s.Compute(t.input)
-	if pure && ex.memoize {
-		e.memo[k] = out
+	if e != nil && e.hasOut {
+		return e.out
 	}
-	return out
+	filled := &memoEntry{data: &t.input[0], n: len(t.input), out: s.Compute(t.input), hasOut: true}
+	if e != nil {
+		filled.counts = e.counts
+	}
+	cell.Store(filled)
+	return filled.out
 }
 
 // countOutput adds a finished ShuffleMap task's output to its stage's
 // per-bucket record counts without keeping the records: the count-only
 // form of taskOutput plus bucketing, memoized the same way.
-func (e *Engine) countOutput(ex *execution, t *task, s *Stage) {
-	counts := ex.outCounts[t.stage]
-	k, pure := memoKeyOf(t, s)
-	var cached []int32
-	if pure {
-		cached = e.memoCounts[k]
-	}
-	if cached == nil {
+func countOutput(t *task, s *Stage, counts []int) {
+	cell, e := memoEntryOf(t, s)
+	if cell == nil {
 		out := t.input
 		if s.Compute != nil {
 			out = s.Compute(t.input)
 		}
-		if !pure || !ex.memoize {
-			for _, r := range out {
-				counts[bucketOf(r.Key, len(counts))]++
-			}
-			return
-		}
-		cached = make([]int32, len(counts)) // non-nil: OutPartitions > 0
 		for _, r := range out {
-			cached[bucketOf(r.Key, len(cached))]++
+			counts[bucketOf(r.Key, len(counts))]++
 		}
-		e.memoCounts[k] = cached
+		return
 	}
-	for b, c := range cached {
+	if e == nil || e.counts == nil {
+		filled := &memoEntry{data: &t.input[0], n: len(t.input), counts: make([]int32, len(counts))}
+		var out []Record
+		if e != nil {
+			// The payload plane got here first: count what it kept.
+			filled.out, filled.hasOut = e.out, true
+			out = e.out
+		} else {
+			out = s.Compute(t.input)
+		}
+		for _, r := range out {
+			filled.counts[bucketOf(r.Key, len(counts))]++
+		}
+		cell.Store(filled)
+		e = filled
+	}
+	for b, c := range e.counts {
 		counts[b] += int(c)
 	}
 }
@@ -1331,7 +1360,7 @@ func (e *Engine) finishStage(ex *execution, si int) {
 	if n := ex.stageStats[si].TasksExecuted; n > 0 {
 		ex.stageStats[si].MeanTaskSec = ex.stageTaskSecs[si] / float64(n)
 	}
-	s := ex.job.Stages[si]
+	s := &ex.job.Stages[si]
 	if s.Kind == Result {
 		ex.stageDone[si] = true
 		e.completeJob(ex)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dias/internal/analytics"
@@ -280,9 +282,8 @@ type planeOutcome struct {
 }
 
 // runPlane submits the job six times back to back on one engine — so the
-// run covers the unmemoized first submission, the memo-filling second and
-// memo-served later ones, all on pooled executions — and drains the
-// simulation after each.
+// run covers the memo-filling first submission and memo-served later ones,
+// all on pooled executions — and drains the simulation after each.
 func runPlane(t *testing.T, pj planeJob, sc planeScenario, discard bool) *planeOutcome {
 	t.Helper()
 	cost := planeCost()
@@ -427,37 +428,194 @@ func submitRun(t *testing.T, r *planeRig, job *engine.Job, discard bool) engine.
 	return res
 }
 
-// TestMemoSharedAcrossShallowClones: the memo is keyed by what makes a
-// stage output pure — the Stage and the input records — so N variants × M
-// submissions fill it with one Compute call per partition, after the one
-// unmemoized first submission, on either plane.
+// TestMemoSharedAcrossShallowClones: a stage output is a pure function of
+// the template, so the memo lives on the template — N fresh engines × M
+// variants × R rounds make one Compute call per partition between them,
+// from the very first submission on, on either plane. Changing plane on a
+// filled template costs nothing when the records are there to count and one
+// more fill when they are not (the count-only plane keeps none).
 func TestMemoSharedAcrossShallowClones(t *testing.T) {
-	const parts, variants, rounds = 7, 4, 3
+	const parts, variants, engines, rounds = 7, 4, 3, 2
 	for _, discard := range []bool{false, true} {
 		calls := 0
 		clones := shallowClones(countingJob("t", skewedInput(parts), &calls), variants)
-		r := newPlaneRig(t, noiseFree())
 		var first engine.JobResult
-		for round := 0; round < rounds; round++ {
-			for v, job := range clones {
-				res := submitRun(t, r, job, discard)
-				want := 2 * parts
-				if round == 0 && v == 0 {
-					first, want = res, parts
-				}
-				if calls != want {
-					t.Fatalf("discard=%v: %d map calls after variant %d round %d, want %d", discard, calls, v, round, want)
-				}
-				// Served from the memo or computed, the job is the same job.
-				if !sameCost(res, first) || len(res.Output) != len(first.Output) {
-					t.Fatalf("discard=%v: variant %d round %d ran %v slot-s / %d records, first ran %v / %d",
-						discard, v, round, res.SlotSeconds, len(res.Output), first.SlotSeconds, len(first.Output))
-				}
-				if !discard && len(res.Output) == 0 {
-					t.Fatal("a reader was present but the memo path delivered no output")
+		for e := 0; e < engines; e++ {
+			r := newPlaneRig(t, noiseFree())
+			for round := 0; round < rounds; round++ {
+				for v, job := range clones {
+					res := submitRun(t, r, job, discard)
+					if e == 0 && round == 0 && v == 0 {
+						first = res
+					}
+					if calls != parts {
+						t.Fatalf("discard=%v: %d map calls after engine %d round %d variant %d, want %d", discard, calls, e, round, v, parts)
+					}
+					// Served from the memo or computed, the job is the same job.
+					if !sameCost(res, first) || len(res.Output) != len(first.Output) {
+						t.Fatalf("discard=%v: engine %d round %d variant %d ran %v slot-s / %d records, first ran %v / %d",
+							discard, e, round, v, res.SlotSeconds, len(res.Output), first.SlotSeconds, len(first.Output))
+					}
+					if !discard && len(res.Output) == 0 {
+						t.Fatal("a reader was present but the memo path delivered no output")
+					}
 				}
 			}
 		}
+		want := parts
+		if discard {
+			want = 2 * parts
+		}
+		for _, plane := range []bool{!discard, discard, !discard} {
+			res := submitRun(t, newPlaneRig(t, noiseFree()), clones[1], plane)
+			if calls != want {
+				t.Fatalf("filled with discard=%v, then read with discard=%v: %d map calls, want %d", discard, plane, calls, want)
+			}
+			if !sameCost(res, first) {
+				t.Fatalf("filled with discard=%v, read with discard=%v: ran %v slot-s, first ran %v", discard, plane, res.SlotSeconds, first.SlotSeconds)
+			}
+		}
+	}
+}
+
+// TestCopiedStagesOwnTheirMemo: a Stage value copied into another slice —
+// how a tracing harness wraps Compute — carries the memo slot along by
+// value, but another Compute is another function: the copy must neither
+// read the original's entries nor disturb them, and memoizes on its own.
+func TestCopiedStagesOwnTheirMemo(t *testing.T) {
+	const parts = 5
+	halve := func(calls *int) engine.TaskFunc {
+		return func(in []engine.Record) []engine.Record {
+			*calls++
+			return evens(in)
+		}
+	}
+	for _, discard := range []bool{false, true} {
+		calls, copyCalls, refCalls := 0, 0, 0
+		base := countingJob("t", skewedInput(parts), &calls)
+		r := newPlaneRig(t, noiseFree())
+		submitRun(t, r, base, discard)
+
+		wrapped := *base
+		wrapped.Stages = append([]engine.Stage(nil), base.Stages...)
+		wrapped.Stages[0].Compute = halve(&copyCalls)
+		// What the copy must do, from a template that never met the original.
+		ref := countingJob("ref", base.Input, new(int))
+		ref.Stages[0].Compute = halve(&refCalls)
+		want := submitRun(t, newPlaneRig(t, noiseFree()), ref, discard)
+
+		for round := 0; round < 2; round++ {
+			got := submitRun(t, newPlaneRig(t, noiseFree()), &wrapped, discard)
+			if copyCalls != parts {
+				t.Fatalf("discard=%v round %d: the copy's Compute ran %d times, want %d", discard, round, copyCalls, parts)
+			}
+			if !sameCost(got, want) || !reflect.DeepEqual(keyCounts(got.Output), keyCounts(want.Output)) {
+				t.Fatalf("discard=%v round %d: the copy ran %v slot-s / %d records, its Compute alone gives %v / %d",
+					discard, round, got.SlotSeconds, len(got.Output), want.SlotSeconds, len(want.Output))
+			}
+		}
+		submitRun(t, r, base, discard)
+		if calls != parts {
+			t.Fatalf("discard=%v: the original made %d map calls around the copy's runs, want %d", discard, calls, parts)
+		}
+	}
+}
+
+// TestSubJobTruncationsShareTheirParentsMemo: a workload.SubJob is its
+// parent's template over a prefix of its partitions, so growing and
+// shrinking truncations and the parent itself, each on a fresh engine, fill
+// every partition once — and each runs exactly as a template built from
+// scratch over the same records does.
+func TestSubJobTruncationsShareTheirParentsMemo(t *testing.T) {
+	const parts = 9
+	for _, discard := range []bool{false, true} {
+		calls, filled := 0, 0
+		base := countingJob("t", skewedInput(parts), &calls)
+		for _, n := range []int{3, 6, parts, 4, 1} {
+			sub, err := workload.SubJob(base, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := submitRun(t, newPlaneRig(t, noiseFree()), sub, discard)
+			filled = max(filled, n)
+			if calls != filled {
+				t.Fatalf("discard=%v: %d map calls after the %d-partition truncation, want %d", discard, calls, n, filled)
+			}
+			ref := countingJob("ref", skewedInput(parts)[:n], new(int))
+			ref.SizeBytes = sub.SizeBytes
+			want := submitRun(t, newPlaneRig(t, noiseFree()), ref, discard)
+			if !sameCost(got, want) || !reflect.DeepEqual(keyCounts(got.Output), keyCounts(want.Output)) {
+				t.Fatalf("discard=%v: the %d-partition truncation ran %v slot-s / %d records, alone it runs %v / %d",
+					discard, n, got.SlotSeconds, len(got.Output), want.SlotSeconds, len(want.Output))
+			}
+		}
+	}
+}
+
+// TestConcurrentEnginesShareOneTemplate is the runner's shape — cells on
+// worker goroutines, each with its own simulation and engine, all built
+// over the same job templates — and is meaningful under -race: entries are
+// published and read across goroutines, on both planes at once, while
+// truncations force the memo to grow.
+func TestConcurrentEnginesShareOneTemplate(t *testing.T) {
+	const parts, variants, workers, rounds = 12, 3, 6, 3
+	var calls atomic.Int64
+	build := func() *engine.Job {
+		job := countingJob("t", skewedInput(parts), new(int))
+		job.Stages[0].Compute = func(in []engine.Record) []engine.Record {
+			calls.Add(1)
+			return echo(in)
+		}
+		return job
+	}
+	want := submitRun(t, newPlaneRig(t, noiseFree()), build(), false)
+	serialCalls := calls.Load()
+
+	base := build()
+	clones := shallowClones(base, variants)
+	short, err := workload.SubJob(base, parts/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rigs := make([]*planeRig, workers)
+	for w := range rigs {
+		rigs[w] = newPlaneRig(t, noiseFree())
+	}
+	var wg sync.WaitGroup
+	for w, r := range rigs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			discard := w%2 == 1
+			for round := 0; round < rounds; round++ {
+				for _, job := range append([]*engine.Job{short}, clones...) {
+					var res engine.JobResult
+					if _, err := r.eng.Submit(job, engine.SubmitOptions{
+						DiscardOutput: discard,
+						OnComplete:    func(jr engine.JobResult) { res = jr },
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+					r.sim.Run()
+					if job == short {
+						continue
+					}
+					if !sameCost(res, want) {
+						t.Errorf("worker %d round %d: %s ran %v slot-s, alone it runs %v", w, round, job.Name, res.SlotSeconds, want.SlotSeconds)
+					}
+					if !discard && !reflect.DeepEqual(keyCounts(res.Output), keyCounts(want.Output)) {
+						t.Errorf("worker %d round %d: %s output differs from a serial run's", w, round, job.Name)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Racing fills may repeat a partition; every worker filling every
+	// partition itself would mean nothing was shared.
+	if got := calls.Load() - serialCalls; got >= int64(workers*parts) {
+		t.Errorf("%d workers made %d map calls over %d partitions: the template's memo was not shared", workers, got, parts)
 	}
 }
 
@@ -504,33 +662,4 @@ func keyCounts(rs []engine.Record) map[string]int {
 		m[r.Key]++
 	}
 	return m
-}
-
-// TestFirstSubmissionReadsButDoesNotWrite pins both halves of the memo's
-// admission rule, which bounds its size by the templates actually reused.
-func TestFirstSubmissionReadsButDoesNotWrite(t *testing.T) {
-	const parts = 5
-	for _, discard := range []bool{false, true} {
-		calls := 0
-		base := countingJob("t", skewedInput(parts), &calls)
-		r := newPlaneRig(t, noiseFree())
-
-		submitRun(t, r, base, discard)
-		if calls != parts {
-			t.Fatalf("discard=%v: first submission made %d calls, want %d", discard, calls, parts)
-		}
-		// Had the first submission written, this one would be free.
-		submitRun(t, r, base, discard)
-		if calls != 2*parts {
-			t.Fatalf("discard=%v: second submission brought calls to %d, want %d (first must not write)", discard, calls, 2*parts)
-		}
-		// A template the engine has never seen — its own Dataset header over
-		// the same partitions — reads what the re-submitted one wrote.
-		fresh := *base
-		fresh.Name, fresh.Input = "fresh", append(engine.Dataset(nil), base.Input...)
-		submitRun(t, r, &fresh, discard)
-		if calls != 2*parts {
-			t.Fatalf("discard=%v: a first submission over memoized partitions made %d calls", discard, calls-2*parts)
-		}
-	}
 }

@@ -207,3 +207,51 @@ func TestKillRecyclesExecution(t *testing.T) {
 		t.Fatalf("%d jobs still active", r.eng.ActiveJobs())
 	}
 }
+
+// TestOneShotTemplateWithoutComputeCostsNoMemo pins the spine path: a
+// template with no Compute has nothing to memoize, so one that is submitted
+// once costs its engine exactly the allocations a re-submitted one does,
+// and its memo slots stay empty on both planes.
+func TestOneShotTemplateWithoutComputeCostsNoMemo(t *testing.T) {
+	const runs = 50
+	spine := func() *Job {
+		return &Job{
+			Name:  "spine",
+			Input: makeInput(6, 3),
+			Stages: []Stage{
+				{Name: "map", Kind: ShuffleMap, OutPartitions: 3},
+				{Name: "out", Kind: Result, Deps: []int{0}},
+			},
+		}
+	}
+	for _, discard := range []bool{false, true} {
+		r := newRig(t, 4, flatCost(1))
+		opts := SubmitOptions{DiscardOutput: discard}
+		submit := func(job *Job) {
+			if _, err := r.eng.Submit(job, opts); err != nil {
+				t.Fatal(err)
+			}
+			r.sim.Run()
+		}
+		fresh := make([]*Job, 0, runs+1) // AllocsPerRun calls once more to warm up
+		for len(fresh) < cap(fresh) {
+			fresh = append(fresh, spine())
+		}
+		reused := testing.AllocsPerRun(runs, func() { submit(fresh[0]) })
+		next := 0
+		oneShot := testing.AllocsPerRun(runs, func() {
+			submit(fresh[next])
+			next++
+		})
+		if oneShot != reused {
+			t.Errorf("discard=%v: a one-shot template costs %v allocs, a re-submitted one %v", discard, oneShot, reused)
+		}
+		for _, job := range fresh {
+			for si := range job.Stages {
+				if job.Stages[si].memo.Load() != nil {
+					t.Fatalf("discard=%v: stage %d of a template without Compute got a memo", discard, si)
+				}
+			}
+		}
+	}
+}

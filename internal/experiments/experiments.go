@@ -358,8 +358,15 @@ func runScenarios(scs []scenario) ([]metrics.ScenarioResult, error) {
 
 // profileSolo measures the solo execution time of a job under given drop
 // ratios: it runs `runs` copies back to back on an idle stack and returns
-// per-run durations plus the last run's full result (stage stats).
+// per-run durations plus the last run's result (stage stats). Profiling
+// reads durations only, so the runs carry counts, not records.
 func profileSolo(job *engine.Job, drops []float64, cost engine.CostModel, cluCfg cluster.Config, runs int, seed int64) ([]float64, engine.JobResult, error) {
+	return soloRuns(job, drops, cost, cluCfg, runs, seed, false)
+}
+
+// soloRuns is profileSolo with the choice of plane: keepOutput additionally
+// delivers the last run's JobResult.Output.
+func soloRuns(job *engine.Job, drops []float64, cost engine.CostModel, cluCfg cluster.Config, runs int, seed int64, keepOutput bool) ([]float64, engine.JobResult, error) {
 	sim := simtime.New()
 	clu, err := cluster.New(sim, cluCfg)
 	if err != nil {
@@ -375,7 +382,8 @@ func profileSolo(job *engine.Job, drops []float64, cost engine.CostModel, cluCfg
 		start := sim.Now()
 		done := false
 		_, err := eng.Submit(job, engine.SubmitOptions{
-			DropRatios: drops,
+			DropRatios:    drops,
+			DiscardOutput: !keepOutput,
 			OnComplete: func(r engine.JobResult) {
 				durations = append(durations, r.FinishedAt.Sub(start).Seconds())
 				last = r

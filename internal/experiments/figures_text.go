@@ -490,7 +490,7 @@ func Figure6(scale Scale) (*Figure6Result, error) {
 }
 
 func wordCountsForDrop(job *engine.Job, drops []float64, cost engine.CostModel, cluCfg cluster.Config, seed int64) (map[string]float64, error) {
-	_, res, err := profileSolo(job, drops, cost, cluCfg, 1, seed)
+	_, res, err := soloRuns(job, drops, cost, cluCfg, 1, seed, true)
 	if err != nil {
 		return nil, err
 	}

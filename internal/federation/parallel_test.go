@@ -216,10 +216,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestParallelMatchesSerialOnSharedTemplates holds the same line where the
 // count-only plane and the stage memo are live: real map and reduce
 // payload, nobody reading the output, and every member executing
-// shallow clones of the same two templates. The memo is per engine, so
-// member goroutines share only the templates' read-only Stages and
-// corpus; the run must stay identical at any worker count (and clean
-// under the race lane).
+// shallow clones of the same two templates. The memo is per template, so
+// member goroutines publish and read each other's entries through the
+// shared Stages array; the run must stay identical at any worker count
+// (and clean under the race lane).
 func TestParallelMatchesSerialOnSharedTemplates(t *testing.T) {
 	source, inputs := homedTextJobs(t, 8)
 	serial := runParallelScenario(t, 1, federation.NewJoinShortestQueue(), source, inputs)

@@ -217,75 +217,91 @@ func NormInf(a *Matrix) float64 {
 	return max
 }
 
-// lu holds an LU factorisation with partial pivoting: PA = LU.
-type lu struct {
-	m     *Matrix // packed L (unit diagonal, below) and U (on and above)
+// LU is an LU factorisation with partial pivoting, PA = LU: factorise
+// once, then Solve against as many right-hand sides as needed.
+type LU struct {
+	n     int
+	data  []float64 // row-major; packed L (unit diagonal, below) and U (on and above)
 	pivot []int
 }
 
-func factorize(a *Matrix) (*lu, error) {
+// Factorize computes the LU factorisation of a square matrix. It returns
+// ErrSingular when a pivot column is exactly zero. Eliminations whose
+// multiplier is zero are skipped, so an already upper-triangular matrix
+// (the generators phdist's Erlang, Convolve and Mixture build) costs O(n²).
+func Factorize(a *Matrix) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: factorize non-square %dx%d", a.rows, a.cols)
 	}
 	n := a.rows
-	m := a.Clone()
+	m := make([]float64, len(a.data))
+	copy(m, a.data)
 	pivot := make([]int, n)
 	for i := range pivot {
 		pivot[i] = i
 	}
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest magnitude in column k at/below the diagonal.
-		p, maxAbs := k, math.Abs(m.At(k, k))
+		p, maxAbs := k, math.Abs(m[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(m.At(i, k)); v > maxAbs {
+			if v := math.Abs(m[i*n+k]); v > maxAbs {
 				p, maxAbs = i, v
 			}
 		}
 		if maxAbs == 0 {
 			return nil, ErrSingular
 		}
+		rowK := m[k*n : (k+1)*n]
 		if p != k {
 			pivot[k], pivot[p] = pivot[p], pivot[k]
-			for j := 0; j < n; j++ {
-				vk, vp := m.At(k, j), m.At(p, j)
-				m.Set(k, j, vp)
-				m.Set(p, j, vk)
+			rowP := m[p*n : (p+1)*n]
+			for j, v := range rowK {
+				rowK[j], rowP[j] = rowP[j], v
 			}
 		}
-		inv := 1 / m.At(k, k)
+		inv := 1 / rowK[k]
 		for i := k + 1; i < n; i++ {
-			l := m.At(i, k) * inv
-			m.Set(i, k, l)
+			rowI := m[i*n : (i+1)*n]
+			l := rowI[k] * inv
+			rowI[k] = l
 			if l == 0 {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				m.Set(i, j, m.At(i, j)-l*m.At(k, j))
+				rowI[j] -= l * rowK[j]
 			}
 		}
 	}
-	return &lu{m: m, pivot: pivot}, nil
+	return &LU{n: n, data: m, pivot: pivot}, nil
 }
 
-// solveVec solves Ax=b given the factorisation.
-func (f *lu) solveVec(b []float64) []float64 {
-	n := f.m.rows
+// Solve returns x with A·x = b for the factorised A.
+func (f *LU) Solve(b []float64) []float64 {
+	n := f.n
+	if len(b) != n {
+		panic(fmt.Sprintf("matrix: LU.Solve dims %dx%d vs %d", n, n, len(b)))
+	}
 	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.pivot[i]]
 	}
 	// Forward substitution with unit-lower L.
 	for i := 1; i < n; i++ {
-		for j := 0; j < i; j++ {
-			x[i] -= f.m.At(i, j) * x[j]
+		row := f.data[i*n : i*n+i]
+		xi := x[i]
+		for j, l := range row {
+			xi -= l * x[j]
 		}
+		x[i] = xi
 	}
 	// Back substitution with U.
 	for i := n - 1; i >= 0; i-- {
+		row := f.data[i*n : (i+1)*n]
+		xi := x[i]
 		for j := i + 1; j < n; j++ {
-			x[i] -= f.m.At(i, j) * x[j]
+			xi -= row[j] * x[j]
 		}
-		x[i] /= f.m.At(i, i)
+		x[i] = xi / row[i]
 	}
 	return x
 }
@@ -295,16 +311,18 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	if a.rows != len(b) {
 		return nil, fmt.Errorf("matrix: Solve dims %dx%d vs %d", a.rows, a.cols, len(b))
 	}
-	f, err := factorize(a)
+	f, err := Factorize(a)
 	if err != nil {
 		return nil, err
 	}
-	return f.solveVec(b), nil
+	return f.Solve(b), nil
 }
 
-// Inverse returns a⁻¹.
+// Inverse returns a⁻¹. Nothing in the model asks for a whole inverse any
+// more (phdist solves for its moments); it is kept as the independent
+// reference the moment property tests compare against.
 func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := factorize(a)
+	f, err := Factorize(a)
 	if err != nil {
 		return nil, err
 	}
@@ -312,13 +330,10 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	out := Zeros(n, n)
 	e := make([]float64, n)
 	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
+		clear(e)
 		e[j] = 1
-		col := f.solveVec(e)
-		for i := 0; i < n; i++ {
-			out.Set(i, j, col[i])
+		for i, v := range f.Solve(e) {
+			out.data[i*n+j] = v
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -111,6 +112,37 @@ func TestSolveNeedsPivoting(t *testing.T) {
 	}
 	if !almostEqual(x[0], 7, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
 		t.Fatalf("x = %v, want [7 3]", x)
+	}
+}
+
+// TestFactorizeOnceSolveMany: one factorisation serves any number of
+// right-hand sides and leaves both the matrix and the vectors untouched.
+func TestFactorizeOnceSolveMany(t *testing.T) {
+	a := New(3, 3, []float64{
+		0, 2, 1,
+		4, -1, 3,
+		-2, 5, 0.5,
+	})
+	before := a.Clone()
+	f, err := Factorize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]float64{{1, 0, 0}, {3, -2, 7}, {0, 0, 0}} {
+		rhs := append([]float64(nil), b...)
+		x := f.Solve(rhs)
+		for i, got := range MulVec(a, x) {
+			if !almostEqual(got, b[i], 1e-12) || rhs[i] != b[i] {
+				t.Fatalf("b = %v: a·x = %v (rhs now %v)", b, MulVec(a, x), rhs)
+			}
+		}
+	}
+	matricesAlmostEqual(t, a, before, 0)
+	if _, err := Factorize(Zeros(2, 3)); err == nil {
+		t.Fatal("non-square matrix factorised")
+	}
+	if _, err := Factorize(New(2, 2, []float64{1, 2, 2, 4})); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular matrix: %v, want ErrSingular", err)
 	}
 }
 

@@ -30,6 +30,16 @@ type PH struct {
 // off-diagonal entries nonnegative, diagonal negative-or-zero, row sums <= 0
 // with at least one strictly negative exit overall.
 func New(alpha []float64, a *matrix.Matrix) (*PH, error) {
+	cp := make([]float64, len(alpha))
+	copy(cp, alpha)
+	return newOwned(cp, a.Clone())
+}
+
+// newOwned is New for a representation the caller built and hands over:
+// validated the same way, not copied. The package's own constructors
+// (Erlang, Convolve, Mixture, …) assemble fresh generators of a few hundred
+// phases; cloning each one again doubled what a convolution chain allocates.
+func newOwned(alpha []float64, a *matrix.Matrix) (*PH, error) {
 	n := len(alpha)
 	if a.Rows() != n || a.Cols() != n {
 		return nil, fmt.Errorf("phdist: alpha has %d entries but A is %dx%d", n, a.Rows(), a.Cols())
@@ -64,9 +74,7 @@ func New(alpha []float64, a *matrix.Matrix) (*PH, error) {
 			return nil, fmt.Errorf("phdist: row %d of A sums to %g > 0", i, row)
 		}
 	}
-	cp := make([]float64, n)
-	copy(cp, alpha)
-	return &PH{alpha: cp, a: a.Clone()}, nil
+	return &PH{alpha: alpha, a: a}, nil
 }
 
 // MustNew is New for statically known-valid representations; it panics on
@@ -106,23 +114,37 @@ func (p *PH) ExitVector() []float64 {
 	return out
 }
 
-// Moment returns the k-th raw moment E[X^k] = k!·α·(-A)⁻ᵏ·1.
-func (p *PH) Moment(k int) (float64, error) {
+// Moments returns the first k raw moments E[X], …, E[X^k], where
+// E[Xⁱ] = i!·α·(-A)⁻ⁱ·1: one LU factorisation and k triangular solves,
+// never an inverse. The factorisation is of A itself — A·zᵢ = zᵢ₋₁ from
+// z₀ = 1 gives zᵢ = (-1)ⁱ·(-A)⁻ⁱ·1 exactly, signs being free in floating
+// point — which saves negating a copy of the generator.
+func (p *PH) Moments(k int) ([]float64, error) {
 	if k < 1 {
-		return 0, fmt.Errorf("phdist: Moment(%d)", k)
+		return nil, fmt.Errorf("phdist: Moments(%d)", k)
 	}
-	negA := matrix.Scale(-1, p.a)
-	inv, err := matrix.Inverse(negA)
+	f, err := matrix.Factorize(p.a)
 	if err != nil {
-		return 0, fmt.Errorf("moment of defective generator: %w", err)
+		return nil, fmt.Errorf("moment of defective generator: %w", err)
 	}
-	v := p.Alpha()
-	fact := 1.0
+	out := make([]float64, k)
+	z := matrix.Ones(p.Order())
+	signedFact := 1.0
 	for i := 1; i <= k; i++ {
-		v = matrix.VecMul(v, inv)
-		fact *= float64(i)
+		z = f.Solve(z)
+		signedFact *= -float64(i)
+		out[i-1] = signedFact * matrix.Dot(p.alpha, z)
 	}
-	return fact * sum(v), nil
+	return out, nil
+}
+
+// Moment returns the k-th raw moment E[X^k].
+func (p *PH) Moment(k int) (float64, error) {
+	ms, err := p.Moments(k)
+	if err != nil {
+		return 0, err
+	}
+	return ms[k-1], nil
 }
 
 // Mean returns E[X].
@@ -130,18 +152,14 @@ func (p *PH) Mean() (float64, error) { return p.Moment(1) }
 
 // SCV returns the squared coefficient of variation Var[X]/E[X]².
 func (p *PH) SCV() (float64, error) {
-	m1, err := p.Moment(1)
+	ms, err := p.Moments(2)
 	if err != nil {
 		return 0, err
 	}
-	m2, err := p.Moment(2)
-	if err != nil {
-		return 0, err
-	}
-	if m1 == 0 {
+	if ms[0] == 0 {
 		return 0, errors.New("phdist: SCV of zero-mean distribution")
 	}
-	return m2/(m1*m1) - 1, nil
+	return ms[1]/(ms[0]*ms[0]) - 1, nil
 }
 
 // CDF returns P(X <= t), computed by uniformization of exp(At): with
@@ -272,7 +290,7 @@ func Exponential(rate float64) (*PH, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("phdist: Exponential rate %g", rate)
 	}
-	return New([]float64{1}, matrix.New(1, 1, []float64{-rate}))
+	return newOwned([]float64{1}, matrix.New(1, 1, []float64{-rate}))
 }
 
 // Erlang returns the sum of k exponentials of the given rate.
@@ -289,7 +307,7 @@ func Erlang(k int, rate float64) (*PH, error) {
 	}
 	alpha := make([]float64, k)
 	alpha[0] = 1
-	return New(alpha, a)
+	return newOwned(alpha, a)
 }
 
 // HyperExponential returns a probabilistic mixture of exponentials.
@@ -310,7 +328,7 @@ func HyperExponential(probs, rates []float64) (*PH, error) {
 	if math.Abs(mass-1) > 1e-9 {
 		return nil, fmt.Errorf("phdist: HyperExponential probabilities sum to %g", mass)
 	}
-	return New(probs, a)
+	return newOwned(append([]float64(nil), probs...), a)
 }
 
 // Convolve returns the distribution of X+Y for independent PH X and Y:
@@ -343,7 +361,11 @@ func Convolve(x, y *PH) *PH {
 			alpha[nx+j] = atom * y.alpha[j]
 		}
 	}
-	return MustNew(alpha, a)
+	out, err := newOwned(alpha, a)
+	if err != nil {
+		panic(err) // two valid representations convolve into a valid one
+	}
+	return out
 }
 
 // ConvolveAll folds Convolve over a non-empty sequence.
@@ -388,7 +410,7 @@ func Mixture(ws []float64, ps []*PH) (*PH, error) {
 		}
 		off += p.Order()
 	}
-	return New(alpha, a)
+	return newOwned(alpha, a)
 }
 
 // ScaleTime returns the distribution of c·X (c>0): generator divided by c.
@@ -396,7 +418,7 @@ func (p *PH) ScaleTime(c float64) (*PH, error) {
 	if c <= 0 {
 		return nil, fmt.Errorf("phdist: ScaleTime(%g)", c)
 	}
-	return New(p.Alpha(), matrix.Scale(1/c, p.a))
+	return newOwned(p.Alpha(), matrix.Scale(1/c, p.a))
 }
 
 // FitMeanSCV returns a small PH matching a mean and squared coefficient of

@@ -80,18 +80,14 @@ func FromPH(rate float64, ph *phdist.PH) (Class, error) {
 	if rate < 0 {
 		return Class{}, fmt.Errorf("queueing: rate %g negative", rate)
 	}
-	m1, err := ph.Mean()
+	ms, err := ph.Moments(2)
 	if err != nil {
-		return Class{}, fmt.Errorf("service mean: %w", err)
-	}
-	m2, err := ph.Moment(2)
-	if err != nil {
-		return Class{}, fmt.Errorf("service second moment: %w", err)
+		return Class{}, fmt.Errorf("service moments: %w", err)
 	}
 	return Class{
 		Rate:        rate,
-		MeanService: m1,
-		M2Service:   m2,
+		MeanService: ms[0],
+		M2Service:   ms[1],
 		Sampler:     ph.Sample,
 	}, nil
 }

@@ -1,11 +1,13 @@
 package queueing
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dias/internal/matrix"
 	"dias/internal/phdist"
 )
 
@@ -43,6 +45,37 @@ func TestFromPH(t *testing.T) {
 	}
 	if _, err := FromPH(-1, ph); err == nil {
 		t.Fatal("negative rate accepted")
+	}
+}
+
+// TestFromPHReadsBothMomentsFromOneSolve: the class carries exactly what
+// separate Moment calls return, and a service distribution that never
+// completes is an error naming the cause.
+func TestFromPHReadsBothMomentsFromOneSolve(t *testing.T) {
+	wave, err := phdist.FitMeanSCV(3.7, 0.31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := phdist.FitMeanSCV(0.9, 2.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph := phdist.Convolve(setup, phdist.Convolve(wave, wave))
+	c, err := FromPH(0.1, ph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err1 := ph.Moment(1)
+	m2, err2 := ph.Moment(2)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if c.MeanService != m1 || c.M2Service != m2 {
+		t.Fatalf("FromPH moments (%.17g, %.17g) differ from Moment(1), Moment(2) = (%.17g, %.17g)", c.MeanService, c.M2Service, m1, m2)
+	}
+	stuck := phdist.MustNew([]float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 1, -1}))
+	if _, err := FromPH(0.1, stuck); !errors.Is(err, matrix.ErrSingular) {
+		t.Fatalf("never-absorbing service: %v, want ErrSingular", err)
 	}
 }
 

@@ -216,9 +216,12 @@ func (e *EmpiricalSize) Mean() float64 { return e.mean }
 
 // --- Job sources ------------------------------------------------------------
 
-// SubJob clones a job truncated to the first tasks input partitions, with
-// SizeBytes scaled proportionally — the mechanism for realising a sampled
-// task count t from a full-size template (stage 0 then spawns t tasks).
+// SubJob shallow-clones a job truncated to the first tasks input
+// partitions, with SizeBytes scaled proportionally — the mechanism for
+// realising a sampled task count t from a full-size template (stage 0 then
+// spawns t tasks). The clone shares the base's Stages array, and with it
+// the engine's stage memo: the kept partitions are the base's own, so each
+// is computed once however many truncations run.
 func SubJob(base *engine.Job, tasks int) (*engine.Job, error) {
 	if base == nil {
 		return nil, errors.New("workload: nil base job")
@@ -229,9 +232,6 @@ func SubJob(base *engine.Job, tasks int) (*engine.Job, error) {
 	clone := *base
 	clone.Input = base.Input[:tasks]
 	clone.SizeBytes = int64(float64(base.SizeBytes) * float64(tasks) / float64(len(base.Input)))
-	stages := make([]engine.Stage, len(base.Stages))
-	copy(stages, base.Stages)
-	clone.Stages = stages
 	return &clone, nil
 }
 

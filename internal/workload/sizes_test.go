@@ -186,10 +186,10 @@ func TestSubJobTruncatesAndScales(t *testing.T) {
 	if len(base.Input) != 10 || base.SizeBytes != 1000 {
 		t.Fatal("SubJob mutated the base")
 	}
-	// Stage slice is a copy: mutating the clone leaves the base intact.
-	sub.Stages[0].OutPartitions = 99
-	if base.Stages[0].OutPartitions != 4 {
-		t.Fatal("SubJob shares the stage slice with the base")
+	// The stages are the base's own (a truncation is the same template, and
+	// shares its stage memo); the kept partitions alias the base's too.
+	if &sub.Stages[0] != &base.Stages[0] || &sub.Input[3][0] != &base.Input[3][0] {
+		t.Fatal("SubJob copied the stage slice or the input partitions")
 	}
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("sub job invalid: %v", err)
