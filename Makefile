@@ -7,7 +7,7 @@ GO ?= go
 
 # The reduced figure set and scale the smoke/baseline/gate pipeline runs.
 # Changing it requires regenerating the committed baseline (bench-baseline).
-BENCH_SMOKE_ARGS = -fig 7,federation-scaleout,faults,elasticity,scale,parallel-kernel -jobs 60 -replicas 2
+BENCH_SMOKE_ARGS = -fig 7,federation-scaleout,faults,elasticity,scale -jobs 60 -replicas 2
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,9 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The race-detector lane: short workloads under -race. The federation
-# dispatcher and the internal/runner fan-out are the concurrency-bearing
-# paths this guards.
+# The race-detector lane: short workloads under -race. The
+# internal/runner fan-out and the stage memo concurrent cells share
+# through one job template are the concurrency-bearing paths this guards.
 test-race:
 	$(GO) test -race -short ./...
 
@@ -44,7 +44,7 @@ bench:
 # No pipe here: /bin/sh has no pipefail, and `... | tee` would mask a
 # failing benchmark behind tee's exit status.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting|BenchmarkFederationParallelKernel' -benchmem . > bench_smoke.txt
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting' -benchmem . > bench_smoke.txt
 	cat bench_smoke.txt
 	$(GO) run ./cmd/dias-experiments $(BENCH_SMOKE_ARGS) -bench-out BENCH_results.json > /dev/null
 
@@ -87,37 +87,25 @@ profile:
 # -workers 8, diffed byte for byte — the worker-count invariance guarantee
 # as a pipeline check (faults covers the new injection layer). The second
 # pair runs traced (faults + federation-scaleout) and also diffs the
-# telemetry exports: the Perfetto trace and the gauge timeline must be
-# byte-identical at any worker count, not just the rendered figures.
-# The third pair holds the same line for the conservative parallel
-# kernel: federation-scaleout and parallel-kernel at -sim-workers 1 vs 8,
-# traced, with the figure text and every export (Perfetto JSON, event
-# JSONL, gauge CSV) byte-diffed — the serial kernel is the oracle and
-# the parallel kernel must reproduce it exactly.
+# telemetry exports: the Perfetto trace, the event JSONL and the gauge
+# timeline must be byte-identical at any worker count, not just the
+# rendered figures.
 determinism:
 	$(GO) run ./cmd/dias-experiments -fig 7,faults -jobs 40 -workers 1 -bench-out '' > determinism-w1.txt
 	$(GO) run ./cmd/dias-experiments -fig 7,faults -jobs 40 -workers 8 -bench-out '' > determinism-w8.txt
 	cmp determinism-w1.txt determinism-w8.txt
-	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 1 -bench-out '' -trace determinism-w1.trace.json -timeline determinism-w1.timeline.csv > determinism-traced-w1.txt
-	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 8 -bench-out '' -trace determinism-w8.trace.json -timeline determinism-w8.timeline.csv > determinism-traced-w8.txt
+	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 1 -bench-out '' -trace determinism-w1.trace.json -events determinism-w1.events.jsonl -timeline determinism-w1.timeline.csv > determinism-traced-w1.txt
+	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 8 -bench-out '' -trace determinism-w8.trace.json -events determinism-w8.events.jsonl -timeline determinism-w8.timeline.csv > determinism-traced-w8.txt
 	cmp determinism-traced-w1.txt determinism-traced-w8.txt
 	cmp determinism-w1.trace.json determinism-w8.trace.json
+	cmp determinism-w1.events.jsonl determinism-w8.events.jsonl
 	cmp determinism-w1.timeline.csv determinism-w8.timeline.csv
-	rm -f determinism-w1.txt determinism-w8.txt determinism-traced-w1.txt determinism-traced-w8.txt determinism-w1.trace.json determinism-w8.trace.json determinism-w1.timeline.csv determinism-w8.timeline.csv
-	$(GO) run ./cmd/dias-experiments -fig federation-scaleout,parallel-kernel -jobs 40 -sim-workers 1 -bench-out '' -trace determinism-sw1.trace.json -events determinism-sw1.events.jsonl -timeline determinism-sw1.timeline.csv > determinism-sw1.txt
-	$(GO) run ./cmd/dias-experiments -fig federation-scaleout,parallel-kernel -jobs 40 -sim-workers 8 -bench-out '' -trace determinism-sw8.trace.json -events determinism-sw8.events.jsonl -timeline determinism-sw8.timeline.csv > determinism-sw8.txt
-	cmp determinism-sw1.txt determinism-sw8.txt
-	cmp determinism-sw1.trace.json determinism-sw8.trace.json
-	cmp determinism-sw1.events.jsonl determinism-sw8.events.jsonl
-	cmp determinism-sw1.timeline.csv determinism-sw8.timeline.csv
-	rm -f determinism-sw1.txt determinism-sw8.txt determinism-sw1.trace.json determinism-sw8.trace.json determinism-sw1.events.jsonl determinism-sw8.events.jsonl determinism-sw1.timeline.csv determinism-sw8.timeline.csv
+	rm -f determinism-w1.txt determinism-w8.txt determinism-traced-w1.txt determinism-traced-w8.txt determinism-w1.trace.json determinism-w8.trace.json determinism-w1.events.jsonl determinism-w8.events.jsonl determinism-w1.timeline.csv determinism-w8.timeline.csv
 
 # The CI streaming-scale smoke: the scale figure at 50k jobs (its heavy
 # cells replay 50k arrivals each through an 8-cluster federation on the
 # bounded-memory path), run at -workers 1 and 8 and byte-diffed — the
-# figure text carries no wall-clock, so it must be identical — then once
-# more on the parallel kernel (-sim-workers 8) and byte-diffed against
-# the serial run — with the
+# figure text carries no wall-clock, so it must be identical — with the
 # memory high-water ceiling asserted on both runs. The ceiling (MiB of
 # Go-runtime Sys, a monotone RSS proxy) is ~3x the observed high-water
 # (19 MiB at -workers 8, 11 MiB at -workers 1 since nobody-reads-it
@@ -129,9 +117,7 @@ scale-smoke:
 	$(GO) run ./cmd/dias-experiments -fig scale -jobs $(SCALE_SMOKE_JOBS) -workers 1 -bench-out '' -max-sys-mb $(SCALE_SMOKE_MAX_SYS_MB) > scale-smoke-w1.txt
 	$(GO) run ./cmd/dias-experiments -fig scale -jobs $(SCALE_SMOKE_JOBS) -workers 8 -bench-out '' -max-sys-mb $(SCALE_SMOKE_MAX_SYS_MB) > scale-smoke-w8.txt
 	cmp scale-smoke-w1.txt scale-smoke-w8.txt
-	$(GO) run ./cmd/dias-experiments -fig scale -jobs $(SCALE_SMOKE_JOBS) -workers 1 -sim-workers 8 -bench-out '' -max-sys-mb $(SCALE_SMOKE_MAX_SYS_MB) > scale-smoke-sw8.txt
-	cmp scale-smoke-w1.txt scale-smoke-sw8.txt
-	rm -f scale-smoke-w1.txt scale-smoke-w8.txt scale-smoke-sw8.txt
+	rm -f scale-smoke-w1.txt scale-smoke-w8.txt
 
 # Static analysis beyond go vet (CI installs the pinned tool; locally:
 # go install honnef.co/go/tools/cmd/staticcheck@latest).

@@ -1,7 +1,7 @@
 // dias-experiments regenerates the paper's tables and figures.
 //
 //	dias-experiments [-fig list|all|NAME[,NAME...]]
-//	                 [-jobs N] [-seed S] [-workers W] [-sim-workers P]
+//	                 [-jobs N] [-seed S] [-workers W]
 //	                 [-replicas R] [-bench-out BENCH_results.json]
 //	                 [-trace trace.json] [-events events.jsonl]
 //	                 [-timeline timeline.csv] [-max-sys-mb M]
@@ -21,13 +21,6 @@
 // observational only: figure output and BENCH_results.json are
 // byte-identical with or without it, and the exports themselves are
 // byte-identical at any -workers count.
-//
-// -workers parallelizes ACROSS independent runs; -sim-workers
-// parallelizes WITHIN each federation run, on the conservative
-// parallel kernel (per-member event loops under lookahead windows).
-// Both are pure wall-clock knobs: figure text, BENCH_results.json
-// figure quantities and every telemetry export are byte-identical at
-// any -workers x -sim-workers combination.
 //
 // -cpuprofile and -memprofile write pprof profiles of the figure drivers
 // alone (flag handling, report and export writing stay outside), so a
@@ -71,7 +64,6 @@ func main() {
 	jobs := flag.Int("jobs", 0, "arrivals per scenario (0 = full scale)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	workers := flag.Int("workers", 0, "concurrent simulation runs per figure (0 = one per CPU core)")
-	simWorkers := flag.Int("sim-workers", 0, "goroutines per federation run on the conservative parallel kernel (0/1 = serial; results are byte-identical at any setting)")
 	replicas := flag.Int("replicas", 1, "seed replicas per figure (seeds seed..seed+R-1)")
 	benchOut := flag.String("bench-out", "BENCH_results.json", "write the machine-readable benchmark report here (empty = skip)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file here (empty = no tracing)")
@@ -89,7 +81,6 @@ func main() {
 	scale := experiments.FullScale()
 	scale.Seed = *seed
 	scale.Workers = *workers
-	scale.SimWorkers = *simWorkers
 	if *jobs > 0 {
 		scale.Jobs = *jobs
 	}
@@ -274,7 +265,6 @@ type benchReport struct {
 	GitSHA            string         `json:"git_sha"`
 	GoVersion         string         `json:"go_version"`
 	Workers           int            `json:"workers"`
-	SimWorkers        int            `json:"sim_workers"`
 	Seeds             []int64        `json:"seeds"`
 	JobsPerScenario   int            `json:"jobs_per_scenario"`
 	TotalWallClockSec float64        `json:"total_wall_clock_sec"`
@@ -328,7 +318,6 @@ func run(fig string, scale experiments.Scale, replicas int, benchOut string, exp
 		GitSHA:          gitSHA(),
 		GoVersion:       runtime.Version(),
 		Workers:         runner.New(scale.Workers).Workers(),
-		SimWorkers:      scale.SimWorkers,
 		Seeds:           seeds,
 		JobsPerScenario: scale.Jobs,
 	}

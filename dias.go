@@ -289,15 +289,6 @@ type FederationConfig struct {
 	Telemetry *telemetry.Collector
 	// Seed drives all randomness; runs are reproducible per seed.
 	Seed int64
-	// SimWorkers > 1 runs the federation on the conservative parallel
-	// kernel: one event-loop goroutine per member cluster, synchronized
-	// under lookahead windows. Results are byte-identical to the serial
-	// run at any setting; only wall-clock changes. 0 or 1 means serial.
-	SimWorkers int
-	// LookaheadSec overrides the conservative window width in simulated
-	// seconds. 0 derives it from the data model's WAN transfer delay
-	// (unbounded when Data is nil). Only meaningful with SimWorkers > 1.
-	LookaheadSec float64
 }
 
 // NewFederation builds a ready-to-use multi-cluster deployment. Submit
@@ -315,14 +306,12 @@ func NewFederation(cfg FederationConfig) (*federation.Federation, error) {
 		members[i] = federation.MemberSpec{Cluster: c, Cost: cfg.Cost}
 	}
 	return federation.New(federation.Config{
-		Members:      members,
-		Policy:       cfg.Policy,
-		Routing:      cfg.Routing,
-		Admission:    cfg.Admission,
-		Data:         cfg.Data,
-		Seed:         cfg.Seed,
-		Telemetry:    cfg.Telemetry,
-		SimWorkers:   cfg.SimWorkers,
-		LookaheadSec: cfg.LookaheadSec,
+		Members:   members,
+		Policy:    cfg.Policy,
+		Routing:   cfg.Routing,
+		Admission: cfg.Admission,
+		Data:      cfg.Data,
+		Seed:      cfg.Seed,
+		Telemetry: cfg.Telemetry,
 	})
 }

@@ -116,11 +116,6 @@ type Cluster struct {
 	poweredNodeSeconds float64
 
 	speedWatchers []func(old, new float64)
-	// onOccupancy / onPower, when non-nil, are notified with the new
-	// busy-slot and powered-node counts at every transition — the push
-	// counterpart of BusySlots/PoweredNodes for incremental load indexes.
-	onOccupancy func(busySlots int)
-	onPower     func(poweredNodes int)
 }
 
 // New builds a cluster bound to a simulation clock.
@@ -172,7 +167,6 @@ func (c *Cluster) Acquire() (*Slot, bool) {
 	s.busy = true
 	c.busyCores++
 	c.nodeBusy[s.Node]++
-	c.notifyOccupancy()
 	return s, true
 }
 
@@ -190,7 +184,6 @@ func (c *Cluster) AcquireMatching(pred func(node int) bool) (*Slot, bool) {
 		s.busy = true
 		c.busyCores++
 		c.nodeBusy[s.Node]++
-		c.notifyOccupancy()
 		return s, true
 	}
 	return nil, false
@@ -216,12 +209,10 @@ func (c *Cluster) Release(s *Slot) {
 	case c.offline[n]:
 		if c.nodeBusy[n] == 0 {
 			c.poweredNodes-- // drain complete: the node powers off
-			c.notifyPower()
 		}
 	default:
 		c.free = append(c.free, s)
 	}
-	c.notifyOccupancy()
 }
 
 // FailNode takes a node offline: its idle slots leave the pool immediately
@@ -238,7 +229,6 @@ func (c *Cluster) FailNode(node int) error {
 	c.accrue()
 	if !c.offline[node] || c.nodeBusy[node] > 0 {
 		c.poweredNodes-- // was powered (commissioned, or still draining)
-		c.notifyPower()
 	}
 	c.down[node] = true
 	c.downNodes++
@@ -270,7 +260,6 @@ func (c *Cluster) RepairNode(node int) error {
 		return nil
 	}
 	c.poweredNodes++
-	c.notifyPower()
 	for _, s := range c.slots {
 		if s.Node == node && !s.busy {
 			c.free = append(c.free, s)
@@ -296,7 +285,6 @@ func (c *Cluster) Decommission(node int) error {
 	c.offlineNodes++
 	if !c.down[node] && c.nodeBusy[node] == 0 {
 		c.poweredNodes-- // nothing to drain: powers off now
-		c.notifyPower()
 	}
 	kept := c.free[:0]
 	for _, s := range c.free {
@@ -327,7 +315,6 @@ func (c *Cluster) Commission(node int) error {
 	}
 	if c.nodeBusy[node] == 0 {
 		c.poweredNodes++ // a still-draining node never powered off
-		c.notifyPower()
 	}
 	for _, s := range c.slots {
 		if s.Node == node && !s.busy {
@@ -406,30 +393,6 @@ func (c *Cluster) SetSprinting(on bool) {
 // changes (sprint on/off), with the old and new speed multipliers.
 func (c *Cluster) OnSpeedChange(fn func(old, new float64)) {
 	c.speedWatchers = append(c.speedWatchers, fn)
-}
-
-// OnOccupancyChange registers the observer invoked with the new busy-slot
-// count whenever it changes (every task acquire/release). At most one
-// observer is supported: a later call replaces the earlier one, nil
-// detaches. The callback must be O(1) and must not call back into the
-// cluster.
-func (c *Cluster) OnOccupancyChange(fn func(busySlots int)) { c.onOccupancy = fn }
-
-// OnPowerChange registers the observer invoked with the new powered-node
-// count whenever it changes (failures, repairs, elastic commission and
-// decommission, drain completions). Same contract as OnOccupancyChange.
-func (c *Cluster) OnPowerChange(fn func(poweredNodes int)) { c.onPower = fn }
-
-func (c *Cluster) notifyOccupancy() {
-	if c.onOccupancy != nil {
-		c.onOccupancy(c.busyCores)
-	}
-}
-
-func (c *Cluster) notifyPower() {
-	if c.onPower != nil {
-		c.onPower(c.poweredNodes)
-	}
 }
 
 // accrue integrates power and busy slot-seconds up to the current instant.

@@ -169,10 +169,6 @@ type FederationCell struct {
 	// Telemetry, when non-nil, traces the cell into a collector named
 	// after the cell (observational only; results are unchanged).
 	Telemetry *telemetry.Registry
-	// SimWorkers > 1 runs the cell on the conservative parallel kernel
-	// (federation.Config.SimWorkers); results are byte-identical at any
-	// setting, only wall-clock changes.
-	SimWorkers int
 }
 
 // RunFederationCell executes one federation cell to completion and returns
@@ -201,7 +197,7 @@ func (w *ReferenceWorkload) RunFederationCell(c FederationCell) (metrics.Scenari
 			fedVariants(w.LowJob, c.Members),
 			fedVariants(w.HighJob, c.Members),
 		},
-		scale:    Scale{Jobs: c.Jobs, WarmupFraction: warm, Seed: w.Seed, Telemetry: c.Telemetry, SimWorkers: c.SimWorkers},
+		scale:    Scale{Jobs: c.Jobs, WarmupFraction: warm, Seed: w.Seed, Telemetry: c.Telemetry},
 		arrivals: c.Arrivals,
 	}
 	res, err := sc.run()

@@ -278,14 +278,4 @@ func init() {
 		}
 		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
 	})
-	Register("parallel-kernel", DriverMeta{
-		Description: "conservative parallel kernel vs serial oracle: 8 clusters, identical results, wall-clock speedup",
-		MaxJobs:     fedExpMaxJobs,
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := ParallelKernel(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
 }

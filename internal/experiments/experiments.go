@@ -43,13 +43,6 @@ type Scale struct {
 	// decisions, periodic gauges). Tracing is observational only — figure
 	// results are byte-identical with or without it.
 	Telemetry *telemetry.Registry
-	// SimWorkers > 1 runs each federation simulation on the conservative
-	// parallel kernel with that many goroutines (federation.Config.
-	// SimWorkers); 0 or 1 uses the serial kernel. Orthogonal to Workers:
-	// Workers parallelizes across independent runs, SimWorkers inside
-	// one run. Figure results are byte-identical at any setting — only
-	// wall-clock changes. Single-cluster scenarios ignore it.
-	SimWorkers int
 }
 
 // QuickScale is sized for go test / benchmarks.
@@ -67,9 +60,6 @@ func (s Scale) validate() error {
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("experiments: %d workers", s.Workers)
-	}
-	if s.SimWorkers < 0 {
-		return fmt.Errorf("experiments: %d sim workers", s.SimWorkers)
 	}
 	return nil
 }

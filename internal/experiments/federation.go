@@ -157,7 +157,6 @@ func (sc fedScenario) run() (metrics.FederationScenarioResult, error) {
 		OnRecord:       acc.Add,
 		DiscardRecords: true,
 		Telemetry:      col,
-		SimWorkers:     sc.scale.SimWorkers,
 	})
 	if err != nil {
 		return metrics.FederationScenarioResult{}, err

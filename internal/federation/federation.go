@@ -23,9 +23,7 @@ package federation
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"dias/internal/admission"
 	"dias/internal/cluster"
@@ -93,22 +91,6 @@ type Config struct {
 	// outage events, and Run samples per-member gauges on the collector's
 	// cadence. Policy.Tracer must stay nil (the federation wires it).
 	Telemetry *telemetry.Collector
-	// SimWorkers > 1 runs the federation on the conservative parallel
-	// kernel (simtime.Sharded): each member gets its own event arena and
-	// loop, advanced concurrently by that many goroutines inside
-	// lookahead windows, with all cross-member interaction (routing,
-	// admission spills, outages) at window boundaries. 0 or 1 means the
-	// serial kernel — the bit-identical oracle the parallel mode is
-	// byte-diffed against.
-	SimWorkers int
-	// LookaheadSec overrides the conservative lookahead window in
-	// simulated seconds (SimWorkers > 1 only). 0 derives it: the WAN
-	// transfer time of one dfs block when Config.Data is set — the
-	// minimum delay of any data-driven cross-cluster interaction —
-	// and +Inf otherwise, since without a data model members interact
-	// only through dispatcher events on the global partition. Negative
-	// or NaN values are rejected.
-	LookaheadSec float64
 }
 
 func (c Config) validate() error {
@@ -129,12 +111,6 @@ func (c Config) validate() error {
 	}
 	if c.Policy.Admission != nil {
 		return errors.New("federation: set Config.Admission (a per-member factory), not Config.Policy.Admission")
-	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("federation: SimWorkers %d is negative", c.SimWorkers)
-	}
-	if math.IsNaN(c.LookaheadSec) || c.LookaheadSec < 0 {
-		return fmt.Errorf("federation: LookaheadSec %g must be positive (or 0 to derive it)", c.LookaheadSec)
 	}
 	return nil
 }
@@ -205,22 +181,13 @@ type Federation struct {
 	// (every dispatch yields exactly one completion/failure/rejection
 	// record); peakInFlight is its high-water mark — the memory-bounding
 	// figure of a streaming run, since live per-job state is proportional
-	// to it, not to the total job count. inFlight is atomic because the
-	// parallel kernel's member partitions decrement it from their own
-	// goroutines; peakInFlight is only touched in dispatch, which always
-	// runs on the coordinator.
-	inFlight     atomic.Int64
+	// to it, not to the total job count.
+	inFlight     int
 	peakInFlight int
-	// index is the incrementally maintained routing state (see LoadIndex).
+	// index holds the per-class backlog counters routing reads (see LoadIndex).
 	index *LoadIndex
 	// sampler, when non-nil, drives Run with gauge sampling (telemetry).
 	sampler *telemetry.Sampler
-	// kernel and par are set in parallel mode (Config.SimWorkers > 1):
-	// the sharded simulation the members run on, and the window state
-	// (per-member mailboxes) merged at its boundaries. In serial mode
-	// both are nil and f.sim is a plain single simulation.
-	kernel *simtime.Sharded
-	par    *parallelState
 }
 
 // outageWindow is one planned [at, end) outage of a member.
@@ -234,28 +201,10 @@ func New(cfg Config) (*Federation, error) {
 	}
 	f := &Federation{
 		cfg:     cfg,
+		sim:     simtime.New(),
 		home:    make(map[*engine.Job]int),
 		routed:  make([]int, len(cfg.Members)),
 		outages: make(map[int][]outageWindow),
-	}
-	if cfg.SimWorkers > 1 {
-		// Parallel mode: members live on their own partitions of a sharded
-		// kernel and f.sim is its global partition, so everything the
-		// dispatcher schedules (arrivals, outages) fires at window
-		// boundaries with every member aligned to the event's instant.
-		kernel, err := simtime.NewSharded(simtime.ShardedConfig{
-			Partitions: len(cfg.Members),
-			Workers:    cfg.SimWorkers,
-			Lookahead:  deriveLookahead(cfg),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("federation: building parallel kernel: %w", err)
-		}
-		f.kernel = kernel
-		f.sim = kernel.Global()
-		f.par = newParallelState(f)
-	} else {
-		f.sim = simtime.New()
 	}
 	for i, spec := range cfg.Members {
 		name := spec.Name
@@ -280,59 +229,36 @@ func New(cfg Config) (*Federation, error) {
 				return nil, fmt.Errorf("member %s: building dfs: %w", name, err)
 			}
 		}
-		// In parallel mode each member stack lives on its own partition;
-		// everything it schedules stays member-local by construction (the
-		// engine, cluster and scheduler only ever schedule follow-ups of
-		// their own events), which is what makes the decomposition sound.
-		msim := f.sim
-		if f.kernel != nil {
-			msim = f.kernel.Partition(i)
-		}
-		clu, err := cluster.New(msim, cluCfg)
+		clu, err := cluster.New(f.sim, cluCfg)
 		if err != nil {
 			return nil, fmt.Errorf("member %s: building cluster: %w", name, err)
 		}
 		// Each member engine derives its own deterministic seed stream so
 		// task-noise draws on one member never depend on how many members
 		// exist or what the others executed.
-		eng, err := engine.New(msim, clu, fs, cost, cfg.Seed+31*int64(i)+1)
+		eng, err := engine.New(f.sim, clu, fs, cost, cfg.Seed+31*int64(i)+1)
 		if err != nil {
 			return nil, fmt.Errorf("member %s: building engine: %w", name, err)
 		}
 		policy := cfg.Policy
 		policy.DiscardRecords = cfg.DiscardRecords
 		// Every record closes one dispatched job's in-flight window, so
-		// the hook is always wired even without a caller OnRecord. In
-		// parallel mode records emitted inside a member window are
-		// buffered with their instant and replayed to the caller in
-		// merged virtual-time order at the window boundary; records
-		// emitted on the coordinator (admission rejections during
-		// dispatch) pass through directly, matching the serial order.
-		idx := i
-		memberSim := msim
+		// the hook is always wired even without a caller OnRecord.
 		policy.OnRecord = func(rec core.JobRecord) {
-			f.inFlight.Add(-1)
-			if cfg.OnRecord == nil {
-				return
+			f.inFlight--
+			if cfg.OnRecord != nil {
+				cfg.OnRecord(i, rec)
 			}
-			if f.kernel != nil && f.kernel.InMemberPhase() {
-				f.par.bufferRecord(idx, memberSim.Now(), rec)
-				return
-			}
-			cfg.OnRecord(idx, rec)
 		}
 		if cfg.Admission != nil {
 			policy.Admission = cfg.Admission()
 		}
 		if cfg.Telemetry != nil {
 			tr := cfg.Telemetry.Member(i)
-			if f.par != nil {
-				tr = f.par.wrapTracer(i, tr)
-			}
 			policy.Tracer = tr
 			eng.SetTracer(tr)
 		}
-		sch, err := core.New(msim, clu, eng, policy)
+		sch, err := core.New(f.sim, clu, eng, policy)
 		if err != nil {
 			return nil, fmt.Errorf("member %s: building scheduler: %w", name, err)
 		}
@@ -343,20 +269,12 @@ func New(cfg Config) (*Federation, error) {
 			outageFailed: make([]bool, cluCfg.Nodes),
 		})
 	}
-	// Attach the load index last, so it observes every state transition
-	// from a known-empty start. Each member pushes its scheduler queue/
-	// occupancy flips, task-slot occupancy, sprint state and power state
-	// into the shared index as they happen.
-	f.index = newLoadIndex(f.members, cfg.Policy.Classes, cfg.Policy.Sprint != nil)
-	if f.par != nil {
-		f.index.setDeferHeapFixes()
-	}
+	// Attach the load index last, so it observes every scheduler
+	// transition from a known-empty start.
+	f.index = newLoadIndex(len(f.members), cfg.Policy.Classes)
 	for i, m := range f.members {
 		m.li = f.index
 		m.Scheduler.SetObserver(memberObserver{li: f.index, m: i})
-		m.Cluster.OnOccupancyChange(func(busySlots int) { f.index.occupancyChanged(i, busySlots) })
-		m.Cluster.OnPowerChange(func(poweredNodes int) { f.index.powerChanged(i, poweredNodes) })
-		m.Cluster.OnSpeedChange(func(_, _ float64) { f.index.sprintingChanged(i, m.Cluster.Sprinting()) })
 	}
 	if cfg.Telemetry != nil {
 		gauges := make([]telemetry.MemberGauges, len(f.members))
@@ -375,9 +293,9 @@ func New(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// Index returns the federation's load index: the incrementally
-// maintained per-member routing state the policies read. The index is
-// shared and read-only for callers.
+// Index returns the federation's load index: the per-member backlog
+// counters the policies read. The index is shared and read-only for
+// callers.
 func (f *Federation) Index() *LoadIndex { return f.index }
 
 // dataConfig fills the zero fields of a per-member dfs config with the
@@ -456,8 +374,9 @@ func (f *Federation) RegisterInput(job *engine.Job, home int) error {
 // whole federation is down, arrivals queue on their nominal targets as if
 // every member were up.
 func (f *Federation) dispatch(class int, job *engine.Job) {
-	if n := int(f.inFlight.Add(1)); n > f.peakInFlight {
-		f.peakInFlight = n
+	f.inFlight++
+	if f.inFlight > f.peakInFlight {
+		f.peakInFlight = f.inFlight
 	}
 	home := -1
 	if h, ok := f.home[job]; ok {
@@ -613,12 +532,13 @@ func (f *Federation) SetMemberDown(i int, down bool) error {
 
 // ScheduleOutage plans a cluster-level outage of a member on the virtual
 // timeline: at atSec the member goes down, durationSec later it recovers.
-// Overlapping outages of one member are rejected at scheduling time.
+// Overlapping outages of one member, and non-finite or negative times,
+// are rejected at scheduling time.
 func (f *Federation) ScheduleOutage(member int, atSec, durationSec float64) error {
 	if member < 0 || member >= len(f.members) {
 		return fmt.Errorf("federation: outage member %d of %d", member, len(f.members))
 	}
-	if atSec < 0 || durationSec <= 0 {
+	if !simtime.IsFinite(atSec) || !simtime.IsFinite(durationSec) || atSec < 0 || durationSec <= 0 {
 		return fmt.Errorf("federation: outage at %g for %g", atSec, durationSec)
 	}
 	win := outageWindow{at: atSec, end: atSec + durationSec}
@@ -672,14 +592,8 @@ func (f *Federation) SubmitStream(proc workload.Process, source workload.JobSour
 // jobs run to completion on their members. With telemetry configured the
 // run is driven through the gauge sampler, which fires the same events
 // at the same instants and leaves the clock untouched (see
-// telemetry.Sampler.Drive). With SimWorkers > 1 the drain happens on the
-// conservative parallel kernel instead (see parallel.go) — same events,
-// same instants, same figures, just on more cores.
+// telemetry.Sampler.Drive).
 func (f *Federation) Run() {
-	if f.kernel != nil {
-		f.runParallel()
-		return
-	}
 	if f.sampler != nil {
 		f.sampler.Drive(f.sim)
 		return
@@ -687,20 +601,9 @@ func (f *Federation) Run() {
 	f.sim.Run()
 }
 
-// Stop aborts a Run in progress at the next event boundary. In parallel
-// mode it also halts mid-window member loops (each partition polls the
-// kernel's stop flag between events) and Run drains the worker pool
-// before returning — no goroutines are left behind — and it is safe to
-// call from another goroutine (the watchdog use case: wall-clock or
-// memory ceilings on huge streaming runs). In serial mode it has the
-// same simulation-context semantics as simtime.Simulation.Stop.
-func (f *Federation) Stop() {
-	if f.kernel != nil {
-		f.kernel.Stop()
-		return
-	}
-	f.sim.Stop()
-}
+// Stop aborts a Run in progress at the next event boundary, with the
+// simulation-context semantics of simtime.Simulation.Stop.
+func (f *Federation) Stop() { f.sim.Stop() }
 
 // Routed returns how many arrivals each member received so far.
 func (f *Federation) Routed() []int {

@@ -1,15 +1,20 @@
 package federation_test
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dias"
+	"dias/internal/admission"
 	"dias/internal/cluster"
 	"dias/internal/core"
 	"dias/internal/dfs"
 	"dias/internal/engine"
 	"dias/internal/federation"
+	"dias/internal/telemetry"
 	"dias/internal/trace"
 	"dias/internal/workload"
 )
@@ -447,5 +452,133 @@ func TestFacadeNewFederation(t *testing.T) {
 	}
 	if done != 6 {
 		t.Fatalf("completed %d of 6 jobs", done)
+	}
+}
+
+// scenarioRun captures every externally observable output of one
+// federation run.
+type scenarioRun struct {
+	records  []core.JobRecord
+	members  []int // record emission member, in emission order
+	routed   []int
+	spilled  int
+	peak     int
+	makespan float64
+	events   string // telemetry JSONL export
+	timeline string // gauge CSV export
+}
+
+// runScenario pushes 160 arrivals through an 8-member federation with
+// everything on at once: the given routing policy over a data model
+// (job c homed on member c), queue-depth admission with spill, a mid-run
+// member outage, and telemetry.
+func runScenario(t *testing.T, routing federation.RoutingPolicy) scenarioRun {
+	t.Helper()
+	reg := telemetry.NewRegistry(telemetry.Config{GaugeIntervalSec: 40})
+	var out scenarioRun
+	fed, err := federation.New(federation.Config{
+		Members: make([]federation.MemberSpec, 8),
+		Policy:  core.PolicyNP(2),
+		Routing: routing,
+		Admission: func() admission.Policy {
+			qd, err := admission.NewQueueDepth(admission.QueueDepthConfig{
+				MaxBacklog: []int{1, 2}, Spill: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return qd
+		},
+		Data: &dfs.Config{},
+		Seed: 7,
+		OnRecord: func(member int, rec core.JobRecord) {
+			out.records = append(out.records, rec)
+			out.members = append(out.members, member)
+		},
+		DiscardRecords: true,
+		Telemetry:      reg.Collector("scenario"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := workload.FixedJobs{churnJob("low", 6), churnJob("high", 3)}
+	for i, job := range jobs {
+		job.InputPath = fmt.Sprintf("/data/%s", job.Name)
+		if err := fed.RegisterInput(job, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fed.ScheduleOutage(2, 120, 200); err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.NewPoissonMix([]float64{0.6, 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.SubmitStream(mix, jobs, 160, 21); err != nil {
+		t.Fatal(err)
+	}
+	fed.Run()
+	out.routed = fed.Routed()
+	out.spilled = fed.Spilled()
+	out.peak = fed.PeakInFlight()
+	out.makespan = fed.Sim().Now().Seconds()
+	var ev, tl bytes.Buffer
+	if err := reg.WriteEventsJSONL(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteTimelineCSV(&tl); err != nil {
+		t.Fatal(err)
+	}
+	out.events = ev.String()
+	out.timeline = tl.String()
+	return out
+}
+
+// TestFederationScenarioIsReproducible runs the everything-on scenario
+// twice at one seed: every arrival must come back as exactly one record
+// (completed, failed or rejected), and the two runs must agree on every
+// record field in emission order, routing and spill counts, the
+// in-flight high-water mark, the final clock, and the telemetry exports
+// byte for byte. JSQ routes on the load index through the outage;
+// RoundRobin routes blind, so the tight admission caps force Defer
+// spills — the dispatcher's cross-member path.
+func TestFederationScenarioIsReproducible(t *testing.T) {
+	policies := []struct {
+		name       string
+		make       func() federation.RoutingPolicy
+		wantSpills bool
+	}{
+		{"jsq", federation.NewJoinShortestQueue, false},
+		{"roundrobin", federation.NewRoundRobin, true},
+	}
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			first := runScenario(t, pol.make())
+			if len(first.records) != 160 {
+				t.Fatalf("run emitted %d records for 160 submissions", len(first.records))
+			}
+			if pol.wantSpills && first.spilled == 0 {
+				t.Fatal("scenario exercises no admission spills; strengthen it")
+			}
+			if first.events == "" || first.timeline == "" {
+				t.Fatal("traced run exported no telemetry")
+			}
+			again := runScenario(t, pol.make())
+			if !reflect.DeepEqual(again.records, first.records) || !reflect.DeepEqual(again.members, first.members) {
+				t.Fatal("records diverge between two runs at one seed")
+			}
+			if !reflect.DeepEqual(again.routed, first.routed) || again.spilled != first.spilled ||
+				again.peak != first.peak || again.makespan != first.makespan {
+				t.Fatalf("routing diverges between two runs at one seed: routed %v vs %v, spilled %d vs %d, peak %d vs %d, makespan %v vs %v",
+					again.routed, first.routed, again.spilled, first.spilled, again.peak, first.peak, again.makespan, first.makespan)
+			}
+			if again.events != first.events {
+				t.Fatal("telemetry JSONL diverges between two runs at one seed")
+			}
+			if again.timeline != first.timeline {
+				t.Fatal("gauge timeline diverges between two runs at one seed")
+			}
+		})
 	}
 }

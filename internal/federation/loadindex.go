@@ -1,20 +1,21 @@
 package federation
 
-// LoadIndex is the incrementally maintained routing state of a
-// federation: per-member, per-class backlog counters, engine occupancy,
-// busy-slot counts, sprint and power state, and availability, plus
-// indexed min-heaps that keep the JSQ and LeastLoaded argmins ready.
+// LoadIndex is the routing state a member cannot answer in O(1) on its
+// own: per-member, per-class suffix backlogs (a scheduler would rerun a
+// per-class queue loop for each), the engine-busy bit, and availability.
+// Everything else the policies key on — busy slots, utilization, sprint
+// and power state — is one getter away on the member's cluster and is
+// read there directly.
 //
-// Instead of every Route call rescanning all members and rerunning
-// per-class queue loops (O(members x classes) per arrival), the index is
-// updated O(log members) at the state-transition points that already
-// exist: scheduler arrive/dispatch/complete/evict (core.StateObserver),
-// task slot acquire/release (cluster.OnOccupancyChange), sprint start/
-// stop (cluster.OnSpeedChange), node commission/decommission/fail/repair
-// (cluster.OnPowerChange), and cluster-level outages (SetMemberDown).
-// Routing then reads a heap top in O(1), or — for the policies whose key
-// is time-varying or for outage-filtered candidate sets — scans members
-// over O(1) index getters.
+// The counters are plain array stores at the scheduler transitions that
+// already exist (core.StateObserver: arrive/dispatch/complete/evict) and
+// at cluster-level outages (SetMemberDown). The argmin itself is not
+// maintained: the stateful policies scan the candidates at route time.
+// A run makes about 200 slot and queue transitions per routing read and
+// every federation in the tree has at most 8 members, so a structure
+// that makes the read O(1) by making each write O(log members) costs far
+// more than the scan it saves (an eagerly fixed heap per key was 24% of
+// the wall-clock of a 50,000-job run; the scan does not register).
 //
 // The index is owned by the Federation and shared by its members; all
 // updates happen in simulation context, so it is single-threaded like
@@ -23,125 +24,31 @@ type LoadIndex struct {
 	n       int // member count
 	classes int
 
-	// Flat per-member state, updated O(1) per transition. queued and
-	// suffix are [member*classes + class]; suffix[m][c] counts buffered
-	// jobs of class >= c, so a class backlog is one add away.
+	// queued and suffix are [member*classes + class]; suffix[m][c] counts
+	// buffered jobs of class >= c, so a class backlog is one add away.
 	queued      []int32
 	suffix      []int32
 	busyJob     []int32 // 0/1: the member's engine holds a dispatched job
-	busySlots   []int32
-	slotsTotal  []int32
 	totalQueued []int32
-	sprinting   []bool
-	powered     []int32
 	available   []bool
 	down        int
-
-	// sprintConfigured records whether the members run a sprint policy;
-	// without one every budget reads zero and SprintAware ordering
-	// collapses to a maintained heap.
-	sprintConfigured bool
-
-	// jsq[c] orders members by (backlog(c), busySlots, index): the JSQ
-	// argmin. spr[c] orders by (backlog(c), index): the SprintAware
-	// ordering when no sprint policy is configured. ll orders by
-	// (utilization, queued+busy, index): the LeastLoaded argmin.
-	jsq []memberHeap
-	spr []memberHeap
-	ll  memberHeap
-
-	// deferHeapFixes switches the index to the parallel kernel's update
-	// discipline: state transitions only write their member's flat-array
-	// slots (disjoint elements, so concurrent member partitions never
-	// race) and mark the member dirty; the shared heaps are rebuilt
-	// lazily on the coordinator at the next argmin read. Heapify yields
-	// some valid heap rather than the serial fix sequence's exact
-	// permutation, but only order[0] is ever read and the orderings are
-	// total (index tiebreak), so the argmin — and every routing decision
-	// — is identical.
-	deferHeapFixes bool
-	dirty          []int32
 }
 
-// newLoadIndex sizes an index for the given members. All members start
-// idle and available, so the identity permutation is a valid heap.
-func newLoadIndex(members []*Member, classes int, sprintConfigured bool) *LoadIndex {
-	n := len(members)
+// newLoadIndex sizes an index for n members, all idle and available.
+func newLoadIndex(n, classes int) *LoadIndex {
 	li := &LoadIndex{
-		n:                n,
-		classes:          classes,
-		queued:           make([]int32, n*classes),
-		suffix:           make([]int32, n*classes),
-		busyJob:          make([]int32, n),
-		busySlots:        make([]int32, n),
-		slotsTotal:       make([]int32, n),
-		totalQueued:      make([]int32, n),
-		sprinting:        make([]bool, n),
-		powered:          make([]int32, n),
-		available:        make([]bool, n),
-		sprintConfigured: sprintConfigured,
-		jsq:              make([]memberHeap, classes),
+		n:           n,
+		classes:     classes,
+		queued:      make([]int32, n*classes),
+		suffix:      make([]int32, n*classes),
+		busyJob:     make([]int32, n),
+		totalQueued: make([]int32, n),
+		available:   make([]bool, n),
 	}
-	for m, mem := range members {
-		li.slotsTotal[m] = int32(mem.Cluster.Slots())
-		li.powered[m] = int32(mem.Cluster.PoweredNodes())
+	for m := range li.available {
 		li.available[m] = true
 	}
-	if !sprintConfigured {
-		// SprintAware scans when sprinting is configured (budgets vary
-		// continuously between events); the spr heaps would never be read
-		// there, so they are only built without a sprint policy — a stale
-		// heap cannot exist to be trusted.
-		li.spr = make([]memberHeap, classes)
-	}
-	for c := 0; c < classes; c++ {
-		li.jsq[c] = newMemberHeap(li, heapJSQ, c)
-		if li.spr != nil {
-			li.spr[c] = newMemberHeap(li, heapBacklog, c)
-		}
-	}
-	li.ll = newMemberHeap(li, heapLL, -1)
 	return li
-}
-
-// setDeferHeapFixes enables the parallel update discipline (see the
-// field comment). Called once at federation construction, before any
-// transition is observed.
-func (li *LoadIndex) setDeferHeapFixes() {
-	li.deferHeapFixes = true
-	li.dirty = make([]int32, li.n)
-}
-
-// markDirty records that member m's heap keys changed while fixes are
-// deferred. Each member writes only its own element, so member
-// partitions running concurrently never touch the same memory.
-func (li *LoadIndex) markDirty(m int) { li.dirty[m] = 1 }
-
-// flushDirty rebuilds every heap if any member's keys changed since the
-// last argmin read. Coordinator-only: it runs inside routing reads,
-// which happen in dispatch events on the global partition with all
-// member partitions paused at a window boundary.
-func (li *LoadIndex) flushDirty() {
-	if !li.deferHeapFixes {
-		return
-	}
-	any := false
-	for m := range li.dirty {
-		if li.dirty[m] != 0 {
-			any = true
-			li.dirty[m] = 0
-		}
-	}
-	if !any {
-		return
-	}
-	for c := range li.jsq {
-		li.jsq[c].rebuild()
-		if li.spr != nil {
-			li.spr[c].rebuild()
-		}
-	}
-	li.ll.rebuild()
 }
 
 // --- Queries ----------------------------------------------------------------
@@ -182,75 +89,16 @@ func (li *LoadIndex) TotalQueued(m int) int {
 // Busy reports whether member m's engine holds a dispatched job.
 func (li *LoadIndex) Busy(m int) bool { return li.busyJob[m] != 0 }
 
-// BusySlots returns member m's busy computing slots.
-func (li *LoadIndex) BusySlots(m int) int { return int(li.busySlots[m]) }
-
-// Utilization returns member m's instantaneous busy-slot fraction.
-func (li *LoadIndex) Utilization(m int) float64 {
-	return float64(li.busySlots[m]) / float64(li.slotsTotal[m])
-}
-
-// Sprinting reports whether member m's cluster is currently sprinting.
-func (li *LoadIndex) Sprinting(m int) bool { return li.sprinting[m] }
-
-// PoweredNodes returns member m's nodes currently drawing power.
-func (li *LoadIndex) PoweredNodes(m int) int { return int(li.powered[m]) }
-
 // Available reports whether member m is routable (not in an outage).
 func (li *LoadIndex) Available(m int) bool { return li.available[m] }
 
 // DownMembers returns the number of members in a cluster-level outage.
 func (li *LoadIndex) DownMembers() int { return li.down }
 
-// bestJSQ returns the member minimizing (backlog(class), busySlots,
-// index). ok is false for out-of-range classes, whose backlog key the
-// heaps do not maintain.
-func (li *LoadIndex) bestJSQ(class int) (int, bool) {
-	if class < 0 {
-		class = 0
-	}
-	if class >= li.classes {
-		return 0, false
-	}
-	li.flushDirty()
-	return int(li.jsq[class].order[0]), true
-}
-
-// bestBacklog returns the member minimizing (backlog(class), index) —
-// the SprintAware ordering when every sprint budget reads zero. ok is
-// false for out-of-range classes and for sprint-configured federations,
-// whose spr heaps are not built.
-func (li *LoadIndex) bestBacklog(class int) (int, bool) {
-	if class < 0 {
-		class = 0
-	}
-	if class >= li.classes || li.spr == nil {
-		return 0, false
-	}
-	li.flushDirty()
-	return int(li.spr[class].order[0]), true
-}
-
-// bestLeastLoaded returns the member minimizing (utilization,
-// queued+busy, index).
-func (li *LoadIndex) bestLeastLoaded() int {
-	li.flushDirty()
-	return int(li.ll.order[0])
-}
-
 // --- Updates ----------------------------------------------------------------
 
-// jobQueued records a class-c job entering member m's buffers.
-func (li *LoadIndex) jobQueued(m, class int) { li.jobDelta(m, class, 1) }
-
-// jobDequeued records a class-c job leaving member m's buffers.
-func (li *LoadIndex) jobDequeued(m, class int) { li.jobDelta(m, class, -1) }
-
-// jobDelta applies one buffered-job count change: the class's counter,
-// the suffix backlogs it contributes to, and every heap keyed on them.
-// The spr heaps are read only when no sprint policy is configured
-// (SprintAware scans otherwise), so sprint-configured federations skip
-// their fixes.
+// jobDelta applies one buffered-job count change on member m: the
+// class's counter and the suffix backlogs it contributes to.
 func (li *LoadIndex) jobDelta(m, class int, d int32) {
 	base := m * li.classes
 	li.queued[base+class] += d
@@ -258,60 +106,16 @@ func (li *LoadIndex) jobDelta(m, class int, d int32) {
 		li.suffix[base+c] += d
 	}
 	li.totalQueued[m] += d
-	if li.deferHeapFixes {
-		li.markDirty(m)
-		return
-	}
-	for c := 0; c <= class; c++ {
-		li.jsq[c].fix(m)
-		if li.spr != nil {
-			li.spr[c].fix(m)
-		}
-	}
-	li.ll.fix(m)
 }
 
-// busyChanged records member m's engine occupancy flipping. Occupancy is
-// part of every backlog, so all heaps re-key.
+// busyChanged records member m's engine occupancy flipping.
 func (li *LoadIndex) busyChanged(m int, busy bool) {
 	if busy {
 		li.busyJob[m] = 1
 	} else {
 		li.busyJob[m] = 0
 	}
-	if li.deferHeapFixes {
-		li.markDirty(m)
-		return
-	}
-	for c := 0; c < li.classes; c++ {
-		li.jsq[c].fix(m)
-		if li.spr != nil {
-			li.spr[c].fix(m)
-		}
-	}
-	li.ll.fix(m)
 }
-
-// occupancyChanged records member m's busy-slot count: the JSQ tiebreak
-// and the LeastLoaded utilization key.
-func (li *LoadIndex) occupancyChanged(m, busySlots int) {
-	li.busySlots[m] = int32(busySlots)
-	if li.deferHeapFixes {
-		li.markDirty(m)
-		return
-	}
-	for c := 0; c < li.classes; c++ {
-		li.jsq[c].fix(m)
-	}
-	li.ll.fix(m)
-}
-
-// sprintingChanged records member m's DVFS state.
-func (li *LoadIndex) sprintingChanged(m int, on bool) { li.sprinting[m] = on }
-
-// powerChanged records member m's powered-node count (commission,
-// decommission, failures, repairs, drain completions).
-func (li *LoadIndex) powerChanged(m, poweredNodes int) { li.powered[m] = int32(poweredNodes) }
 
 // setAvailable records member m entering or leaving a cluster-level
 // outage.
@@ -334,142 +138,6 @@ type memberObserver struct {
 	m  int
 }
 
-func (o memberObserver) JobQueued(class int)   { o.li.jobQueued(o.m, class) }
-func (o memberObserver) JobDequeued(class int) { o.li.jobDequeued(o.m, class) }
+func (o memberObserver) JobQueued(class int)   { o.li.jobDelta(o.m, class, 1) }
+func (o memberObserver) JobDequeued(class int) { o.li.jobDelta(o.m, class, -1) }
 func (o memberObserver) BusyChanged(busy bool) { o.li.busyChanged(o.m, busy) }
-
-// --- Indexed min-heap -------------------------------------------------------
-
-type heapKind int
-
-const (
-	// heapJSQ keys members by (backlog(class), busySlots, index).
-	heapJSQ heapKind = iota
-	// heapBacklog keys members by (backlog(class), index).
-	heapBacklog
-	// heapLL keys members by (utilization, queued+busy, index).
-	heapLL
-)
-
-// memberHeap is an indexed binary min-heap over member ids whose keys
-// live in the LoadIndex's flat arrays. fix restores the invariant after
-// one member's key components change, in O(log n) with no allocation.
-type memberHeap struct {
-	li    *LoadIndex
-	kind  heapKind
-	class int
-	order []int32 // heap array of member ids
-	pos   []int32 // member id -> position in order
-}
-
-func newMemberHeap(li *LoadIndex, kind heapKind, class int) memberHeap {
-	h := memberHeap{
-		li:    li,
-		kind:  kind,
-		class: class,
-		order: make([]int32, li.n),
-		pos:   make([]int32, li.n),
-	}
-	for i := range h.order {
-		h.order[i] = int32(i)
-		h.pos[i] = int32(i)
-	}
-	return h
-}
-
-// less orders members by the heap's key, with the member index as the
-// final tiebreak so every ordering is total and routing decisions match
-// the linear scans they replace.
-func (h *memberHeap) less(a, b int32) bool {
-	li := h.li
-	switch h.kind {
-	case heapJSQ:
-		ba := li.suffix[int(a)*li.classes+h.class] + li.busyJob[a]
-		bb := li.suffix[int(b)*li.classes+h.class] + li.busyJob[b]
-		if ba != bb {
-			return ba < bb
-		}
-		if li.busySlots[a] != li.busySlots[b] {
-			return li.busySlots[a] < li.busySlots[b]
-		}
-	case heapBacklog:
-		ba := li.suffix[int(a)*li.classes+h.class] + li.busyJob[a]
-		bb := li.suffix[int(b)*li.classes+h.class] + li.busyJob[b]
-		if ba != bb {
-			return ba < bb
-		}
-	case heapLL:
-		ua := float64(li.busySlots[a]) / float64(li.slotsTotal[a])
-		ub := float64(li.busySlots[b]) / float64(li.slotsTotal[b])
-		if ua != ub {
-			return ua < ub
-		}
-		qa := li.totalQueued[a] + li.busyJob[a]
-		qb := li.totalQueued[b] + li.busyJob[b]
-		if qa != qb {
-			return qa < qb
-		}
-	}
-	return a < b
-}
-
-// fix restores the heap invariant after member m's key changed.
-func (h *memberHeap) fix(m int) {
-	i := h.pos[m]
-	if !h.up(i) {
-		h.down(i)
-	}
-}
-
-// rebuild re-heapifies the whole array after any number of members'
-// keys changed (the deferred-fix path). A per-member fix assumes the
-// rest of the heap is valid, which no longer holds once two members
-// changed, so the batch repair is a full bottom-up heapify: O(n) with
-// n = member count, no allocation.
-func (h *memberHeap) rebuild() {
-	n := int32(len(h.order))
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *memberHeap) swap(i, j int32) {
-	h.order[i], h.order[j] = h.order[j], h.order[i]
-	h.pos[h.order[i]] = i
-	h.pos[h.order[j]] = j
-}
-
-// up sifts position i toward the root; it reports whether it moved.
-func (h *memberHeap) up(i int32) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.order[i], h.order[parent]) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-// down sifts position i toward the leaves.
-func (h *memberHeap) down(i int32) {
-	n := int32(len(h.order))
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && h.less(h.order[right], h.order[left]) {
-			least = right
-		}
-		if !h.less(h.order[least], h.order[i]) {
-			return
-		}
-		h.swap(i, least)
-		i = least
-	}
-}

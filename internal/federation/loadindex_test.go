@@ -28,13 +28,14 @@ func indexJob(partitions int) *engine.Job {
 	}
 }
 
-// verifyIndexAgainstRecompute compares every index field and heap argmin
-// against a brute-force recomputation from the polled getters the index
-// replaced.
+// verifyIndexAgainstRecompute compares every index field against a
+// brute-force recomputation from the scheduler getters the index stands
+// in for.
 func verifyIndexAgainstRecompute(t *testing.T, f *Federation, at simtime.Time) {
 	t.Helper()
 	li := f.Index()
 	classes := li.Classes()
+	down := 0
 	for i, m := range f.Members() {
 		busy := 0
 		if m.Scheduler.Busy() {
@@ -43,20 +44,14 @@ func verifyIndexAgainstRecompute(t *testing.T, f *Federation, at simtime.Time) {
 		if got, want := li.Busy(i), m.Scheduler.Busy(); got != want {
 			t.Fatalf("t=%v member %d: index busy %v, scheduler %v", at, i, got, want)
 		}
-		if got, want := li.BusySlots(i), m.Cluster.BusySlots(); got != want {
-			t.Fatalf("t=%v member %d: index busy slots %d, cluster %d", at, i, got, want)
-		}
 		if got, want := li.TotalQueued(i), m.Scheduler.QueuedJobs()+busy; got != want {
 			t.Fatalf("t=%v member %d: index total queued %d, recomputed %d", at, i, got, want)
 		}
-		if got, want := li.Sprinting(i), m.Cluster.Sprinting(); got != want {
-			t.Fatalf("t=%v member %d: index sprinting %v, cluster %v", at, i, got, want)
-		}
-		if got, want := li.PoweredNodes(i), m.Cluster.PoweredNodes(); got != want {
-			t.Fatalf("t=%v member %d: index powered %d, cluster %d", at, i, got, want)
-		}
 		if got, want := li.Available(i), m.Available(); got != want {
 			t.Fatalf("t=%v member %d: index available %v, member %v", at, i, got, want)
+		}
+		if !m.Available() {
+			down++
 		}
 		for c := 0; c < classes; c++ {
 			if got, want := li.QueuedInClass(i, c), m.Scheduler.QueuedJobsInClass(c); got != want {
@@ -71,72 +66,146 @@ func verifyIndexAgainstRecompute(t *testing.T, f *Federation, at simtime.Time) {
 			}
 		}
 	}
-	// Heap argmins must match the linear scans they replace, with the
-	// same tiebreaks.
-	for c := 0; c < classes; c++ {
-		wantJSQ, wantSpr := 0, 0
-		for i := 1; i < li.Members(); i++ {
-			bi, bw := li.Backlog(i, c), li.Backlog(wantJSQ, c)
-			if bi < bw || (bi == bw && li.BusySlots(i) < li.BusySlots(wantJSQ)) {
-				wantJSQ = i
-			}
-			if li.Backlog(i, c) < li.Backlog(wantSpr, c) {
-				wantSpr = i
-			}
-		}
-		if got, ok := li.bestJSQ(c); !ok || got != wantJSQ {
-			t.Fatalf("t=%v class %d: jsq heap top %d (ok=%v), scan %d", at, c, got, ok, wantJSQ)
-		}
-		// The spr heaps are maintained (and read) only without a sprint
-		// policy; sprint-configured federations answer SprintAware by scan.
-		if !li.sprintConfigured {
-			if got, ok := li.bestBacklog(c); !ok || got != wantSpr {
-				t.Fatalf("t=%v class %d: backlog heap top %d (ok=%v), scan %d", at, c, got, ok, wantSpr)
-			}
-		}
+	if got := li.DownMembers(); got != down {
+		t.Fatalf("t=%v: index counts %d members down, %d are", at, got, down)
 	}
-	wantLL := 0
-	for i := 1; i < li.Members(); i++ {
-		ui, uw := li.Utilization(i), li.Utilization(wantLL)
-		if ui < uw || (ui == uw && li.TotalQueued(i) < li.TotalQueued(wantLL)) {
-			wantLL = i
-		}
-	}
-	if got := li.bestLeastLoaded(); got != wantLL {
-		t.Fatalf("t=%v: least-loaded heap top %d, scan %d", at, got, wantLL)
-	}
-	verifyHeapInvariants(t, li)
 }
 
-// verifyHeapInvariants checks the structural invariants of every
-// maintained heap: position maps consistent with the heap array and the
-// min-heap ordering satisfied at every edge.
-func verifyHeapInvariants(t *testing.T, li *LoadIndex) {
-	t.Helper()
-	heaps := make([]*memberHeap, 0, 2*li.classes+1)
-	for c := range li.jsq {
-		heaps = append(heaps, &li.jsq[c])
-		if !li.sprintConfigured {
-			heaps = append(heaps, &li.spr[c])
-		}
+// oracleSpill is the DataLocal spill threshold the routing oracle checks.
+const oracleSpill = 2
+
+// oraclePolicies builds one instance of every stateful policy.
+func oraclePolicies() []RoutingPolicy {
+	return []RoutingPolicy{
+		NewJoinShortestQueue(), NewLeastLoaded(), NewSprintAware(), NewDataLocal(oracleSpill),
 	}
-	heaps = append(heaps, &li.ll)
-	for _, h := range heaps {
-		if len(h.order) != li.n || len(h.pos) != li.n {
-			t.Fatalf("heap kind %d class %d: sized %d/%d for %d members",
-				h.kind, h.class, len(h.order), len(h.pos), li.n)
+}
+
+// oracleRoute is the routing oracle: each stateful policy's documented
+// argmin written from Scheduler and Cluster state alone — no LoadIndex,
+// no Member getter — as an ordering key per candidate, smallest key
+// wins, ties to the lowest position in the slice.
+func oracleRoute(policy string, arr Arrival, members []*Member, classes int) int {
+	backlog := func(m *Member) float64 {
+		n := 0
+		if m.Scheduler.Busy() {
+			n = 1
 		}
-		for i, m := range h.order {
-			if h.pos[m] != int32(i) {
-				t.Fatalf("heap kind %d class %d: order[%d]=%d but pos[%d]=%d",
-					h.kind, h.class, i, m, m, h.pos[m])
+		for k := max(arr.Class, 0); k < classes; k++ {
+			n += m.Scheduler.QueuedJobsInClass(k)
+		}
+		return float64(n)
+	}
+	argmin := func(key func(m *Member) [3]float64) int {
+		best, bestKey := 0, key(members[0])
+		for i, m := range members[1:] {
+			k := key(m)
+			for j := range k {
+				if k[j] != bestKey[j] {
+					if k[j] < bestKey[j] {
+						best, bestKey = i+1, k
+					}
+					break
+				}
 			}
 		}
-		for i := 1; i < len(h.order); i++ {
-			parent := (i - 1) / 2
-			if h.less(h.order[i], h.order[parent]) {
-				t.Fatalf("heap kind %d class %d: order[%d] < parent order[%d]",
-					h.kind, h.class, i, parent)
+		return best
+	}
+	jsq := func() int {
+		return argmin(func(m *Member) [3]float64 {
+			return [3]float64{backlog(m), float64(m.Cluster.BusySlots())}
+		})
+	}
+	switch policy {
+	case "JSQ":
+		return jsq()
+	case "LeastLoaded":
+		return argmin(func(m *Member) [3]float64 {
+			queued := m.Scheduler.QueuedJobs()
+			if m.Scheduler.Busy() {
+				queued++
+			}
+			return [3]float64{
+				float64(m.Cluster.BusySlots()) / float64(m.Cluster.Slots()),
+				float64(queued),
+			}
+		})
+	case "SprintAware":
+		return argmin(func(m *Member) [3]float64 {
+			sprinting := 0.0
+			if m.Cluster.Sprinting() {
+				sprinting = 1
+			}
+			return [3]float64{-m.Scheduler.SprintBudgetJoules(), sprinting, backlog(m)}
+		})
+	case "DataLocal":
+		if arr.Home < 0 || arr.Home >= len(members) {
+			return jsq()
+		}
+		if alt := jsq(); backlog(members[arr.Home]) >= backlog(members[alt])+oracleSpill {
+			return alt
+		}
+		return arr.Home
+	}
+	panic("no oracle for " + policy)
+}
+
+// verifyRoutingAgainstOracle checks every stateful policy against the
+// oracle on each candidate view a Route call can be handed: the full
+// member slice, the outage-filtered slice the dispatcher builds, and a
+// caller-reordered slice. Classes run one past the configured range, and
+// DataLocal sees every home position plus "no home".
+func verifyRoutingAgainstOracle(t *testing.T, f *Federation, at simtime.Time) {
+	t.Helper()
+	full := f.Members()
+	var reversed, avail []*Member
+	for i := len(full) - 1; i >= 0; i-- {
+		reversed = append(reversed, full[i])
+	}
+	for _, m := range full {
+		if m.Available() {
+			avail = append(avail, m)
+		}
+	}
+	type namedView struct {
+		name    string
+		members []*Member
+	}
+	views := []namedView{{"full", full}, {"reversed", reversed}}
+	if len(avail) > 0 && len(avail) < len(full) {
+		views = append(views, namedView{"available", avail})
+	}
+	classes := f.Index().Classes()
+	for _, v := range views {
+		name, view := v.name, v.members
+		for _, p := range oraclePolicies() {
+			for class := 0; class <= classes; class++ {
+				for home := -1; home < len(view); home++ {
+					if home >= 0 && p.Name() != "DataLocal" {
+						break // only DataLocal reads Home
+					}
+					arr := Arrival{Class: class, Home: home}
+					if got, want := p.Route(arr, view), oracleRoute(p.Name(), arr, view, classes); got != want {
+						t.Fatalf("t=%v %s on the %s view, class %d home %d: routed to position %d (member %d), oracle says %d (member %d)",
+							at, p.Name(), name, class, home, got, view[got].Index, want, view[want].Index)
+					}
+				}
+			}
+		}
+	}
+}
+
+// verifyRoutingDoesNotAllocate is the hard form of Route's no-allocation
+// contract, for every shipped policy on the current state: on the full
+// slice and on a shorter one of the kind an outage produces.
+func verifyRoutingDoesNotAllocate(t *testing.T, f *Federation) {
+	t.Helper()
+	full := f.Members()
+	arr := Arrival{Class: 1, Home: 1}
+	for _, p := range append(oraclePolicies(), NewRandom(1), NewRoundRobin()) {
+		for _, view := range [][]*Member{full, full[1:]} {
+			if a := testing.AllocsPerRun(100, func() { p.Route(arr, view) }); a != 0 {
+				t.Fatalf("%s makes %.0f allocations per route over %d candidates", p.Name(), a, len(view))
 			}
 		}
 	}
@@ -144,8 +213,13 @@ func verifyHeapInvariants(t *testing.T, li *LoadIndex) {
 
 // TestLoadIndexMatchesRecompute drives randomized arrive/dispatch/
 // complete/sprint/outage/commission sequences through a federation and
-// asserts, at random checkpoints, that the incrementally maintained
-// index equals a brute-force recomputation from scratch.
+// asserts — right after every injected transition, and at random
+// checkpoints in between — that the incrementally maintained index
+// equals a brute-force recomputation from scratch and that every
+// stateful policy routes exactly where the oracle does. Mid-run it also
+// takes the whole federation down for an instant (the view where the
+// dispatcher hands policies the full slice of unavailable members) and
+// asserts that no policy allocates.
 func TestLoadIndexMatchesRecompute(t *testing.T) {
 	seeds := []int64{1, 7, 23, 40, 77}
 	if testing.Short() {
@@ -185,13 +259,22 @@ func TestLoadIndexMatchesRecompute(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(seed))
 				job := indexJob(6)
+				verify := func() {
+					verifyIndexAgainstRecompute(t, f, f.Sim().Now())
+					verifyRoutingAgainstOracle(t, f, f.Sim().Now())
+				}
+				// Same-instant events fire in scheduling order, so a check
+				// scheduled right after a transition observes its effect.
+				checkAt := func(at float64) { f.Sim().At(simtime.Time(at), verify) }
 				const horizon = 400.0
 				jobs := 60
 				if testing.Short() {
 					jobs = 30
 				}
 				for j := 0; j < jobs; j++ {
-					f.SubmitAt(rng.Float64()*horizon, rng.Intn(classes), job)
+					at := rng.Float64() * horizon
+					f.SubmitAt(at, rng.Intn(classes), job)
+					checkAt(at)
 				}
 				// Cluster-level outages: up to two non-overlapping windows per
 				// member on a random subset.
@@ -201,18 +284,21 @@ func TestLoadIndexMatchesRecompute(t *testing.T) {
 					}
 					start := rng.Float64() * horizon / 2
 					dur := 10 + rng.Float64()*40
-					if err := f.ScheduleOutage(i, start, dur); err != nil {
-						t.Fatal(err)
-					}
+					windows := [][2]float64{{start, dur}}
 					if rng.Intn(2) == 0 {
-						if err := f.ScheduleOutage(i, start+dur+5+rng.Float64()*20, 5+rng.Float64()*20); err != nil {
+						windows = append(windows, [2]float64{start + dur + 5 + rng.Float64()*20, 5 + rng.Float64()*20})
+					}
+					for _, w := range windows {
+						if err := f.ScheduleOutage(i, w[0], w[1]); err != nil {
 							t.Fatal(err)
 						}
+						checkAt(w[0])
+						checkAt(w[0] + w[1])
 					}
 				}
 				// Elastic churn: alternate decommission/commission of each
 				// member's highest node at increasing times.
-				for i, m := range f.Members() {
+				for _, m := range f.Members() {
 					node := m.Cluster.Config().Nodes - 1
 					at := rng.Float64() * horizon / 2
 					down := true
@@ -229,24 +315,46 @@ func TestLoadIndexMatchesRecompute(t *testing.T) {
 							if err != nil {
 								t.Errorf("member %d node %d toggle(down=%v): %v", m.Index, node, d, err)
 							}
+							verify()
 						})
 						down = !down
-						_ = i
 					}
 				}
-				// Checkpoints: recompute-from-scratch comparisons at random
-				// instants across the run.
+				// Checkpoints at random instants across the run: the states
+				// task starts and completions leave between the transitions
+				// above.
 				checks := 40
 				if testing.Short() {
 					checks = 15
 				}
 				for c := 0; c < checks; c++ {
-					at := simtime.Time(rng.Float64() * horizon * 1.2)
-					f.Sim().At(at, func() { verifyIndexAgainstRecompute(t, f, at) })
+					checkAt(rng.Float64() * horizon * 1.2)
 				}
+				f.Sim().At(simtime.Time(horizon*0.3), func() { verifyRoutingDoesNotAllocate(t, f) })
+				// Whole-federation outage for one instant: every member that
+				// is up goes down and comes back inside one event, so the
+				// planned outage windows around it never see the difference.
+				f.Sim().At(simtime.Time(horizon*0.45), func() {
+					var taken []int
+					for i, m := range f.Members() {
+						if m.Available() {
+							if err := f.SetMemberDown(i, true); err != nil {
+								t.Fatal(err)
+							}
+							taken = append(taken, i)
+						}
+					}
+					verify()
+					for _, i := range taken {
+						if err := f.SetMemberDown(i, false); err != nil {
+							t.Fatal(err)
+						}
+					}
+					verify()
+				})
 				f.Run()
 				// Terminal state: everything drained, index agrees one last time.
-				verifyIndexAgainstRecompute(t, f, f.Sim().Now())
+				verify()
 				for i := range f.Members() {
 					if li := f.Index(); li.TotalQueued(i) != 0 || li.Busy(i) {
 						t.Fatalf("member %d not drained: queued %d busy %v", i, li.TotalQueued(i), li.Busy(i))
@@ -257,10 +365,10 @@ func TestLoadIndexMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestRoutingDuringOutageMatchesScan pins the policies' fallback path:
-// with a member down the dispatcher hands policies a filtered candidate
-// slice, where heap answers are invalid and a linear scan over the index
-// getters must reproduce the original polled-scan decisions.
+// TestRoutingDuringOutageMatchesScan pins the outage view on a
+// hand-built state: with a member down the dispatcher hands policies a
+// filtered candidate slice, and positions in it no longer match member
+// indices.
 func TestRoutingDuringOutageMatchesScan(t *testing.T) {
 	f, err := New(Config{
 		Members: make([]MemberSpec, 4),
@@ -323,8 +431,8 @@ func TestRoutingDuringOutageMatchesScan(t *testing.T) {
 }
 
 // TestRoutingReorderedSliceHonorsContract pins Route's documented
-// contract — the return value indexes the caller's slice — against the
-// heap fast path: a caller-reordered full-length slice must not be
+// contract — the return value indexes the caller's slice — on a
+// hand-built state: a caller-reordered full-length slice must not be
 // answered with a member id that points at a different member.
 func TestRoutingReorderedSliceHonorsContract(t *testing.T) {
 	f, err := New(Config{
@@ -364,9 +472,9 @@ func TestRoutingReorderedSliceHonorsContract(t *testing.T) {
 	}
 }
 
-// TestBacklogClamping pins the degenerate-class behaviour the heaps do
-// not maintain: out-of-range classes fall back to scans with the same
-// clamping the polled loops had.
+// TestBacklogClamping pins the degenerate-class behaviour: classes
+// above the configured range see only the running job, negative classes
+// see everything.
 func TestBacklogClamping(t *testing.T) {
 	f, err := New(Config{
 		Members: make([]MemberSpec, 2),
@@ -391,8 +499,7 @@ func TestBacklogClamping(t *testing.T) {
 	if got := m.Backlog(-1); got != 3 {
 		t.Fatalf("below-range class backlog %d, want 3", got)
 	}
-	// Heap-backed routing still answers for in-range classes, and the
-	// out-of-range class falls back to the scan without panicking.
+	// Routing answers for in-range and out-of-range classes alike.
 	jsq := NewJoinShortestQueue()
 	if got := jsq.Route(Arrival{Class: 5, Job: job, Home: -1}, f.Members()); got != 0 {
 		t.Fatalf("out-of-range class routed to %d, want 0 (idle member)", got)

@@ -2,6 +2,7 @@ package federation_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dias/internal/core"
@@ -94,6 +95,17 @@ func TestOutageValidation(t *testing.T) {
 	}
 	if err := fed.ScheduleOutage(0, 0, 0); err == nil {
 		t.Fatal("zero duration accepted")
+	}
+	// Non-finite times pass every ordered comparison above them; a NaN
+	// event key would silently mis-order the run.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{nan, 1}, {10, nan}, {inf, 1}, {10, inf}, {-inf, 1}, {10, -inf}} {
+		if err := fed.ScheduleOutage(0, c[0], c[1]); err == nil {
+			t.Fatalf("outage at %g for %g accepted", c[0], c[1])
+		}
+	}
+	if n := fed.Sim().Pending(); n != 0 {
+		t.Fatalf("%d events scheduled by rejected outages", n)
 	}
 	if err := fed.ScheduleOutage(0, 100, 50); err != nil {
 		t.Fatalf("valid outage rejected: %v", err)

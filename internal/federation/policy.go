@@ -25,39 +25,18 @@ type Arrival struct {
 // [0, len(members)). Implementations are free to keep internal state
 // (cursors, RNGs); a policy instance must not be shared across concurrent
 // federations. Route must not allocate: it sits on the dispatch hot path
-// of every arrival (see BenchmarkDispatcherRouting and
-// BenchmarkFederationChurnRouting).
+// of every arrival (TestLoadIndexMatchesRecompute asserts it for the
+// shipped policies).
 //
-// The stateful policies read the federation's LoadIndex: with every
-// member up they return a maintained heap top in O(1); during outages
-// (when the dispatcher hands them a filtered candidate slice) they fall
-// back to a linear scan over the index's O(1) getters.
+// The stateful policies scan the candidate slice they are handed — the
+// full member set, or the available members during an outage — reading
+// class backlogs from the federation's LoadIndex and everything else
+// from the member's cluster and scheduler. Ties break toward the lower
+// position in the slice.
 type RoutingPolicy interface {
 	// Name labels the policy in experiment results.
 	Name() string
 	Route(arr Arrival, members []*Member) int
-}
-
-// fastIndex returns the shared load index when the candidate slice is
-// the full, outage-free member set — the precondition for answering a
-// Route from a maintained heap, whose entries are member indices. A
-// filtered candidate slice (some member down) positions members
-// differently, so callers must scan it instead.
-func fastIndex(members []*Member) *LoadIndex {
-	if li := members[0].li; li != nil && li.down == 0 && len(members) == li.n {
-		return li
-	}
-	return nil
-}
-
-// heapAnswerValid confirms a heap's member pick against the caller's
-// slice: Route's contract is an index into members, and the pick is only
-// usable as one if the member actually sits at its own index position
-// (a caller-reordered full-length slice would otherwise be misrouted).
-// O(1), no false positives: when it holds, position best holds exactly
-// the member the heap meant, wherever the rest may sit.
-func heapAnswerValid(members []*Member, best int) bool {
-	return members[best].Index == best
 }
 
 // --- Random ----------------------------------------------------------------
@@ -103,13 +82,6 @@ func NewJoinShortestQueue() RoutingPolicy { return jsqPolicy{} }
 func (jsqPolicy) Name() string { return "JSQ" }
 
 func (jsqPolicy) Route(arr Arrival, members []*Member) int {
-	if li := fastIndex(members); li != nil {
-		if best, ok := li.bestJSQ(arr.Class); ok && heapAnswerValid(members, best) {
-			return best
-		}
-	}
-	// Outage-filtered or reordered candidates (or an out-of-range class):
-	// linear scan over the index's O(1) backlog getters.
 	best, bestBacklog, bestBusy := 0, -1, 0
 	for i, m := range members {
 		backlog := m.Backlog(arr.Class)
@@ -135,11 +107,6 @@ func NewLeastLoaded() RoutingPolicy { return leastLoadedPolicy{} }
 func (leastLoadedPolicy) Name() string { return "LeastLoaded" }
 
 func (leastLoadedPolicy) Route(_ Arrival, members []*Member) int {
-	if li := fastIndex(members); li != nil {
-		if best := li.bestLeastLoaded(); heapAnswerValid(members, best) {
-			return best
-		}
-	}
 	best, bestUtil, bestQueue := 0, 2.0, 0
 	for i, m := range members {
 		util := m.Utilization()
@@ -160,21 +127,12 @@ type sprintAwarePolicy struct{}
 // member currently sprinting is draining its budget, so among equal
 // budgets non-sprinting members win; remaining ties break toward the
 // smaller class backlog, then lower index. Without sprint policies every
-// budget reads zero and the policy degrades to shortest-backlog routing,
-// answered from a maintained heap. With sprinting configured the budgets
-// drain and replenish continuously between events, so the ordering
-// cannot live in an event-updated heap; the policy scans the members
-// over the index's O(1) getters instead.
+// budget reads zero and the policy degrades to shortest-backlog routing.
 func NewSprintAware() RoutingPolicy { return sprintAwarePolicy{} }
 
 func (sprintAwarePolicy) Name() string { return "SprintAware" }
 
 func (sprintAwarePolicy) Route(arr Arrival, members []*Member) int {
-	if li := fastIndex(members); li != nil && !li.sprintConfigured {
-		if best, ok := li.bestBacklog(arr.Class); ok && heapAnswerValid(members, best) {
-			return best
-		}
-	}
 	best := 0
 	bestBudget, bestSprinting, bestBacklog := -1.0, true, 0
 	for i, m := range members {

@@ -127,5 +127,5 @@ func H3() Spec {
 
 // All returns every seeded hypothesis, in presentation order.
 func All() []Spec {
-	return []Spec{H1(), H2(), H3(), H4(), H5(), H6()}
+	return []Spec{H1(), H2(), H3(), H4(), H5()}
 }

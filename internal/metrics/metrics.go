@@ -83,11 +83,6 @@ type ScenarioResult struct {
 	// unfinished jobs — the memory-bounding figure of a streaming run
 	// (zero when the driver does not track it). Deterministic.
 	PeakInFlightJobs int
-	// ParallelSpeedup is serial wall-clock over parallel-kernel wall-clock
-	// for the same run (zero when the driver does not measure it).
-	// Machine-dependent like SimJobsPerWallSec: benchmark reports only,
-	// never deterministic figure text, never gated.
-	ParallelSpeedup float64
 }
 
 // FillOverload derives the rejected-work and goodput fields from the

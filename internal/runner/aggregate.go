@@ -82,15 +82,13 @@ type Summary struct {
 	FailedJobs       Estimate `json:"failed_jobs"`
 	TasksRetried     Estimate `json:"tasks_retried"`
 	MeanPoweredNodes Estimate `json:"mean_powered_nodes"`
-	// Streaming-scale columns (zero unless the driver measures them).
+	// Streaming-scale columns, left out of the JSON when the driver does
+	// not measure them (most scenarios; readers take absent as zero).
 	// SimJobsPerWallSec is machine-dependent — reported for trending, never
 	// gated; PeakInFlightJobs is deterministic and gated like any other
 	// column.
-	SimJobsPerWallSec Estimate `json:"sim_jobs_per_wall_sec"`
-	PeakInFlightJobs  Estimate `json:"peak_in_flight_jobs"`
-	// ParallelSpeedup (serial over parallel-kernel wall-clock, same run) is
-	// machine-dependent like SimJobsPerWallSec: trending only, never gated.
-	ParallelSpeedup Estimate `json:"parallel_speedup"`
+	SimJobsPerWallSec Estimate `json:"sim_jobs_per_wall_sec,omitzero"`
+	PeakInFlightJobs  Estimate `json:"peak_in_flight_jobs,omitzero"`
 }
 
 // Summarize aggregates per-seed replicates of one scenario into mean/CI
@@ -132,9 +130,6 @@ func Summarize(seeds []int64, reps []metrics.ScenarioResult) (Summary, error) {
 		}),
 		PeakInFlightJobs: pick(func(r metrics.ScenarioResult) float64 {
 			return float64(r.PeakInFlightJobs)
-		}),
-		ParallelSpeedup: pick(func(r metrics.ScenarioResult) float64 {
-			return r.ParallelSpeedup
 		}),
 	}
 	for k := 0; k < classes; k++ {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -245,6 +246,21 @@ func TestSummarizeSingleReplicateHasZeroCI(t *testing.T) {
 		if math.IsNaN(e.Mean) || math.IsNaN(e.CI95) || e.CI95 != 0 {
 			t.Fatalf("single-seed estimate not a clean zero-width interval: %+v", e)
 		}
+	}
+	// The streaming-scale columns this run did not measure stay out of the
+	// report; a measured one goes in.
+	out, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"sim_jobs_per_wall_sec", "peak_in_flight_jobs"} {
+		if strings.Contains(string(out), key) {
+			t.Fatalf("unmeasured %s serialized: %s", key, out)
+		}
+	}
+	s.PeakInFlightJobs = Estimate{Mean: 150}
+	if out, _ = json.Marshal(s); !strings.Contains(string(out), `"peak_in_flight_jobs":{"mean":150,"ci95":0}`) {
+		t.Fatalf("measured peak_in_flight_jobs not serialized: %s", out)
 	}
 }
 

@@ -80,11 +80,6 @@ type Simulation struct {
 	free    []int32 // recycled arena slots
 	nextSeq uint64
 	stopped bool
-	// interrupt, when non-nil, is polled between events by Run/RunUntil;
-	// a true return makes them bail out like Stop. Unlike the stopped
-	// flag it is not cleared on entry, so an external controller (the
-	// sharded kernel's Stop) can halt a loop it does not run on.
-	interrupt func() bool
 }
 
 // New returns an empty simulation with the clock at zero.
@@ -189,9 +184,10 @@ func (s *Simulation) release(slot int32) {
 }
 
 // At schedules fn to run at instant t. Scheduling in the past (before Now)
-// panics: it indicates a logic error in the caller.
+// or at NaN panics: it indicates a logic error in the caller, and a NaN
+// key would make every heap comparison false and silently mis-order the run.
 func (s *Simulation) At(t Time, fn func()) EventID {
-	if t < s.now {
+	if !(t >= s.now) {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", t, s.now))
 	}
 	if fn == nil {
@@ -241,9 +237,9 @@ func (s *Simulation) Cancel(id EventID) bool {
 // move counts as a fresh scheduling for FIFO ordering: among events at the
 // same instant, a rescheduled event fires after ones already queued there.
 // It reports whether the event was still pending; rescheduling into the
-// past panics like At.
+// past or to NaN panics like At.
 func (s *Simulation) Reschedule(id EventID, t Time) bool {
-	if t < s.now {
+	if !(t >= s.now) {
 		panic(fmt.Sprintf("simtime: rescheduling event to %v before now %v", t, s.now))
 	}
 	ev := s.lookup(id)
@@ -276,18 +272,6 @@ func (s *Simulation) Pending() int { return len(s.heap) }
 // callback finishes. Pending events stay queued.
 func (s *Simulation) Stop() { s.stopped = true }
 
-// SetInterrupt installs a poll the run loops consult between events; a
-// true return makes Run/RunUntil bail out like Stop, but the condition is
-// owned by the caller and survives loop re-entry (Run clears the stopped
-// flag, not the interrupt). The sharded kernel uses this to halt member
-// partition loops from the coordinator mid-window. Passing nil removes
-// the hook; the poll must be safe to call from the goroutine running the
-// loop.
-func (s *Simulation) SetInterrupt(poll func() bool) { s.interrupt = poll }
-
-// interrupted polls the interrupt hook, if any.
-func (s *Simulation) interrupted() bool { return s.interrupt != nil && s.interrupt() }
-
 // step fires the earliest pending event. It reports false when the queue is
 // empty.
 func (s *Simulation) step() bool {
@@ -306,42 +290,22 @@ func (s *Simulation) step() bool {
 	return true
 }
 
-// Run fires events until the queue drains, Stop is called, or the
-// interrupt hook trips.
+// Run fires events until the queue drains or Stop is called.
 func (s *Simulation) Run() {
 	s.stopped = false
-	for !s.stopped && !s.interrupted() && s.step() {
+	for !s.stopped && s.step() {
 	}
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to t.
-// Events scheduled after t stay pending. An interrupt leaves the clock at
-// the last fired event, like Stop.
+// Events scheduled after t stay pending.
 func (s *Simulation) RunUntil(t Time) {
 	s.stopped = false
 	for !s.stopped && len(s.heap) > 0 && s.events[s.heap[0]].at <= t {
-		if s.interrupted() {
-			return
-		}
 		s.step()
 	}
 	if !s.stopped && t > s.now {
 		s.now = t
-	}
-}
-
-// runEventsUntil fires every event at or before t but, unlike RunUntil,
-// never advances the clock past the last event fired. The sharded kernel
-// uses it for conservative windows whose horizon is a bound, not an
-// instant anything happens at — overshooting there would inflate the
-// final clock past the serial kernel's makespan.
-func (s *Simulation) runEventsUntil(t Time) {
-	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 && s.events[s.heap[0]].at <= t {
-		if s.interrupted() {
-			return
-		}
-		s.step()
 	}
 }
 

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -61,16 +62,26 @@ func TestAfterClampsNegative(t *testing.T) {
 	}
 }
 
+// TestSchedulingInPastPanics: an instant before Now is a caller bug, and
+// so is NaN — it compares false against everything, so it would slip past
+// a plain t < now check and corrupt the heap order.
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
 	s.At(10, func() {})
 	s.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	s.At(5, func() {})
+	for _, at := range []Time{5, Time(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("scheduling at %v with the clock at %v did not panic", at, s.Now())
+				}
+			}()
+			s.At(at, func() {})
+		}()
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d rejected events entered the queue", s.Pending())
+	}
 }
 
 func TestNilCallbackPanics(t *testing.T) {
@@ -472,12 +483,16 @@ func TestRescheduleIntoPastPanics(t *testing.T) {
 	s.At(10, func() {})
 	id := s.At(20, func() {})
 	s.RunUntil(15)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling into the past did not panic")
-		}
-	}()
-	s.Reschedule(id, 5)
+	for _, at := range []Time{5, Time(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("rescheduling to %v with the clock at %v did not panic", at, s.Now())
+				}
+			}()
+			s.Reschedule(id, at)
+		}()
+	}
 }
 
 func TestRescheduleAfterClampsNegative(t *testing.T) {

@@ -117,15 +117,6 @@ func (s *Sampler) Drive(sim *simtime.Simulation) {
 	}
 }
 
-// Interval returns the sampling cadence in simulated time.
-func (s *Sampler) Interval() simtime.Duration { return s.interval }
-
-// Sample records one gauge row at the given instant. The serial Drive
-// loop calls it internally; the sharded kernel's parallel drive calls it
-// from its OnPause hook, where every partition is aligned to the tick —
-// the same post-event state Drive samples.
-func (s *Sampler) Sample(now simtime.Time) { s.sample(now) }
-
 func (s *Sampler) sample(now simtime.Time) {
 	row := make([]float64, 0, len(s.tl.cols))
 	interval := s.interval.Seconds()
