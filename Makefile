@@ -44,7 +44,7 @@ bench:
 # No pipe here: /bin/sh has no pipefail, and `... | tee` would mask a
 # failing benchmark behind tee's exit status.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting' -benchmem . > bench_smoke.txt
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkTriangleStages|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting' -benchmem . > bench_smoke.txt
 	cat bench_smoke.txt
 	$(GO) run ./cmd/dias-experiments $(BENCH_SMOKE_ARGS) -bench-out BENCH_results.json > /dev/null
 
@@ -52,13 +52,15 @@ bench-smoke:
 # so `go build ./... && go test ./...` at the root never compiles it: a
 # change to engine.Stage or engine.Record can break it with every other
 # lane green. This builds and tests it against the tree, then drives the
-# two workloads that cover the most of the program between them through
-# the entry point BENCHMARK.json names (digest, conservation and payload
-# oracles included; a smoke run takes a few seconds).
+# two workloads that cover the most of the program between them, and the
+# one workload that runs the triangle stages' payload, through the entry
+# point BENCHMARK.json names (digest, conservation and payload oracles
+# included; a smoke run takes a few seconds).
 benchmark-smoke:
 	cd benchmark && $(GO) test -short ./...
 	bash benchmark/run.sh --workload figure-set --smoke
 	bash benchmark/run.sh --workload fed8-text --smoke
+	bash benchmark/run.sh --workload stack-graph --smoke
 
 # Regenerate the committed bench-regression baseline (run on the machine
 # class CI uses when the wall-clock gate matters; figure means are

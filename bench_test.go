@@ -236,6 +236,51 @@ func BenchmarkEngineTextJob(b *testing.B) {
 	})
 }
 
+// BenchmarkTriangleStages runs one warm θ = 0.1 triangle-count job over a
+// 300-node Barabási–Albert graph per iteration (100 partitions, 100
+// buckets, count-only: the shape of the benchmark of record's stack-graph
+// workload). Stage 0 is served from the template memo, so ns/op and
+// allocs/op are the dedup, adjacency, wedges and join stages plus shuffle
+// bucketing: the per-job allocation count of the graph data plane, tracked
+// per commit.
+func BenchmarkTriangleStages(b *testing.B) {
+	edges, err := workload.SynthesizeGraph(rand.New(rand.NewSource(1)), workload.GraphConfig{Nodes: 300, EdgesPerNode: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := analytics.TriangleCountJob("tc", analytics.EdgeDataset(edges, 100), 100, 750<<20)
+	sim := simtime.New()
+	clu, err := cluster.New(sim, cluster.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := engine.New(sim, clu, nil, engine.DefaultCostModel(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	completed := 0
+	opts := engine.SubmitOptions{
+		DropRatios:    []float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
+		DiscardOutput: true,
+		OnComplete:    func(engine.JobResult) { completed++ },
+	}
+	run := func() {
+		if _, err := eng.Submit(job, opts); err != nil {
+			b.Fatal(err)
+		}
+		sim.Run()
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	if completed != b.N+1 {
+		b.Fatalf("completed %d jobs, want %d", completed, b.N+1)
+	}
+}
+
 // BenchmarkDispatcherRouting isolates the federation dispatch hot path:
 // 10k routing decisions across an 8-cluster federation per policy, with
 // member backlogs populated so backlog/budget scans do real work. Routing

@@ -12,7 +12,9 @@
 package analytics
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -270,121 +272,239 @@ func stageCanonicalize(in []engine.Record) []engine.Record {
 	return out
 }
 
-// edgeSetPool recycles stageDedup's scratch map.
-var edgeSetPool = sync.Pool{
-	New: func() any { return make(map[string]Edge, 512) },
+// The four hot stages below (dedup, adjacency, wedges, join) run ~100 tasks
+// of ~20 records each per job, so they group and de-duplicate by sorting
+// small slices rather than through maps, and they format each task's
+// decimal keys into one backing string (the engine's TaskFunc contract
+// lets returned records share key storage).
+
+// yieldToCollector lets the garbage collector's background mark worker
+// onto the processor; each of the four hot stages calls it on entry. The
+// simulation kernel's goroutine never blocks, and a process with one P —
+// the benchmark of record, a `-workers 1` run on a one-core box —
+// schedules the collector's fractional mark worker only when that
+// goroutine enters the scheduler. Left to sysmon's forced preemption that
+// is 10–20 ms into a mark phase, and everything the stages allocate
+// meanwhile is allocated live: at the triangle job's ~270 MB/s one such
+// cycle overshoots the heap goal by 4 MB and doubles the next goal
+// (docs/BENCHMARKING.md, "peak_sys_mib anatomy"). A yield costs ~0.2 µs
+// against the ≥ 10 µs of a task.
+func yieldToCollector() { runtime.Gosched() }
+
+// triScratch is the sort and key scratch of one stageWedges or stageJoin
+// call. Every field is emptied of string pointers before the scratch goes
+// back to the pool, so a pooled scratch pins no task's records.
+type triScratch struct {
+	pairs  []vertexNeighbour // stageWedges: (vertex key, neighbour) to group
+	digits []byte            // stageWedges: one vertex group's neighbours in decimal
+	ends   []int             // stageWedges: end offset of each neighbour in digits
+	edges  []string          // stageJoin: the bucket's edge keys, sorted
+	counts []float64         // stageJoin: wedges matched per edge key
 }
 
+var triScratchPool = sync.Pool{New: func() any { return new(triScratch) }}
+
+type vertexNeighbour struct {
+	vertex    string
+	neighbour int64
+}
+
+// decimalLen returns len(strconv.FormatInt(x, 10)).
+func decimalLen(x int64) int {
+	n, u := 1, uint64(x)
+	if x < 0 {
+		n, u = 2, -u // -MinInt64 wraps to 1<<63, its magnitude
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// writeInt appends x in decimal.
+func writeInt(b *strings.Builder, x int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], x, 10))
+}
+
+func compareKeys(a, b engine.Record) int { return strings.Compare(a.Key, b.Key) }
+
 // stageDedup removes duplicate edges; canonical keys co-locate duplicates.
+// Of the records sharing a key the last one in input order is kept, and
+// the output is sorted by key.
 func stageDedup(in []engine.Record) []engine.Record {
-	seen := edgeSetPool.Get().(map[string]Edge)
+	yieldToCollector()
+	out := make([]engine.Record, 0, len(in))
 	for _, r := range in {
-		if e, ok := r.Value.(Edge); ok {
-			seen[r.Key] = e
+		if _, ok := r.Value.(Edge); ok {
+			out = append(out, r)
 		}
 	}
-	out := make([]engine.Record, 0, len(seen))
-	for k, e := range seen {
-		out = append(out, engine.Record{Key: k, Value: e})
+	slices.SortStableFunc(out, compareKeys)
+	kept := 0
+	for i, r := range out {
+		if i+1 < len(out) && out[i+1].Key == r.Key {
+			continue // a later duplicate supersedes it
+		}
+		out[kept] = r
+		kept++
 	}
-	clear(seen)
-	edgeSetPool.Put(seen)
-	sortRecords(out)
-	return out
+	clear(out[kept:])
+	return out[:kept]
 }
 
 // stageAdjacency emits each edge under both endpoint keys so the next
 // stage sees complete neighborhoods, plus one edge marker under the
-// canonical key for the later join.
+// canonical key for the later join. "u,v" is written once per edge and the
+// endpoint keys "u" and "v" are substrings of it.
 func stageAdjacency(in []engine.Record) []engine.Record {
+	yieldToCollector()
 	out := make([]engine.Record, 0, 3*len(in))
+	size := 0
+	for _, r := range in {
+		if e, ok := r.Value.(Edge); ok {
+			size += decimalLen(e.U) + 1 + decimalLen(e.V)
+		}
+	}
+	// Grown to its final size the builder never moves, so every String()
+	// below is a view of the same backing array.
+	var keys strings.Builder
+	keys.Grow(size)
 	for _, r := range in {
 		e, ok := r.Value.(Edge)
 		if !ok {
 			continue
 		}
+		start := keys.Len()
+		writeInt(&keys, e.U)
+		comma := keys.Len()
+		keys.WriteByte(',')
+		writeInt(&keys, e.V)
+		block := keys.String()
 		out = append(out,
-			engine.Record{Key: strconv.FormatInt(e.U, 10), Value: e.V},
-			engine.Record{Key: strconv.FormatInt(e.V, 10), Value: e.U},
-			engine.Record{Key: e.key(), Value: markerEdge},
+			engine.Record{Key: block[start:comma], Value: e.V},
+			engine.Record{Key: block[comma+1:], Value: e.U},
+			engine.Record{Key: block[start:], Value: markerEdge},
 		)
 	}
 	return out
 }
 
-// adjPool recycles stageWedges' adjacency scratch map (the neighbor
-// slices themselves are released on clear; only the bucket array is kept).
-var adjPool = sync.Pool{
-	New: func() any { return make(map[string][]int64, 512) },
-}
-
 // stageWedges groups neighbors per vertex and emits one wedge record per
-// neighbor pair, forwarding edge markers unchanged.
+// neighbor pair, forwarding edge markers unchanged: markers first in input
+// order, then the wedges of each vertex in key order, each vertex's
+// distinct neighbours paired in ascending order.
 func stageWedges(in []engine.Record) []engine.Record {
-	adj := adjPool.Get().(map[string][]int64)
-	var out []engine.Record
+	yieldToCollector()
+	sc := triScratchPool.Get().(*triScratch)
+	pairs := sc.pairs[:0]
+	markers := 0
 	for _, r := range in {
 		switch v := r.Value.(type) {
 		case int64:
-			adj[r.Key] = append(adj[r.Key], v)
+			pairs = append(pairs, vertexNeighbour{r.Key, v})
 		case string:
 			if v == markerEdge {
+				markers++
+			}
+		}
+	}
+	slices.SortFunc(pairs, func(a, b vertexNeighbour) int {
+		if c := strings.Compare(a.vertex, b.vertex); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.neighbour, b.neighbour)
+	})
+	pairs = slices.Compact(pairs) // zeroes the tail it drops
+
+	// A vertex with d distinct neighbours of l_1..l_d digits yields
+	// d(d-1)/2 wedges "a,b" whose keys take (d-1)·Σl + d(d-1)/2 bytes.
+	wedges, size := 0, 0
+	for g := 0; g < len(pairs); {
+		d, digits := 0, 0
+		for ; g+d < len(pairs) && pairs[g+d].vertex == pairs[g].vertex; d++ {
+			digits += decimalLen(pairs[g+d].neighbour)
+		}
+		wedges += d * (d - 1) / 2
+		size += (d-1)*digits + d*(d-1)/2
+		g += d
+	}
+
+	var out []engine.Record
+	if markers+wedges > 0 {
+		out = make([]engine.Record, 0, markers+wedges)
+		for _, r := range in {
+			if r.Value == markerEdge {
 				out = append(out, r)
 			}
 		}
 	}
-	keys := make([]string, 0, len(adj))
-	for k := range adj {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		ns := dedupSorted(adj[k])
-		for i := 0; i < len(ns); i++ {
-			for j := i + 1; j < len(ns); j++ {
-				w := Edge{U: ns[i], V: ns[j]}
-				out = append(out, engine.Record{Key: w.key(), Value: markerWedge})
+	var keys strings.Builder // never moves once grown; see stageAdjacency
+	keys.Grow(size)
+	for g := 0; g < len(pairs); {
+		digits, ends := sc.digits[:0], sc.ends[:0]
+		d := 0
+		for ; g+d < len(pairs) && pairs[g+d].vertex == pairs[g].vertex; d++ {
+			digits = strconv.AppendInt(digits, pairs[g+d].neighbour, 10)
+			ends = append(ends, len(digits))
+		}
+		for i, from := 0, 0; i < d; from, i = ends[i], i+1 {
+			for j := i + 1; j < d; j++ {
+				start := keys.Len()
+				keys.Write(digits[from:ends[i]])
+				keys.WriteByte(',')
+				keys.Write(digits[ends[j-1]:ends[j]])
+				out = append(out, engine.Record{Key: keys.String()[start:], Value: markerWedge})
 			}
 		}
+		sc.digits, sc.ends = digits, ends
+		g += d
 	}
-	clear(adj)
-	adjPool.Put(adj)
+
+	clear(pairs)
+	sc.pairs = pairs
+	triScratchPool.Put(sc)
 	return out
 }
 
-// edgeMarkPool recycles stageJoin's edge-membership scratch set.
-var edgeMarkPool = sync.Pool{
-	New: func() any { return make(map[string]bool, 512) },
-}
-
 // stageJoin counts, per canonical pair key, wedges that close into
-// triangles because the pair is also an edge.
+// triangles because the pair is also an edge; the output is sorted by key.
 func stageJoin(in []engine.Record) []engine.Record {
-	wedges := countsPool.Get().(map[string]float64)
-	isEdge := edgeMarkPool.Get().(map[string]bool)
+	yieldToCollector()
+	sc := triScratchPool.Get().(*triScratch)
+	edges := sc.edges[:0]
 	for _, r := range in {
-		switch r.Value {
-		case markerWedge:
-			wedges[r.Key]++
-		case markerEdge:
-			isEdge[r.Key] = true
+		if r.Value == markerEdge {
+			edges = append(edges, r.Key)
+		}
+	}
+	slices.Sort(edges)
+	edges = slices.Compact(edges) // zeroes the tail it drops
+	counts := append(sc.counts[:0], make([]float64, len(edges))...)
+	matched := 0
+	for _, r := range in {
+		if r.Value != markerWedge {
+			continue
+		}
+		if i, ok := slices.BinarySearch(edges, r.Key); ok {
+			if counts[i] == 0 {
+				matched++
+			}
+			counts[i]++
 		}
 	}
 	var out []engine.Record
-	keys := make([]string, 0, len(wedges))
-	for k := range wedges {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if isEdge[k] {
-			out = append(out, engine.Record{Key: k, Value: wedges[k]})
+	if matched > 0 {
+		out = make([]engine.Record, 0, matched)
+		for i, k := range edges {
+			if counts[i] > 0 {
+				out = append(out, engine.Record{Key: k, Value: counts[i]})
+			}
 		}
 	}
-	clear(wedges)
-	countsPool.Put(wedges)
-	clear(isEdge)
-	edgeMarkPool.Put(isEdge)
+	clear(edges)
+	sc.edges, sc.counts = edges, counts
+	triScratchPool.Put(sc)
 	return out
 }
 
@@ -496,24 +616,10 @@ func ExactTriangles(edges []Edge) int64 {
 	return count
 }
 
-func dedupSorted(xs []int64) []int64 {
-	if len(xs) == 0 {
-		return xs
-	}
-	slices.Sort(xs)
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // sortRecords orders records by key without sort.Slice's reflection-based
 // swapper, a measurable win on the per-task shuffle outputs.
 func sortRecords(rs []engine.Record) {
-	slices.SortFunc(rs, func(a, b engine.Record) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortFunc(rs, compareKeys)
 }
 
 // ParseEdgeKey is exported for tests and tooling that inspect shuffle keys.

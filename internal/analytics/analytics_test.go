@@ -3,6 +3,9 @@ package analytics
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -312,5 +315,313 @@ func TestPropertyTriangleJobMatchesExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The map-based triangle stages the sort-based ones replaced, kept as the
+// reference the rewrite must match record for record, order included.
+
+func refDedup(in []engine.Record) []engine.Record {
+	seen := make(map[string]Edge)
+	for _, r := range in {
+		if e, ok := r.Value.(Edge); ok {
+			seen[r.Key] = e
+		}
+	}
+	out := make([]engine.Record, 0, len(seen))
+	for k, e := range seen {
+		out = append(out, engine.Record{Key: k, Value: e})
+	}
+	sortRecords(out)
+	return out
+}
+
+func refAdjacency(in []engine.Record) []engine.Record {
+	out := make([]engine.Record, 0, 3*len(in))
+	for _, r := range in {
+		e, ok := r.Value.(Edge)
+		if !ok {
+			continue
+		}
+		out = append(out,
+			engine.Record{Key: strconv.FormatInt(e.U, 10), Value: e.V},
+			engine.Record{Key: strconv.FormatInt(e.V, 10), Value: e.U},
+			engine.Record{Key: e.key(), Value: markerEdge},
+		)
+	}
+	return out
+}
+
+func refWedges(in []engine.Record) []engine.Record {
+	adj := make(map[string][]int64)
+	var out []engine.Record
+	for _, r := range in {
+		switch v := r.Value.(type) {
+		case int64:
+			adj[r.Key] = append(adj[r.Key], v)
+		case string:
+			if v == markerEdge {
+				out = append(out, r)
+			}
+		}
+	}
+	keys := make([]string, 0, len(adj))
+	for k := range adj {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		ns := adj[k]
+		slices.Sort(ns)
+		ns = slices.Compact(ns)
+		for i := 0; i < len(ns); i++ {
+			for j := i + 1; j < len(ns); j++ {
+				w := Edge{U: ns[i], V: ns[j]}
+				out = append(out, engine.Record{Key: w.key(), Value: markerWedge})
+			}
+		}
+	}
+	return out
+}
+
+func refJoin(in []engine.Record) []engine.Record {
+	wedges := make(map[string]float64)
+	isEdge := make(map[string]bool)
+	for _, r := range in {
+		switch r.Value {
+		case markerWedge:
+			wedges[r.Key]++
+		case markerEdge:
+			isEdge[r.Key] = true
+		}
+	}
+	var out []engine.Record
+	keys := make([]string, 0, len(wedges))
+	for k := range wedges {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if isEdge[k] {
+			out = append(out, engine.Record{Key: k, Value: wedges[k]})
+		}
+	}
+	return out
+}
+
+// vertexIDs are the ids random inputs draw from: a dense low range (so
+// duplicates, hubs and closed triangles occur) plus the int64 extremes.
+var vertexIDs = []int64{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 99, 100, 255, 256, 1000, -1, -7, -10, math.MinInt64, math.MaxInt64}
+
+func randomEdge(rng *rand.Rand) Edge {
+	return Edge{U: vertexIDs[rng.Intn(len(vertexIDs))], V: vertexIDs[rng.Intn(len(vertexIDs))]}
+}
+
+// foreignValue is a Value no triangle stage produces; every stage must
+// skip it exactly as the reference does.
+func foreignValue(rng *rand.Rand) any {
+	switch rng.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		return 3.5
+	case 2:
+		return "X"
+	case 3:
+		return []int{1} // not comparable: == against a marker must not panic
+	case 4:
+		return int32(4)
+	default:
+		return struct{ U, V int64 }{1, 2}
+	}
+}
+
+// stageInputs builds the seeded inputs of one stage: empty and nil
+// partitions, then random ones of growing size in the record shapes the
+// previous stage emits, salted with duplicates, self-loops and foreign
+// values.
+func stageInputs(rng *rand.Rand, record func(*rand.Rand) engine.Record) [][]engine.Record {
+	inputs := [][]engine.Record{nil, {}, {{Key: "lonely", Value: foreignValue(rng)}}}
+	for trial := 0; trial < 200; trial++ {
+		in := make([]engine.Record, rng.Intn(3*trial/2+2))
+		for i := range in {
+			switch {
+			case i > 0 && rng.Intn(6) == 0:
+				in[i] = in[rng.Intn(i)] // exact duplicate
+			case rng.Intn(12) == 0:
+				in[i] = engine.Record{Key: record(rng).Key, Value: foreignValue(rng)}
+			default:
+				in[i] = record(rng)
+			}
+		}
+		inputs = append(inputs, in)
+	}
+	return inputs
+}
+
+func edgeRecord(rng *rand.Rand) engine.Record {
+	e := randomEdge(rng)
+	key := e.key()
+	if rng.Intn(8) == 0 {
+		key = randomEdge(rng).key() // key and value disagree: the key decides
+	}
+	return engine.Record{Key: key, Value: e}
+}
+
+func adjacencyRecord(rng *rand.Rand) engine.Record {
+	if rng.Intn(4) == 0 {
+		return engine.Record{Key: randomEdge(rng).key(), Value: markerEdge}
+	}
+	e := randomEdge(rng)
+	return engine.Record{Key: strconv.FormatInt(e.U, 10), Value: e.V}
+}
+
+func wedgeRecord(rng *rand.Rand) engine.Record {
+	marker := markerWedge
+	if rng.Intn(3) == 0 {
+		marker = markerEdge
+	}
+	return engine.Record{Key: randomEdge(rng).Canonical().key(), Value: marker}
+}
+
+// hubInput is the adjacency of one vertex with n distinct neighbours, in
+// shuffled order with repeats, beside a second small vertex.
+func hubInput(rng *rand.Rand, n int) []engine.Record {
+	var in []engine.Record
+	for i := 0; i < n; i++ {
+		in = append(in, engine.Record{Key: "7", Value: int64(i*37 - 50)})
+		if i%9 == 0 {
+			in = append(in, engine.Record{Key: "7", Value: int64(i*37 - 50)})
+		}
+	}
+	in = append(in,
+		engine.Record{Key: "70", Value: int64(1)},
+		engine.Record{Key: "70", Value: int64(math.MinInt64)},
+		engine.Record{Key: "7,70", Value: markerEdge},
+	)
+	rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+	return in
+}
+
+// TestTriangleStagesMatchReference is the differential oracle of the
+// map-free stages: on seeded random inputs each returns exactly what its
+// map-based reference returns (nil versus empty included) and leaves its
+// input untouched, as the TaskFunc purity contract requires.
+func TestTriangleStagesMatchReference(t *testing.T) {
+	stages := []struct {
+		name     string
+		got, ref engine.TaskFunc
+		record   func(*rand.Rand) engine.Record
+		extra    func(*rand.Rand) [][]engine.Record
+	}{
+		{name: "dedup", got: stageDedup, ref: refDedup, record: edgeRecord},
+		{name: "adjacency", got: stageAdjacency, ref: refAdjacency, record: edgeRecord},
+		{name: "wedges", got: stageWedges, ref: refWedges, record: adjacencyRecord,
+			extra: func(rng *rand.Rand) [][]engine.Record {
+				return [][]engine.Record{hubInput(rng, 100), hubInput(rng, 150)}
+			}},
+		{name: "join", got: stageJoin, ref: refJoin, record: wedgeRecord},
+	}
+	for si, st := range stages {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(41 + si)))
+			inputs := stageInputs(rng, st.record)
+			if st.extra != nil {
+				inputs = append(inputs, st.extra(rng)...)
+			}
+			for i, in := range inputs {
+				before := slices.Clone(in)
+				got, want := st.got(in), st.ref(in)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("input %d (%d records): got %d records %v\nwant %d records %v",
+						i, len(in), len(got), got, len(want), want)
+				}
+				if !reflect.DeepEqual(in, before) {
+					t.Fatalf("input %d: the stage changed its input", i)
+				}
+			}
+		})
+	}
+}
+
+// TestTriangleStagesChained runs the whole dedup → adjacency → wedges →
+// join chain, each stage fed the previous one's output, so the record
+// shapes the differential inputs imitate are also the real ones; every key
+// a stage formats must be the canonical decimal form.
+func TestTriangleStagesChained(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 50; trial++ {
+		var in []engine.Record
+		for i := rng.Intn(120); i > 0; i-- {
+			in = append(in, engine.Record{Key: "", Value: randomEdge(rng)})
+		}
+		got, want := stageCanonicalize(in), stageCanonicalize(in)
+		for _, st := range []struct{ got, ref engine.TaskFunc }{
+			{stageDedup, refDedup}, {stageAdjacency, refAdjacency}, {stageWedges, refWedges}, {stageJoin, refJoin},
+		} {
+			got, want = st.got(got), st.ref(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: chain diverged: got %v\nwant %v", trial, got, want)
+			}
+			for _, r := range got {
+				if e, ok := parseEdgeKey(r.Key); ok && r.Key != e.key() {
+					t.Fatalf("trial %d: key %q is not the canonical form %q", trial, r.Key, e.key())
+				}
+				if v, err := strconv.ParseInt(r.Key, 10, 64); err == nil && r.Key != strconv.FormatInt(v, 10) {
+					t.Fatalf("trial %d: vertex key %q is not the canonical form", trial, r.Key)
+				}
+			}
+		}
+	}
+}
+
+func TestDecimalLen(t *testing.T) {
+	xs := []int64{0, 9, 10, 99, 100, -1, -9, -10, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p, x := 0, int64(1); p < 18; p, x = p+1, x*10 {
+		xs = append(xs, x-1, x, x+1, -x, -x+1, -x-1)
+	}
+	for _, x := range xs {
+		if got, want := decimalLen(x), len(strconv.FormatInt(x, 10)); got != want {
+			t.Errorf("decimalLen(%d) = %d, want %d", x, got, want)
+		}
+	}
+}
+
+// TestTriangleStageAllocations pins what each stage allocates per call:
+// its output, one key block, and nothing that grows with the record
+// count. Vertex ids stay below 256 here because boxing a larger int64 as
+// a Record.Value costs one allocation the Record API cannot avoid; the
+// join pays that box for the float64 count of every record it emits.
+func TestTriangleStageAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	for _, edges := range []int{8, 64, 512} {
+		rng := rand.New(rand.NewSource(5))
+		var in []engine.Record
+		for i := 0; i < edges; i++ {
+			in = append(in, engine.Record{Value: Edge{U: int64(rng.Intn(200)), V: int64(rng.Intn(200))}})
+		}
+		canonical := stageCanonicalize(in)
+		deduped := stageDedup(canonical)
+		adjacent := stageAdjacency(deduped)
+		wedged := stageWedges(adjacent)
+		joined := stageJoin(wedged)
+		for _, st := range []struct {
+			name    string
+			fn      engine.TaskFunc
+			in      []engine.Record
+			ceiling float64
+		}{
+			{"dedup", stageDedup, canonical, 2},
+			{"adjacency", stageAdjacency, deduped, 3},
+			{"wedges", stageWedges, adjacent, 4},
+			{"join", stageJoin, wedged, 3 + float64(len(joined))},
+		} {
+			st.fn(st.in) // warm the scratch pool
+			if got := testing.AllocsPerRun(20, func() { st.fn(st.in) }); got > st.ceiling {
+				t.Errorf("%s over %d records: %v allocations per call, ceiling %v", st.name, len(st.in), got, st.ceiling)
+			}
+		}
 	}
 }

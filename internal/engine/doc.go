@@ -18,7 +18,11 @@
 // (no slice reallocation on push-front speculation backups or failure
 // retries); DVFS speed changes reschedule in-flight completion events in
 // place via simtime.RescheduleAfter instead of cancelling and re-closing
-// them; and shuffle bucketing hashes keys with an inline FNV-1a.
+// them; and shuffle bucketing hashes keys with an inline FNV-1a. The
+// shuffle buckets of an execution are one set that is zeroed and handed on
+// when the job ends — before OnComplete, through a process-wide pool — so
+// the next job of any engine fills arrays that are already grown and no
+// finished job's records stay reachable.
 //
 // In-flight tasks are tracked per execution in a launch-ordered slice, so
 // rescaling and speculation scans — and therefore whole simulations — are

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"dias/internal/cluster"
@@ -56,7 +57,9 @@ const (
 // submitted, and any engine on any goroutine may serve the output from
 // another's call), it aliases shuffle outputs as downstream inputs without
 // defensive copying, and it does not call Compute at all for a stage whose
-// output nobody reads.
+// output nobody reads. Returned records may share one backing string for
+// their keys (a task that formats its keys can build them in one block);
+// the engine treats keys as opaque values either way.
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.
@@ -203,12 +206,12 @@ func FindMissingPartitions(rng *rand.Rand, n int, theta float64) []int {
 	}
 	idx := rng.Perm(n)[:keep]
 	// Keep deterministic per-rng but sorted for wave-order stability.
-	sortInts(idx)
+	sortSubset(idx, make([]bool, n))
 	return idx
 }
 
 // findMissingPartitions is FindMissingPartitions on the engine's scratch
-// buffer: the RNG draw sequence and the selected set are bit-identical to
+// buffers: the RNG draw sequence and the selected set are bit-identical to
 // the rand.Perm-based selection, without the per-stage permutation
 // allocation. The returned slice aliases the scratch and is only valid
 // until the next call.
@@ -225,6 +228,15 @@ func (e *Engine) findMissingPartitions(n int, theta float64) []int {
 	}
 	perm := growSlice(e.permScratch, n)
 	e.permScratch = perm
+	if keep == n {
+		// Everything is kept: the draws still happen (the stream is pinned),
+		// the sorted selection is the identity.
+		for i := range perm {
+			e.rng.Intn(i + 1)
+			perm[i] = i
+		}
+		return perm
+	}
 	// rand.Perm's exact inside-out shuffle — including the redundant i=0
 	// draw it keeps for Go 1 stream compatibility — so the Intn sequence
 	// and the selected set are bit-identical, on a reused buffer. (Stale
@@ -236,14 +248,23 @@ func (e *Engine) findMissingPartitions(n int, theta float64) []int {
 		perm[j] = i
 	}
 	selected := perm[:keep]
-	sortInts(selected)
+	e.markScratch = resetSlice(e.markScratch, n)
+	sortSubset(selected, e.markScratch)
 	return selected
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// sortSubset sorts xs, distinct values in [0, len(marks)), ascending in
+// O(len(marks)): mark each value, then sweep the marks in order. marks
+// must come in all false.
+func sortSubset(xs []int, marks []bool) {
+	for _, x := range xs {
+		marks[x] = true
+	}
+	k := 0
+	for i, kept := range marks {
+		if kept {
+			xs[k] = i
+			k++
 		}
 	}
 }
@@ -381,9 +402,11 @@ type execution struct {
 	// whose output the submitter keeps. A stage that carries nothing keeps
 	// only record counts, which is all the timing model prices.
 	carries []bool
-	// outputs[s] is the shuffle output of stage s, bucketed, when it
-	// carries; outCounts[s] is its per-bucket record counts when not.
-	outputs   []Dataset
+	// shuffle.outputs[s] is the shuffle output of stage s, bucketed, when
+	// it carries; outCounts[s] is its per-bucket record counts when not.
+	// shuffle is nil until the first carrying stage starts, and for good
+	// when no stage carries.
+	shuffle   *shuffleBuffers
 	outCounts [][]int
 	// resultOut accumulates Result-stage task outputs.
 	resultOut []Record
@@ -467,15 +490,18 @@ type Engine struct {
 
 	// taskFree recycles task structs (and their pre-bound completion
 	// closures) across executions; execFree recycles execution structs and
-	// their per-stage bookkeeping slices (shuffle buckets, durations,
+	// their per-stage bookkeeping slices (count buckets, durations,
 	// done-partition sets) the same way, so steady-state job churn
 	// performs no per-submission slice or map allocation beyond what
-	// escapes in the JobResult.
+	// escapes in the JobResult. Shuffle buckets travel separately, across
+	// engines (shuffleBuffers).
 	taskFree []*task
 	execFree []*execution
-	// permScratch backs the drop-selection permutation; abortScratch backs
-	// FailNode's per-node abort sweep.
+	// permScratch and markScratch back the drop selection's permutation
+	// and its sorting sweep; abortScratch backs FailNode's per-node abort
+	// sweep.
 	permScratch  []int
+	markScratch  []bool
 	abortScratch []*task
 
 	wastedSlotSeconds    float64
@@ -648,7 +674,6 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 			}
 		}
 	}
-	ex.outputs = growSlice(ex.outputs, ns)
 	ex.outCounts = growSlice(ex.outCounts, ns)
 	ex.pendingTasks = resetSlice(ex.pendingTasks, ns)
 	ex.stageStarted = resetSlice(ex.stageStarted, ns)
@@ -670,7 +695,8 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 
 // freeExecution returns a finished execution to the freelist. The
 // reusable per-stage slices stay attached; everything that escaped
-// through the JobResult is dropped.
+// through the JobResult is dropped, and the shuffle buckets were released
+// separately (releaseShuffle).
 func (e *Engine) freeExecution(ex *execution) {
 	ex.job = nil
 	ex.opts = SubmitOptions{}
@@ -680,18 +706,52 @@ func (e *Engine) freeExecution(ex *execution) {
 	e.execFree = append(e.execFree, ex)
 }
 
-// resetBuckets returns n empty shuffle buckets, reusing the previous
-// life's bucket slices: truncated in place when the fan-out fits,
-// reallocated (dropping the old buckets) when not.
-func resetBuckets(buckets Dataset, n int) Dataset {
-	if cap(buckets) < n {
-		return make(Dataset, n)
+// shuffleBuffers is the bucket set of one execution: the per-stage shuffle
+// outputs of every stage that carries records. A set belongs to one
+// execution from its first carrying stage until the job completes, fails
+// or is evicted, and is then handed to the next execution that needs one —
+// of any engine, on any goroutine — so bucket arrays grown by one job
+// serve every later one and a fresh engine does not regrow them from nil.
+// A released set holds no record: every bucket is empty and zero through
+// its capacity, so it pins nothing of the job that filled it.
+type shuffleBuffers struct {
+	outputs []Dataset
+}
+
+var shuffleBufferPool = sync.Pool{New: func() any { return new(shuffleBuffers) }}
+
+// openShuffleOutput gives stage si its n empty buckets, taking a released
+// bucket set (or a new one) on the execution's first call.
+func (ex *execution) openShuffleOutput(si, n int) {
+	if ex.shuffle == nil {
+		ex.shuffle = shuffleBufferPool.Get().(*shuffleBuffers)
 	}
-	buckets = buckets[:n]
-	for b := range buckets {
-		buckets[b] = buckets[b][:0]
+	sb := ex.shuffle
+	for len(sb.outputs) < len(ex.job.Stages) {
+		sb.outputs = append(sb.outputs, nil)
 	}
-	return buckets
+	// Buckets of an earlier life beyond this fan-out stay as they are:
+	// empty, with their capacity.
+	sb.outputs[si] = growSlice(sb.outputs[si], n)
+}
+
+// releaseShuffle zeroes every record the execution's buckets hold and
+// hands the set on. The caller guarantees no task of the execution is
+// left to read a bucket. An execution that never carried a record has
+// nothing to release.
+func (ex *execution) releaseShuffle() {
+	sb := ex.shuffle
+	if sb == nil {
+		return
+	}
+	ex.shuffle = nil
+	for _, buckets := range sb.outputs {
+		for b, bucket := range buckets {
+			clear(bucket)
+			buckets[b] = bucket[:0]
+		}
+	}
+	shuffleBufferPool.Put(sb)
 }
 
 // growSlice returns s resized to length n, reusing its capacity;
@@ -851,7 +911,7 @@ func (ex *execution) inputRecords(si, p int) int {
 	n := 0
 	for _, d := range s.Deps {
 		if ex.carries[d] {
-			n += len(ex.outputs[d][p])
+			n += len(ex.shuffle.outputs[d][p])
 		} else {
 			n += ex.outCounts[d][p]
 		}
@@ -869,12 +929,12 @@ func (ex *execution) stageInput(si int) Dataset {
 	case 0:
 		return ex.job.Input
 	case 1:
-		return ex.outputs[s.Deps[0]]
+		return ex.shuffle.outputs[s.Deps[0]]
 	}
 	buckets := ex.job.Stages[s.Deps[0]].OutPartitions
 	in := make(Dataset, buckets)
 	for _, d := range s.Deps {
-		for b, part := range ex.outputs[d] {
+		for b, part := range ex.shuffle.outputs[d] {
 			in[b] = append(in[b], part...)
 		}
 	}
@@ -904,7 +964,7 @@ func (e *Engine) startStage(ex *execution, si int) {
 	ex.donePartitions[si] = resetSlice(ex.donePartitions[si], n)
 	if s.Kind == ShuffleMap {
 		if ex.carries[si] {
-			ex.outputs[si] = resetBuckets(ex.outputs[si], s.OutPartitions)
+			ex.openShuffleOutput(si, s.OutPartitions)
 		} else {
 			ex.outCounts[si] = resetSlice(ex.outCounts[si], s.OutPartitions)
 		}
@@ -1082,7 +1142,7 @@ func (e *Engine) completeTask(t *task) {
 	s := &ex.job.Stages[t.stage]
 	switch carries := ex.carries[t.stage]; {
 	case s.Kind == ShuffleMap && carries:
-		buckets := ex.outputs[t.stage]
+		buckets := ex.shuffle.outputs[t.stage]
 		for _, r := range taskOutput(t, s) {
 			b := bucketOf(r.Key, len(buckets))
 			buckets[b] = append(buckets[b], r)
@@ -1264,6 +1324,7 @@ func (e *Engine) failJob(ex *execution, reason string) {
 	if ex.tasksTotal > 0 {
 		res.EffectiveDropRatio = 1 - float64(ex.tasksExecuted)/float64(ex.tasksTotal)
 	}
+	ex.releaseShuffle() // every task was stopped above
 	if ex.opts.OnComplete != nil {
 		ex.opts.OnComplete(res)
 	}
@@ -1368,7 +1429,7 @@ func (e *Engine) finishStage(ex *execution, si int) {
 	}
 	shuffled := 0
 	if ex.carries[si] {
-		shuffled = ex.outputs[si].Records()
+		shuffled = ex.shuffle.outputs[si].Records()
 	} else {
 		for _, c := range ex.outCounts[si] {
 			shuffled += c
@@ -1405,19 +1466,25 @@ func (e *Engine) completeJob(ex *execution) {
 	if ex.tasksTotal > 0 {
 		res.EffectiveDropRatio = 1 - float64(ex.tasksExecuted)/float64(ex.tasksTotal)
 	}
+	// In-flight tasks hold direct execution pointers with unguarded
+	// completion events and read their input out of the buckets, so a
+	// Validate-legal degenerate DAG whose orphan ShuffleMap stage (no
+	// dependents) outlives the Result stage is neither pooled nor stripped
+	// of its buckets; it is abandoned to the GC as before pooling.
+	recyclable := len(ex.running) == 0 && ex.pending.Len() == 0
+	// The buckets go back before OnComplete, the struct after it: a
+	// completion hook may submit the next job synchronously, and that
+	// submission should find this job's bucket set but must not land on
+	// this still-live struct. Stale setup/shuffle events cannot resurrect
+	// it (their guards look the old JobID up in e.execs, and IDs are never
+	// reused).
+	if recyclable {
+		ex.releaseShuffle()
+	}
 	if ex.opts.OnComplete != nil {
 		ex.opts.OnComplete(res)
 	}
-	// Recycle only after OnComplete ran: a completion hook may submit the
-	// next job synchronously, and that submission must not land on this
-	// still-live struct. Stale setup/shuffle events cannot resurrect it
-	// (their guards look the old JobID up in e.execs, and IDs are never
-	// reused) — but in-flight tasks hold direct execution pointers with
-	// unguarded completion events, so a Validate-legal degenerate DAG
-	// whose orphan ShuffleMap stage (no dependents) outlives the Result
-	// stage must not be pooled; it is abandoned to the GC as before
-	// pooling.
-	if len(ex.running) == 0 && ex.pending.Len() == 0 {
+	if recyclable {
 		e.freeExecution(ex)
 	}
 }
@@ -1460,6 +1527,7 @@ func (e *Engine) Kill(id JobID) (Attempt, error) {
 		TasksLaunched: ex.launched,
 		Evicted:       true,
 	}
+	ex.releaseShuffle() // every task was stopped above
 	e.freeExecution(ex)
 	e.dispatch() // freed slots may admit other jobs' tasks
 	return att, nil
