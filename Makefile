@@ -51,16 +51,20 @@ bench-smoke:
 # The benchmark of record (BENCHMARK.json, benchmark/) is its own module,
 # so `go build ./... && go test ./...` at the root never compiles it: a
 # change to engine.Stage or engine.Record can break it with every other
-# lane green. This builds and tests it against the tree, then drives the
-# two workloads that cover the most of the program between them, and the
-# one workload that runs the triangle stages' payload, through the entry
-# point BENCHMARK.json names (digest, conservation and payload oracles
-# included; a smoke run takes a few seconds).
+# lane green. This builds and tests it against the tree, then drives all
+# five workloads through the entry point BENCHMARK.json names (digest,
+# conservation and payload oracles included; a smoke run takes a few
+# seconds): figure-set and fed8-text cover the most of the program between
+# them, stack-graph runs the triangle stages' payload, stack-spine the bare
+# event spine, and stack-evict is the one that reaches Kill and the
+# execution recycling behind it.
 benchmark-smoke:
 	cd benchmark && $(GO) test -short ./...
 	bash benchmark/run.sh --workload figure-set --smoke
 	bash benchmark/run.sh --workload fed8-text --smoke
 	bash benchmark/run.sh --workload stack-graph --smoke
+	bash benchmark/run.sh --workload stack-spine --smoke
+	bash benchmark/run.sh --workload stack-evict --smoke
 
 # Regenerate the committed bench-regression baseline (run on the machine
 # class CI uses when the wall-clock gate matters; figure means are

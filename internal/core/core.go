@@ -43,17 +43,27 @@ type SprintPolicy struct {
 	ReplenishWatts float64
 }
 
+// validate rejects a policy the sprinter cannot run. A NaN in any field
+// would reach the simulation clock as a NaN timer instant and panic
+// mid-run, so the comparisons below are written to fail on NaN. A
+// negative timeout stays legal ("never sprints"), as does an infinite
+// budget.
 func (p *SprintPolicy) validate(classes int) error {
 	if len(p.TimeoutSec) != classes {
 		return fmt.Errorf("core: %d sprint timeouts for %d classes", len(p.TimeoutSec), classes)
 	}
-	if p.BudgetJoules <= 0 {
+	for k, timeout := range p.TimeoutSec {
+		if math.IsNaN(timeout) {
+			return fmt.Errorf("core: class %d sprint timeout %g", k, timeout)
+		}
+	}
+	if !(p.BudgetJoules > 0) {
 		return fmt.Errorf("core: sprint budget %g", p.BudgetJoules)
 	}
-	if !math.IsInf(p.BudgetJoules, 1) && p.DrainWatts <= 0 {
-		return errors.New("core: finite sprint budget needs positive drain watts")
+	if !math.IsInf(p.BudgetJoules, 1) && !(p.DrainWatts > 0) {
+		return fmt.Errorf("core: finite sprint budget needs positive drain watts, got %g", p.DrainWatts)
 	}
-	if p.ReplenishWatts < 0 {
+	if !(p.ReplenishWatts >= 0) {
 		return fmt.Errorf("core: replenish rate %g", p.ReplenishWatts)
 	}
 	return nil
@@ -250,8 +260,11 @@ type entry struct {
 	span         telemetry.SpanID
 
 	// completeFn is the pre-bound s.onComplete(en, res) callback handed to
-	// the engine for every job this entry struct carries.
+	// the engine for every job this entry struct carries; sprintFn, bound
+	// on its first sprint-armed dispatch, is the s.startSprint(en) callback
+	// handed to the sprint timer.
 	completeFn func(engine.JobResult)
+	sprintFn   func()
 }
 
 // Scheduler is the DiAS runtime: deflator + buffers + sprinter driving one
@@ -278,9 +291,11 @@ type Scheduler struct {
 
 	records []JobRecord
 
-	// Sprinter state.
+	// Sprinter state. depletedFn is s.onBudgetDepleted, bound on the first
+	// sprint that can deplete the budget.
 	sprintTimer  *simtime.Timer
 	depleteTimer *simtime.Timer
+	depletedFn   func()
 	budget       float64
 	budgetCap    float64
 	budgetAt     simtime.Time
@@ -595,7 +610,10 @@ func (s *Scheduler) armSprinter(en *entry) {
 	if timeout < 0 {
 		return
 	}
-	s.sprintTimer.Reset(simtime.Duration(timeout), func() { s.startSprint(en) })
+	if en.sprintFn == nil {
+		en.sprintFn = func() { s.startSprint(en) }
+	}
+	s.sprintTimer.Reset(simtime.Duration(timeout), en.sprintFn)
 }
 
 // updateBudget accrues replenishment (idle) or drain (sprinting) up to now.
@@ -637,7 +655,10 @@ func (s *Scheduler) startSprint(en *entry) {
 	}
 	if !math.IsInf(s.budgetCap, 1) {
 		ttl := s.budget / s.cfg.Sprint.DrainWatts
-		s.depleteTimer.Reset(simtime.Duration(ttl), s.onBudgetDepleted)
+		if s.depletedFn == nil {
+			s.depletedFn = s.onBudgetDepleted
+		}
+		s.depleteTimer.Reset(simtime.Duration(ttl), s.depletedFn)
 	}
 }
 

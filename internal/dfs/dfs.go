@@ -199,15 +199,16 @@ func (fs *FS) Size(path string) (int64, error) {
 	return f.size, nil
 }
 
-// Blocks returns the block list of a file, in order.
+// Blocks returns the block list of a file, in order. The slice is the
+// file's own: blocks never change once the file is created, so callers
+// share it without a copy and must treat it, and every Block's Replicas,
+// as read-only. Its capacity is clipped, so an append copies.
 func (fs *FS) Blocks(path string) ([]Block, error) {
 	f, ok := fs.files[path]
 	if !ok {
 		return nil, fmt.Errorf("blocks %q: %w", path, ErrNotFound)
 	}
-	out := make([]Block, len(f.blocks))
-	copy(out, f.blocks)
-	return out, nil
+	return f.blocks[:len(f.blocks):len(f.blocks)], nil
 }
 
 // UsedBytes returns the bytes stored on one datanode.

@@ -24,6 +24,23 @@
 // the next job of any engine fills arrays that are already grown and no
 // finished job's records stay reachable.
 //
+// The rest of a job's lifecycle is allocation-free too. Only its
+// JobResult.Stages is allocated, because that slice escapes to the
+// submitter. An execution struct carries its setup-delay callback and one
+// shuffle-delay callback per stage index, bound once like a task's
+// completion closure. The engine reads a dfs file's block list without
+// copying it. startStage resolves a stage's per-record cost and input memo
+// once, onto the execution.
+//
+// Delay events are never cancelled. When a job is killed or fails, or
+// completes while an orphan ShuffleMap stage's shuffle delay is still
+// queued, that event fires at its original instant as a no-op. Cancelling
+// it would change the run's final clock whenever it is the last event. The
+// execution counts its queued delay events and goes back to the freelist
+// only after the last of them has fired. So no later submission, not even
+// one made synchronously from OnComplete, runs on a struct that a stale
+// event still refers to.
+//
 // In-flight tasks are tracked per execution in a launch-ordered slice, so
 // rescaling and speculation scans — and therefore whole simulations — are
 // deterministic per seed with no map-iteration randomness.

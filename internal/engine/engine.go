@@ -431,11 +431,17 @@ type execution struct {
 	// stageDurations collects winner task durations for straggler
 	// detection; donePartitions[s][p] dedupes speculative twins (sized per
 	// stage at start, reused across lives).
-	stageDurations  [][]float64
-	donePartitions  [][]bool
-	specLaunched    int
-	pending         ring.Deque[*task] // this job's runnable tasks, FIFO
-	inputBlockCache []dfs.Block
+	stageDurations [][]float64
+	donePartitions [][]bool
+	specLaunched   int
+	pending        ring.Deque[*task] // this job's runnable tasks, FIFO
+	// inputBlocks is the dfs file's own block list (shared, read-only).
+	inputBlocks []dfs.Block
+	// perRecordSec[s] is stage s's per-record cost and memos[s] its
+	// memo when it reads the job input through a Compute, both resolved
+	// once in startStage.
+	perRecordSec []float64
+	memos        []*stageMemo
 
 	// running lists in-flight tasks in launch order (compacted by
 	// swap-remove); a deterministic replacement for the old map, so DVFS
@@ -443,6 +449,18 @@ type execution struct {
 	running []*task
 	done    bool
 	evicted bool
+
+	// setupFn and shuffleFns[s] are the pre-bound setup-delay and stage-s
+	// shuffle-delay callbacks, bound once per struct like task.completeFn.
+	// delays counts those events still queued. They are never cancelled: a
+	// stale one fires at its instant as a no-op, so the run's final clock
+	// is the same as if the job had lived. An ended struct therefore goes
+	// back to the freelist only with no delay queued (retire); until then
+	// retired marks it as owed there.
+	setupFn    func()
+	shuffleFns []func()
+	delays     int
+	retired    bool
 }
 
 // SpeculationConfig enables Spark-style speculative execution: when a
@@ -606,13 +624,14 @@ func (s *Stage) memoFor(n int) *stageMemo {
 // memoEntryOf returns the memo cell of t's output and the entry published
 // there for t's input, if any. The cell is nil when the output is not
 // memoizable: only input-reading stages qualify (their task inputs are the
-// template's own stable partitions), and a nil Compute or an empty input
-// costs nothing to redo.
-func memoEntryOf(t *task, s *Stage) (*atomic.Pointer[memoEntry], *memoEntry) {
-	if s.Compute == nil || len(s.Deps) != 0 || len(t.input) == 0 {
+// template's own stable partitions, and startStage resolved their memo),
+// and a nil Compute or an empty input costs nothing to redo.
+func memoEntryOf(t *task) (*atomic.Pointer[memoEntry], *memoEntry) {
+	m := t.exec.memos[t.stage]
+	if m == nil || len(t.input) == 0 {
 		return nil, nil
 	}
-	cell := &s.memoFor(len(t.exec.job.Input)).entries[t.partition]
+	cell := &m.entries[t.partition]
 	if e := cell.Load(); e != nil && e.data == &t.input[0] && e.n == len(t.input) {
 		return cell, e
 	}
@@ -656,9 +675,13 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 		e.execFree = e.execFree[:n-1]
 	} else {
 		ex = &execution{}
+		ex.setupFn = func() { e.setupDone(ex) }
 	}
 	e.nextID++
 	ns := len(job.Stages)
+	for si := len(ex.shuffleFns); si < ns; si++ {
+		ex.shuffleFns = append(ex.shuffleFns, func() { e.shuffleDone(ex, si) })
+	}
 	ex.id = e.nextID
 	ex.job, ex.opts = job, opts
 	ex.startedAt = e.sim.Now()
@@ -685,25 +708,79 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 		ex.stageDurations[si] = ex.stageDurations[si][:0]
 	}
 	ex.donePartitions = growSlice(ex.donePartitions, ns)
+	ex.perRecordSec = growSlice(ex.perRecordSec, ns)
+	ex.memos = growSlice(ex.memos, ns)
 	ex.running = ex.running[:0]
 	ex.slotSeconds, ex.failureLostSec = 0, 0
 	ex.retries, ex.tasksTotal, ex.tasksExecuted, ex.tasksDropped = 0, 0, 0, 0
 	ex.launched, ex.specLaunched = 0, 0
-	ex.done, ex.evicted = false, false
+	ex.done, ex.evicted, ex.retired = false, false, false
 	return ex
 }
 
 // freeExecution returns a finished execution to the freelist. The
 // reusable per-stage slices stay attached; everything that escaped
-// through the JobResult is dropped, and the shuffle buckets were released
-// separately (releaseShuffle).
+// through the JobResult is dropped, as is everything the template owns,
+// and the shuffle buckets were released separately (releaseShuffle).
 func (e *Engine) freeExecution(ex *execution) {
 	ex.job = nil
 	ex.opts = SubmitOptions{}
 	ex.resultOut = nil  // escaped as JobResult.Output
 	ex.stageStats = nil // escaped as JobResult.Stages
-	ex.inputBlockCache = nil
+	ex.inputBlocks = nil
+	clear(ex.memos)
 	e.execFree = append(e.execFree, ex)
+}
+
+// retire recycles an execution whose job has ended, once no delay event
+// of it is queued; with one still queued, the last to fire recycles it
+// (delayFired). Either way the next submission never lands on a struct a
+// stale event still points at.
+func (e *Engine) retire(ex *execution) {
+	if ex.delays > 0 {
+		ex.retired = true
+		return
+	}
+	e.freeExecution(ex)
+}
+
+// afterDelay queues one of ex's delay callbacks (setup or shuffle) to
+// fire after sec seconds of work at the cluster's current speed.
+func (e *Engine) afterDelay(ex *execution, sec float64, fn func()) {
+	ex.delays++
+	e.sim.After(simtime.Duration(sec/e.clu.Speed()), fn)
+}
+
+// delayFired accounts one of ex's delay events and reports whether its
+// job is still live. A stale event — its job was killed or failed, or
+// completed before an orphan ShuffleMap stage's shuffle delay ran out —
+// does nothing, except that the last one recycles a retired struct.
+func (e *Engine) delayFired(ex *execution) bool {
+	ex.delays--
+	if !ex.done && !ex.evicted {
+		return true
+	}
+	if ex.delays == 0 && ex.retired {
+		e.freeExecution(ex)
+	}
+	return false
+}
+
+// setupDone ends the job's setup (overhead stage O) and starts its
+// input stages.
+func (e *Engine) setupDone(ex *execution) {
+	if e.delayFired(ex) {
+		e.startReadyStages(ex)
+	}
+}
+
+// shuffleDone ends stage si's shuffle delay (stage S) and starts the
+// stages it unblocks.
+func (e *Engine) shuffleDone(ex *execution, si int) {
+	if e.delayFired(ex) {
+		ex.stageDone[si] = true
+		e.startReadyStages(ex)
+	}
 }
 
 // shuffleBuffers is the bucket set of one execution: the per-stage shuffle
@@ -844,7 +921,7 @@ func (e *Engine) Submit(job *Job, opts SubmitOptions) (JobID, error) {
 	}
 	if job.InputPath != "" && e.fs != nil {
 		if blocks, err := e.fs.Blocks(job.InputPath); err == nil {
-			ex.inputBlockCache = blocks
+			ex.inputBlocks = blocks
 		}
 	}
 	e.execOrder = append(e.execOrder, ex)
@@ -853,13 +930,7 @@ func (e *Engine) Submit(job *Job, opts SubmitOptions) (JobID, error) {
 	// matching the paper's observation that overhead depends on data size.
 	theta0 := ex.drop(0)
 	setup := e.cost.SetupBaseSec + e.cost.SetupPerByte*float64(job.SizeBytes)*(1-theta0)
-	id := ex.id
-	e.sim.After(simtime.Duration(setup/e.clu.Speed()), func() {
-		// The job may have been evicted during setup.
-		if cur, ok := e.execs[id]; ok && cur == ex {
-			e.startReadyStages(ex)
-		}
-	})
+	e.afterDelay(ex, setup, ex.setupFn)
 	return ex.id, nil
 }
 
@@ -973,6 +1044,14 @@ func (e *Engine) startStage(ex *execution, si int) {
 		e.finishStage(ex, si)
 		return
 	}
+	ex.perRecordSec[si] = e.cost.PerRecordSec
+	if s.PerRecordSec > 0 {
+		ex.perRecordSec[si] = s.PerRecordSec
+	}
+	ex.memos[si] = nil
+	if readsInput && s.Compute != nil && len(s.Deps) == 0 {
+		ex.memos[si] = s.memoFor(len(ex.job.Input))
+	}
 	for _, p := range selected {
 		if readsInput {
 			ex.pending.PushBack(e.newTask(ex, si, p, in[p], len(in[p])))
@@ -1012,8 +1091,8 @@ func (e *Engine) nextExec() *execution {
 // input block (data locality) and falling back to any free slot (the
 // remote read is priced by taskWork).
 func (e *Engine) acquireFor(t *task) (*cluster.Slot, bool) {
-	if t.stage == 0 && e.fs != nil && t.partition < len(t.exec.inputBlockCache) {
-		b := t.exec.inputBlockCache[t.partition]
+	if t.stage == 0 && e.fs != nil && t.partition < len(t.exec.inputBlocks) {
+		b := t.exec.inputBlocks[t.partition]
 		if s, ok := e.clu.AcquireMatching(func(node int) bool { return e.fs.IsLocal(b, node) }); ok {
 			return s, true
 		}
@@ -1040,15 +1119,11 @@ func (e *Engine) dispatch() {
 
 // taskWork returns the task's duration in seconds at speed 1.
 func (e *Engine) taskWork(t *task) float64 {
-	perRecord := e.cost.PerRecordSec
-	if s := t.exec.job.Stages[t.stage].PerRecordSec; s > 0 {
-		perRecord = s
-	}
-	work := e.cost.TaskOverheadSec + perRecord*float64(t.records)
+	work := e.cost.TaskOverheadSec + t.exec.perRecordSec[t.stage]*float64(t.records)
 	// Stage-0 tasks backed by a dfs file pay the block fetch, priced by
 	// the locality of the slot they landed on.
-	if t.stage == 0 && e.fs != nil && t.partition < len(t.exec.inputBlockCache) {
-		work += e.fs.ReadTime(t.exec.inputBlockCache[t.partition], t.slot.Node).Seconds()
+	if t.stage == 0 && e.fs != nil && t.partition < len(t.exec.inputBlocks) {
+		work += e.fs.ReadTime(t.exec.inputBlocks[t.partition], t.slot.Node).Seconds()
 	}
 	if e.cost.NoiseSigma > 0 {
 		work *= math.Exp(e.cost.NoiseSigma * e.rng.NormFloat64())
@@ -1172,7 +1247,7 @@ func taskOutput(t *task, s *Stage) []Record {
 	if s.Compute == nil {
 		return t.input
 	}
-	cell, e := memoEntryOf(t, s)
+	cell, e := memoEntryOf(t)
 	if cell == nil {
 		return s.Compute(t.input)
 	}
@@ -1191,7 +1266,7 @@ func taskOutput(t *task, s *Stage) []Record {
 // per-bucket record counts without keeping the records: the count-only
 // form of taskOutput plus bucketing, memoized the same way.
 func countOutput(t *task, s *Stage, counts []int) {
-	cell, e := memoEntryOf(t, s)
+	cell, e := memoEntryOf(t)
 	if cell == nil {
 		out := t.input
 		if s.Compute != nil {
@@ -1328,7 +1403,7 @@ func (e *Engine) failJob(ex *execution, reason string) {
 	if ex.opts.OnComplete != nil {
 		ex.opts.OnComplete(res)
 	}
-	e.freeExecution(ex)
+	e.retire(ex)
 }
 
 // cancelTwin aborts the other copy of a just-finished partition, whether
@@ -1436,13 +1511,7 @@ func (e *Engine) finishStage(ex *execution, si int) {
 		}
 	}
 	delay := e.cost.ShuffleBaseSec + e.cost.ShufflePerRecordSec*float64(shuffled)
-	id := ex.id
-	e.sim.After(simtime.Duration(delay/e.clu.Speed()), func() {
-		if cur, ok := e.execs[id]; ok && cur == ex {
-			ex.stageDone[si] = true
-			e.startReadyStages(ex)
-		}
-	})
+	e.afterDelay(ex, delay, ex.shuffleFns[si])
 }
 
 func (e *Engine) completeJob(ex *execution) {
@@ -1475,9 +1544,8 @@ func (e *Engine) completeJob(ex *execution) {
 	// The buckets go back before OnComplete, the struct after it: a
 	// completion hook may submit the next job synchronously, and that
 	// submission should find this job's bucket set but must not land on
-	// this still-live struct. Stale setup/shuffle events cannot resurrect
-	// it (their guards look the old JobID up in e.execs, and IDs are never
-	// reused).
+	// this still-live struct — nor, later, on one a queued shuffle delay
+	// of an orphan stage still points at (retire).
 	if recyclable {
 		ex.releaseShuffle()
 	}
@@ -1485,7 +1553,7 @@ func (e *Engine) completeJob(ex *execution) {
 		ex.opts.OnComplete(res)
 	}
 	if recyclable {
-		e.freeExecution(ex)
+		e.retire(ex)
 	}
 }
 
@@ -1528,7 +1596,7 @@ func (e *Engine) Kill(id JobID) (Attempt, error) {
 		Evicted:       true,
 	}
 	ex.releaseShuffle() // every task was stopped above
-	e.freeExecution(ex)
+	e.retire(ex)
 	e.dispatch() // freed slots may admit other jobs' tasks
 	return att, nil
 }

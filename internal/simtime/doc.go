@@ -12,10 +12,12 @@
 // The pending-event set is an indexed d-ary min-heap (arity 4) over an
 // event arena. Every operation the engine's hot path needs — At/After
 // scheduling, firing, Cancel, and Reschedule/RescheduleAfter — is an
-// O(log n) sift over int32 slot indices. Event slots are recycled through
-// a freelist, so steady-state event churn allocates nothing, and EventIDs
-// carry a generation counter that detects stale ids (fired, cancelled, or
-// slot reused) in O(1) without a map.
+// O(log n) sift. Each heap entry holds its (at, seq) key inline next to
+// its arena slot, so sifts compare contiguous entries, and only entries
+// that move have their arena position rewritten. Event slots are recycled
+// through a freelist, so steady-state event churn allocates nothing, and
+// EventIDs carry a generation counter that detects stale ids (fired,
+// cancelled, or slot reused) in O(1) without a map.
 //
 // # Cancellation and rescheduling
 //

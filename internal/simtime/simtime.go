@@ -52,32 +52,48 @@ func makeID(slot int32, gen uint32) EventID {
 
 // event is a pending callback on the simulation timeline, stored in the
 // simulation's arena and reused (same slot, bumped generation) after it
-// fires or is cancelled.
+// fires or is cancelled. Its ordering key lives in its heap entry.
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among events at the same instant
 	fn  func()
 	gen uint32
 	pos int32 // index in the heap, -1 while the slot is free
 }
 
+// heapEntry is one pending event as the heap orders it: the (at, seq) key
+// inline, so sifts compare contiguous entries without touching the arena,
+// and the arena slot the key belongs to.
+type heapEntry struct {
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among events at the same instant
+	slot int32
+}
+
+// less orders heap entries by (at, seq).
+func less(a, b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
 // heapArity is the fan-out of the event heap. A 4-ary heap halves the tree
-// depth versus a binary heap and keeps sibling keys on one cache line,
-// which measurably speeds the sift-down in event-dense simulations.
+// depth versus a binary heap and keeps a node's children in four adjacent
+// entries, which measurably speeds the sift-down in event-dense
+// simulations.
 const heapArity = 4
 
 // Simulation is a single-threaded discrete-event simulator.
 // The zero value is not usable; call New.
 //
-// Internally the pending-event set is an indexed d-ary heap over an event
-// arena: scheduling, firing, cancellation, and rescheduling are all
-// O(log n) sifts on int32 slot indices, with no per-event allocation once
+// Internally the pending-event set is an indexed d-ary heap of keyed
+// entries over an event arena: scheduling, firing, cancellation, and
+// rescheduling are all O(log n) sifts, with no per-event allocation once
 // the arena has warmed up and no auxiliary id map.
 type Simulation struct {
 	now     Time
-	events  []event // arena; EventIDs address slots in it
-	heap    []int32 // slot indices ordered as a heapArity-ary min-heap
-	free    []int32 // recycled arena slots
+	events  []event     // arena; EventIDs address slots in it
+	heap    []heapEntry // keyed entries ordered as a heapArity-ary min-heap
+	free    []int32     // recycled arena slots
 	nextSeq uint64
 	stopped bool
 }
@@ -90,57 +106,59 @@ func New() *Simulation {
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
 
-// less orders heap entries by (at, seq).
-func (s *Simulation) less(a, b int32) bool {
-	ea, eb := &s.events[a], &s.events[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
+// siftUp moves the entry at position i towards the root until its parent
+// precedes it. Only entries that move get their arena pos rewritten, so
+// the entry's own pos must already be i.
 func (s *Simulation) siftUp(i int) {
-	slot := s.heap[i]
+	h := s.heap
+	x := h[i]
+	start := i
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !s.less(slot, s.heap[parent]) {
+		if !less(&x, &h[parent]) {
 			break
 		}
-		s.heap[i] = s.heap[parent]
-		s.events[s.heap[i]].pos = int32(i)
+		h[i] = h[parent]
+		s.events[h[i].slot].pos = int32(i)
 		i = parent
 	}
-	s.heap[i] = slot
-	s.events[slot].pos = int32(i)
+	if i != start {
+		h[i] = x
+		s.events[x.slot].pos = int32(i)
+	}
 }
 
+// siftDown moves the entry at position i towards the leaves until it
+// precedes all its children. Like siftUp, it rewrites pos only for
+// entries that move.
 func (s *Simulation) siftDown(i int) {
-	n := len(s.heap)
-	slot := s.heap[i]
+	h := s.heap
+	n := len(h)
+	x := h[i]
+	start := i
 	for {
 		first := heapArity*i + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
+		last := min(first+heapArity, n)
 		for c := first + 1; c < last; c++ {
-			if s.less(s.heap[c], s.heap[best]) {
+			if less(&h[c], &h[best]) {
 				best = c
 			}
 		}
-		if !s.less(s.heap[best], slot) {
+		if !less(&h[best], &x) {
 			break
 		}
-		s.heap[i] = s.heap[best]
-		s.events[s.heap[i]].pos = int32(i)
+		h[i] = h[best]
+		s.events[h[i].slot].pos = int32(i)
 		i = best
 	}
-	s.heap[i] = slot
-	s.events[slot].pos = int32(i)
+	if i != start {
+		h[i] = x
+		s.events[x.slot].pos = int32(i)
+	}
 }
 
 // removeHeap detaches the heap entry at position i, restoring heap order.
@@ -148,7 +166,7 @@ func (s *Simulation) removeHeap(i int) {
 	n := len(s.heap) - 1
 	if i != n {
 		s.heap[i] = s.heap[n]
-		s.events[s.heap[i]].pos = int32(i)
+		s.events[s.heap[i].slot].pos = int32(i)
 	}
 	s.heap = s.heap[:n]
 	if i != n {
@@ -202,10 +220,10 @@ func (s *Simulation) At(t Time, fn func()) EventID {
 		s.events = append(s.events, event{pos: -1})
 	}
 	ev := &s.events[slot]
-	s.nextSeq++
-	ev.at, ev.seq, ev.fn = t, s.nextSeq, fn
+	ev.fn = fn
 	ev.pos = int32(len(s.heap))
-	s.heap = append(s.heap, slot)
+	s.nextSeq++
+	s.heap = append(s.heap, heapEntry{at: t, seq: s.nextSeq, slot: slot})
 	s.siftUp(int(ev.pos))
 	return makeID(slot, ev.gen)
 }
@@ -227,7 +245,7 @@ func (s *Simulation) Cancel(id EventID) bool {
 		return false
 	}
 	pos := int(ev.pos)
-	slot := s.heap[pos]
+	slot := s.heap[pos].slot
 	s.removeHeap(pos)
 	s.release(slot)
 	return true
@@ -247,8 +265,9 @@ func (s *Simulation) Reschedule(id EventID, t Time) bool {
 		return false
 	}
 	s.nextSeq++
-	ev.at, ev.seq = t, s.nextSeq
-	// The key only grew or moved arbitrarily: restore order from its slot.
+	h := &s.heap[ev.pos]
+	h.at, h.seq = t, s.nextSeq
+	// The key moved arbitrarily: restore order from its position.
 	s.siftDown(int(ev.pos))
 	s.siftUp(int(ev.pos))
 	return true
@@ -278,10 +297,10 @@ func (s *Simulation) step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	slot := s.heap[0]
-	ev := &s.events[slot]
-	s.now = ev.at
-	fn := ev.fn
+	top := &s.heap[0]
+	slot := top.slot
+	s.now = top.at
+	fn := s.events[slot].fn
 	s.removeHeap(0)
 	s.release(slot)
 	// The event is fully retired before its callback runs: fn may cancel,
@@ -301,7 +320,7 @@ func (s *Simulation) Run() {
 // Events scheduled after t stay pending.
 func (s *Simulation) RunUntil(t Time) {
 	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 && s.events[s.heap[0]].at <= t {
+	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= t {
 		s.step()
 	}
 	if !s.stopped && t > s.now {
@@ -319,7 +338,7 @@ func (s *Simulation) NextEventTime() (Time, bool) {
 	if len(s.heap) == 0 {
 		return 0, false
 	}
-	return s.events[s.heap[0]].at, true
+	return s.heap[0].at, true
 }
 
 // Timer is a restartable one-shot timer bound to a Simulation, analogous to

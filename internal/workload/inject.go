@@ -38,23 +38,28 @@ func Inject(sim *simtime.Simulation, proc Process, source JobSource, n int,
 	if n <= 0 {
 		return nil
 	}
+	// One arrival is pending at a time, so one callback bound here serves
+	// all n of them, with the pending arrival's class beside it.
 	var t float64
+	var class int
 	left := n
-	var schedule func()
-	schedule = func() {
-		gap, class := proc.Next(arrRng)
+	var arrive func()
+	schedule := func() {
+		var gap float64
+		gap, class = proc.Next(arrRng)
 		t += gap
-		sim.At(simtime.Time(t), func() {
-			job, err := source.Job(jobRng, class)
-			if err != nil {
-				panic("workload: inject: building class job failed: " + err.Error())
-			}
-			submit(class, job)
-			left--
-			if left > 0 {
-				schedule()
-			}
-		})
+		sim.At(simtime.Time(t), arrive)
+	}
+	arrive = func() {
+		job, err := source.Job(jobRng, class)
+		if err != nil {
+			panic("workload: inject: building class job failed: " + err.Error())
+		}
+		submit(class, job)
+		left--
+		if left > 0 {
+			schedule()
+		}
 	}
 	schedule()
 	return nil

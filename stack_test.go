@@ -1,6 +1,7 @@
 package dias_test
 
 import (
+	"math"
 	"testing"
 
 	"dias"
@@ -9,6 +10,7 @@ import (
 	"dias/internal/core"
 	"dias/internal/engine"
 	"dias/internal/faults"
+	"dias/internal/simtime"
 	"dias/internal/workload"
 )
 
@@ -142,5 +144,70 @@ func TestStackFaultsAndAutoscale(t *testing.T) {
 		Faults: &faults.Config{Tasks: &faults.TaskFaultConfig{FailProb: 0.5}},
 	}); err == nil {
 		t.Fatal("invalid fault plan accepted")
+	}
+}
+
+// TestSprintPolicyNonFiniteRejected runs sprint policies through both
+// constructors that validate them, core.New and dias.NewStack. A NaN in
+// a timeout, the budget, the drain or the replenish rate used to pass
+// validation and panic mid-run with a NaN timer instant; each must now be
+// an error at construction. Negative timeouts ("never sprints") and an
+// infinite budget stay legal, and those stacks run a stream to the end.
+func TestSprintPolicyNonFiniteRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	valid := func() core.SprintPolicy {
+		return core.SprintPolicy{TimeoutSec: []float64{5, 0}, BudgetJoules: 200, DrainWatts: 90, ReplenishWatts: 15}
+	}
+	cases := []struct {
+		name  string
+		edit  func(p *core.SprintPolicy)
+		legal bool
+	}{
+		{"valid", func(*core.SprintPolicy) {}, true},
+		{"negative timeout never sprints", func(p *core.SprintPolicy) { p.TimeoutSec[0] = -1 }, true},
+		{"infinite budget", func(p *core.SprintPolicy) { p.BudgetJoules, p.DrainWatts = inf, 0 }, true},
+		{"NaN timeout", func(p *core.SprintPolicy) { p.TimeoutSec[1] = nan }, false},
+		{"NaN budget", func(p *core.SprintPolicy) { p.BudgetJoules = nan }, false},
+		{"NaN drain", func(p *core.SprintPolicy) { p.DrainWatts = nan }, false},
+		{"NaN replenish", func(p *core.SprintPolicy) { p.ReplenishWatts = nan }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sprint := valid()
+			c.edit(&sprint)
+			policy := core.PolicyDiAS([]float64{0.2, 0}, sprint)
+
+			sim := simtime.New()
+			clu, err := cluster.New(sim, cluster.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := engine.New(sim, clu, nil, engine.DefaultCostModel(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.New(sim, clu, eng, policy); (err == nil) != c.legal {
+				t.Errorf("core.New: err = %v, legal = %v", err, c.legal)
+			}
+
+			stack, err := dias.NewStack(dias.StackConfig{Policy: policy, Seed: 1})
+			if (err == nil) != c.legal {
+				t.Fatalf("dias.NewStack: err = %v, legal = %v", err, c.legal)
+			}
+			if !c.legal {
+				return
+			}
+			mix, err := workload.NewPoissonMix([]float64{0.02, 0.01})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := stack.SubmitStream(mix, workload.FixedJobs(stackJobs(t)), 20, 3); err != nil {
+				t.Fatal(err)
+			}
+			stack.Run()
+			if got := len(stack.Records()); got != 20 {
+				t.Fatalf("%d records for 20 jobs", got)
+			}
+		})
 	}
 }
