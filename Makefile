@@ -92,16 +92,16 @@ profile:
 # The CI determinism lane: a reduced figure run twice, -workers 1 vs
 # -workers 8, diffed byte for byte — the worker-count invariance guarantee
 # as a pipeline check (faults covers the new injection layer). The second
-# pair runs traced (faults + federation-scaleout) and also diffs the
-# telemetry exports: the Perfetto trace, the event JSONL and the gauge
-# timeline must be byte-identical at any worker count, not just the
+# pair runs every driver traced (-fig all,table2, ~2 s a run) and also
+# diffs the telemetry exports: the Perfetto trace, the event JSONL and the
+# gauge timeline must be byte-identical at any worker count, not just the
 # rendered figures.
 determinism:
 	$(GO) run ./cmd/dias-experiments -fig 7,faults -jobs 40 -workers 1 -bench-out '' > determinism-w1.txt
 	$(GO) run ./cmd/dias-experiments -fig 7,faults -jobs 40 -workers 8 -bench-out '' > determinism-w8.txt
 	cmp determinism-w1.txt determinism-w8.txt
-	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 1 -bench-out '' -trace determinism-w1.trace.json -events determinism-w1.events.jsonl -timeline determinism-w1.timeline.csv > determinism-traced-w1.txt
-	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 8 -bench-out '' -trace determinism-w8.trace.json -events determinism-w8.events.jsonl -timeline determinism-w8.timeline.csv > determinism-traced-w8.txt
+	$(GO) run ./cmd/dias-experiments -fig all,table2 -jobs 40 -workers 1 -bench-out '' -trace determinism-w1.trace.json -events determinism-w1.events.jsonl -timeline determinism-w1.timeline.csv > determinism-traced-w1.txt
+	$(GO) run ./cmd/dias-experiments -fig all,table2 -jobs 40 -workers 8 -bench-out '' -trace determinism-w8.trace.json -events determinism-w8.events.jsonl -timeline determinism-w8.timeline.csv > determinism-traced-w8.txt
 	cmp determinism-traced-w1.txt determinism-traced-w8.txt
 	cmp determinism-w1.trace.json determinism-w8.trace.json
 	cmp determinism-w1.events.jsonl determinism-w8.events.jsonl

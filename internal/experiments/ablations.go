@@ -8,7 +8,6 @@ import (
 	"dias/internal/engine"
 	"dias/internal/metrics"
 	"dias/internal/runner"
-	"dias/internal/workload"
 )
 
 // Ablations isolate the design choices DESIGN.md calls out. Each returns a
@@ -27,51 +26,26 @@ func AblationSprintTimeout(scale Scale) (*ComparisonFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	durs, _, err := profileSolo(job, nil, cost, cluCfg, 2, scale.Seed+72)
+	mix, err := profileMix([]*engine.Job{job, job}, []float64{7, 3}, cost, 2, scale.Seed+72)
 	if err != nil {
 		return nil, err
 	}
-	exec := mean(durs)
-	totalRate, err := workload.CalibrateTotalRate([]float64{exec, exec}, []float64{0.7, 0.3}, 0.8)
+	rates, err := mix.rates(0.8)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio([]float64{7, 3}, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{job, job}
 	mk := func(timeout float64) core.Config {
 		cfg := core.PolicyNP(2)
-		cfg.Sprint = &core.SprintPolicy{
-			TimeoutSec:     []float64{-1, timeout},
-			BudgetJoules:   22000,
-			DrainWatts:     900,
-			ReplenishWatts: 90,
-		}
+		cfg.Sprint = limitedSprintPolicy(timeout)
 		return cfg
 	}
-	variants := []struct {
-		name   string
-		policy core.Config
-	}{
+	return compare("Ablation: sprint-timeout policy under a limited budget", scenario{
+		rates: rates, jobs: mix.jobs, cost: cost, cluster: cluCfg, scale: scale,
+	}, []namedPolicy{
 		{"NP-nosprint", core.PolicyNP(2)},
 		{"NPS-immediate", mk(0)},
-		{"NPS-timeout", mk(0.65 * exec)},
-	}
-	scs := make([]scenario, len(variants))
-	for i, v := range variants {
-		scs[i] = scenario{name: v.name, policy: v.policy, rates: rates, jobs: jobs, cost: cost, cluster: cluCfg, scale: scale}
-	}
-	results, err := runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	return &ComparisonFigure{
-		Title:    "Ablation: sprint-timeout policy under a limited budget",
-		Baseline: results[0],
-		Others:   results[1:],
-	}, nil
+		{"NPS-timeout", mk(0.65 * mix.solo[1])},
+	})
 }
 
 // AblationEvictionResume compares the paper's preemptive-repeat eviction
@@ -83,30 +57,12 @@ func AblationEvictionResume(scale Scale) (metrics.ScenarioResult, error) {
 	if err := scale.validate(); err != nil {
 		return metrics.ScenarioResult{}, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
 	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+81, setup.lowPosts, setup.lowSize)
+	mix, err := referenceMix(scale.Seed+80, setup)
 	if err != nil {
 		return metrics.ScenarioResult{}, err
 	}
-	highJob, err := textJob("high", scale.Seed+82, setup.highPosts, setup.highSize)
-	if err != nil {
-		return metrics.ScenarioResult{}, err
-	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+83)
-	if err != nil {
-		return metrics.ScenarioResult{}, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+84)
-	if err != nil {
-		return metrics.ScenarioResult{}, err
-	}
-	totalRate, err := workload.CalibrateTotalRate([]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, setup.util)
-	if err != nil {
-		return metrics.ScenarioResult{}, err
-	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
+	rates, err := mix.rates(setup.util)
 	if err != nil {
 		return metrics.ScenarioResult{}, err
 	}
@@ -114,8 +70,8 @@ func AblationEvictionResume(scale Scale) (metrics.ScenarioResult, error) {
 		name:   "P-repeat",
 		policy: core.PolicyP(2),
 		rates:  rates,
-		jobs:   []*engine.Job{lowJob, highJob},
-		cost:   cost, cluster: cluCfg, scale: scale,
+		jobs:   mix.jobs,
+		cost:   textCostModel(), cluster: cluster.DefaultConfig(), scale: scale,
 	}
 	return sc.run()
 }

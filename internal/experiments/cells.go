@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"dias/internal/admission"
 	"dias/internal/cluster"
@@ -43,49 +44,34 @@ type ReferenceWorkload struct {
 }
 
 // NewReferenceWorkload builds and profiles the reference jobs under the
-// given seed. Seed offsets are disjoint from every figure driver's, so a
-// hypothesis run never aliases a figure's RNG streams.
+// given seed, at offsets +191..+194. The Overload figure uses the same
+// offsets, so at equal seeds a hypothesis cell runs exactly Overload's
+// job templates and profiles; every other figure driver's offsets differ.
 func NewReferenceWorkload(seed int64) (*ReferenceWorkload, error) {
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	setup := referenceSetup()
-	lowJob, err := textJob("low", seed+191, setup.lowPosts, setup.lowSize)
-	if err != nil {
-		return nil, err
-	}
-	highJob, err := textJob("high", seed+192, setup.highPosts, setup.highSize)
-	if err != nil {
-		return nil, err
-	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, seed+193)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, seed+194)
+	mix, err := referenceMix(seed+190, referenceSetup())
 	if err != nil {
 		return nil, err
 	}
 	// The calibrator requires a target strictly inside (0,1); calibrate at
 	// one half of capacity and double, which is exact (util is linear in
 	// the total rate).
-	halfRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, 0.5)
+	halfRate, err := mix.totalRate(0.5)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio(setup.ratio, 2*halfRate)
+	rates, err := workload.MixFromRatio(mix.ratio, 2*halfRate)
 	if err != nil {
 		return nil, err
 	}
 	return &ReferenceWorkload{
 		Seed:          seed,
-		LowJob:        lowJob,
-		HighJob:       highJob,
-		LowSoloSec:    mean(lowDur),
-		HighSoloSec:   mean(highDur),
+		LowJob:        mix.jobs[0],
+		HighJob:       mix.jobs[1],
+		LowSoloSec:    mix.solo[0],
+		HighSoloSec:   mix.solo[1],
 		CapacityRates: rates,
-		cost:          cost,
-		cluCfg:        cluCfg,
+		cost:          textCostModel(),
+		cluCfg:        cluster.DefaultConfig(),
 	}, nil
 }
 
@@ -121,7 +107,7 @@ type StackCell struct {
 
 // RunStackCell executes one single-cluster cell to completion.
 func (w *ReferenceWorkload) RunStackCell(c StackCell) (metrics.ScenarioResult, error) {
-	if c.LoadFactor <= 0 {
+	if !(c.LoadFactor > 0 && c.LoadFactor <= math.MaxFloat64) {
 		return metrics.ScenarioResult{}, fmt.Errorf("experiments: cell %q load factor %g", c.Name, c.LoadFactor)
 	}
 	warm := c.WarmupFraction
@@ -177,7 +163,7 @@ func (w *ReferenceWorkload) RunFederationCell(c FederationCell) (metrics.Scenari
 	if c.Members < 1 {
 		return metrics.ScenarioResult{}, fmt.Errorf("experiments: cell %q needs members", c.Name)
 	}
-	if c.Utilization <= 0 {
+	if !(c.Utilization > 0 && c.Utilization <= math.MaxFloat64) {
 		return metrics.ScenarioResult{}, fmt.Errorf("experiments: cell %q utilization %g", c.Name, c.Utilization)
 	}
 	if c.Routing == nil {

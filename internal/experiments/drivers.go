@@ -46,6 +46,21 @@ func compDriver(fn func(Scale) (*ComparisonFigure, error)) DriverFunc {
 	}
 }
 
+// gridDriver adapts a figure that lists its own scenario rows to
+// DriverFunc.
+func gridDriver[T interface {
+	fmt.Stringer
+	Scenarios() []metrics.ScenarioResult
+}](fn func(Scale) (T, error)) DriverFunc {
+	return func(sc Scale) (DriverOutput, error) {
+		r, err := fn(sc)
+		if err != nil {
+			return DriverOutput{}, err
+		}
+		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
+	}
+}
+
 // capJobs bounds the arrivals of one sub-run inside a bundled driver.
 func capJobs(sc Scale, max int) Scale {
 	if sc.Jobs > max {
@@ -85,19 +100,19 @@ const (
 
 func init() {
 	Register("motivation", DriverMeta{
-		Description: "eviction vs pausing vs DiAS on one contended arrival (§1 motivation)",
+		Description: "slowdown ratio and eviction waste under P across system loads (§2.1 motivation)",
 	}, plainDriver(Motivation))
 	Register("4", DriverMeta{
 		Description: "phase-type service-time fits vs profiled task durations (model validation)",
 	}, plainDriver(Figure4))
 	Register("5", DriverMeta{
-		Description: "task- vs wave-level job-time model accuracy (model validation)",
+		Description: "mean response time vs drop ratio, priority-queue model vs observed (model validation)",
 	}, plainDriver(Figure5))
 	Register("6", DriverMeta{
 		Description: "accuracy loss vs drop ratio on the profiled curve (model validation)",
 	}, plainDriver(Figure6))
 	Register("7", DriverMeta{
-		Description: "text-analytics latency: NP vs P vs DA vs DiAS grid",
+		Description: "two-priority text latency: P vs NP vs DA(0,10) vs DA(0,20)",
 	}, compDriver(Figure7))
 	Register("8", DriverMeta{
 		Description: "figure 7 under equal sizes, more-high mix and half load",
@@ -115,7 +130,7 @@ func init() {
 		return DriverOutput{Text: out, Scenarios: scens}, nil
 	})
 	Register("9", DriverMeta{
-		Description: "resource waste and energy: eviction pays, dropping doesn't",
+		Description: "three-priority text system: P vs NP vs DA(0,10,20) vs DA(0,20,40)",
 	}, compDriver(Figure9))
 	Register("10", DriverMeta{
 		Description: "triangle-count latency grid (graph analytics)",
@@ -135,7 +150,7 @@ func init() {
 		return DriverOutput{Text: r, Scenarios: scens}, nil
 	})
 	Register("table2", DriverMeta{
-		Description: "per-policy latency/accuracy/energy summary (duplicates figure 11's run)",
+		Description: "queue/execution decomposition under limited sprinting (duplicates figure 11's run)",
 		MaxJobs:     graphMaxJobs,
 		SkipInAll:   true,
 	}, func(sc Scale) (DriverOutput, error) {
@@ -181,53 +196,23 @@ func init() {
 	Register("faults", DriverMeta{
 		Description: "node churn, task faults and stragglers vs the clean run",
 		MaxJobs:     faultMaxJobs,
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := FaultTolerance(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
+	}, gridDriver(FaultTolerance))
 	Register("elasticity", DriverMeta{
 		Description: "autoscaler policies: latency vs powered-node energy",
 		MaxJobs:     faultMaxJobs,
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := Elasticity(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
+	}, gridDriver(Elasticity))
 	Register("federation-outage", DriverMeta{
 		Description: "whole-cluster outage under each routing policy",
 		MaxJobs:     fedExpMaxJobs,
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := FederationOutage(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
+	}, gridDriver(FederationOutage))
 	Register("federation-scaleout", DriverMeta{
 		Description: "1..N homogeneous clusters under each routing policy",
 		MaxJobs:     fedExpMaxJobs,
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := FederationScaleOut(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
+	}, gridDriver(FederationScaleOut))
 	Register("federation-hetero", DriverMeta{
 		Description: "heterogeneous member sizes under each routing policy",
 		MaxJobs:     fedExpMaxJobs,
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := FederationHeterogeneous(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
+	}, gridDriver(FederationHeterogeneous))
 	Register("extensions", DriverMeta{
 		Description: "bursty arrivals, variable sizes, failures and adaptive deflation",
 	}, func(sc Scale) (DriverOutput, error) {
@@ -262,20 +247,8 @@ func init() {
 	Register("overload", DriverMeta{
 		Description: "offered load 0.5x-3x under each admission policy, goodput vs rejected work",
 		MaxJobs:     overloadMaxJobs,
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := Overload(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
+	}, gridDriver(Overload))
 	Register("scale", DriverMeta{
 		Description: "streaming throughput: arrival process x job count x routing, 8 clusters, bounded memory",
-	}, func(sc Scale) (DriverOutput, error) {
-		r, err := ScaleThroughput(sc)
-		if err != nil {
-			return DriverOutput{}, err
-		}
-		return DriverOutput{Text: r, Scenarios: r.Scenarios()}, nil
-	})
+	}, gridDriver(ScaleThroughput))
 }

@@ -324,6 +324,24 @@ func (sc scenario) run() (metrics.ScenarioResult, error) {
 	return res, nil
 }
 
+// collectorOwners resolves each traced run's collector before fan-out. A
+// telemetry.Collector has no lock, so two runs of one grid that resolve
+// to the same collector (two scenarios under one name in one namespace)
+// would race on it; the grid is rejected instead.
+type collectorOwners map[*telemetry.Collector]bool
+
+func (o collectorOwners) claim(reg *telemetry.Registry, name string) error {
+	if reg == nil {
+		return nil
+	}
+	col := reg.Collector(name)
+	if o[col] {
+		return fmt.Errorf("experiments: two runs share the telemetry collector %q", name)
+	}
+	o[col] = true
+	return nil
+}
+
 // runScenarios executes independent scenarios concurrently on the scale's
 // worker pool, returning results in input order. Scenarios share only
 // immutable state (job templates, policy configs, cost models), so the
@@ -332,9 +350,13 @@ func runScenarios(scs []scenario) ([]metrics.ScenarioResult, error) {
 	if len(scs) == 0 {
 		return nil, nil
 	}
+	owners := make(collectorOwners)
 	tasks := make([]runner.Task[metrics.ScenarioResult], len(scs))
 	for i := range scs {
 		sc := scs[i]
+		if err := owners.claim(sc.scale.Telemetry, sc.name); err != nil {
+			return nil, err
+		}
 		tasks[i] = func(context.Context) (metrics.ScenarioResult, error) {
 			res, err := sc.run()
 			if err != nil {
@@ -400,6 +422,95 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// calibratedMix is the workload prologue every figure driver shares
+// (§5.2.1): per-class job templates, their profiled mean solo seconds on
+// an idle default cluster, and the arrival ratio. A driver's differences
+// from the paper's reference workload are data: templates, seeds, ratio
+// and the target utilisation handed to rates.
+type calibratedMix struct {
+	jobs  []*engine.Job
+	solo  []float64
+	ratio []float64
+}
+
+// profileMix profiles class k's template `runs` times at soloSeed+k. A
+// template repeated from the previous class (the graph figures run one
+// job in both classes) reuses that class's profile.
+func profileMix(jobs []*engine.Job, ratio []float64, cost engine.CostModel, runs int, soloSeed int64) (*calibratedMix, error) {
+	m := &calibratedMix{jobs: jobs, solo: make([]float64, len(jobs)), ratio: ratio}
+	for k, job := range jobs {
+		if k > 0 && job == jobs[k-1] {
+			m.solo[k] = m.solo[k-1]
+			continue
+		}
+		durs, _, err := profileSolo(job, nil, cost, cluster.DefaultConfig(), runs, soloSeed+int64(k))
+		if err != nil {
+			return nil, err
+		}
+		m.solo[k] = mean(durs)
+	}
+	return m, nil
+}
+
+// referenceMix builds a two-class text setup's templates, "low" at seed+1
+// and "high" at seed+2, and profiles them at seed+3 and seed+4.
+func referenceMix(seed int64, setup twoClassSetup) (*calibratedMix, error) {
+	low, err := textJob("low", seed+1, setup.lowPosts, setup.lowSize)
+	if err != nil {
+		return nil, err
+	}
+	high, err := textJob("high", seed+2, setup.highPosts, setup.highSize)
+	if err != nil {
+		return nil, err
+	}
+	return profileMix([]*engine.Job{low, high}, setup.ratio, textCostModel(), 3, seed+3)
+}
+
+// totalRate is the total arrival rate that loads one default cluster to
+// util. The calibrator takes the ratio normalised to fractions.
+func (m *calibratedMix) totalRate(util float64) (float64, error) {
+	var sum float64
+	for _, w := range m.ratio {
+		sum += w
+	}
+	frac := make([]float64, len(m.ratio))
+	for k, w := range m.ratio {
+		frac[k] = w / sum
+	}
+	return workload.CalibrateTotalRate(m.solo, frac, util)
+}
+
+// rates splits totalRate(util) across the classes by the arrival ratio.
+func (m *calibratedMix) rates(util float64) ([]float64, error) {
+	total, err := m.totalRate(util)
+	if err != nil {
+		return nil, err
+	}
+	return workload.MixFromRatio(m.ratio, total)
+}
+
+// namedPolicy is one row of a comparison figure.
+type namedPolicy struct {
+	name   string
+	policy core.Config
+}
+
+// compare runs base once per policy, concurrently, and renders the first
+// policy as the baseline the others are diffed against.
+func compare(title string, base scenario, policies []namedPolicy) (*ComparisonFigure, error) {
+	scs := make([]scenario, len(policies))
+	for i, p := range policies {
+		scs[i] = base
+		scs[i].name = p.name
+		scs[i].policy = p.policy
+	}
+	results, err := runScenarios(scs)
+	if err != nil {
+		return nil, err
+	}
+	return &ComparisonFigure{Title: title, Baseline: results[0], Others: results[1:]}, nil
 }
 
 // ComparisonFigure is the common output shape of Figures 7-11: a

@@ -72,39 +72,16 @@ func ExtensionBursty(scale Scale) (*ExtensionBurstyResult, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
 	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+101, setup.lowPosts, setup.lowSize)
+	mix, err := referenceMix(scale.Seed+100, setup)
 	if err != nil {
 		return nil, err
 	}
-	highJob, err := textJob("high", scale.Seed+102, setup.highPosts, setup.highSize)
+	rates, err := mix.rates(setup.util)
 	if err != nil {
 		return nil, err
 	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+103)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+104)
-	if err != nil {
-		return nil, err
-	}
-	totalRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, setup.util)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{lowJob, highJob}
-	policies := []struct {
-		name   string
-		policy core.Config
-	}{
+	policies := []namedPolicy{
 		{"P", core.PolicyP(2)},
 		{"NP", core.PolicyNP(2)},
 		{"DA(0,20)", core.PolicyDA([]float64{0.2, 0})},
@@ -113,8 +90,8 @@ func ExtensionBursty(scale Scale) (*ExtensionBurstyResult, error) {
 		scs := make([]scenario, len(policies))
 		for pi, p := range policies {
 			scs[pi] = scenario{
-				name: p.name, policy: p.policy, rates: rates,
-				jobs: jobs, cost: cost, cluster: cluCfg, scale: scale,
+				name: p.name, policy: p.policy, rates: rates, jobs: mix.jobs,
+				cost: textCostModel(), cluster: cluster.DefaultConfig(), scale: scale,
 			}
 			if bursty {
 				// A fresh source per policy keeps runs independent but
@@ -153,7 +130,6 @@ func ExtensionVariableSizes(scale Scale) (*ComparisonFigure, error) {
 		return nil, err
 	}
 	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
 	setup := referenceSetup()
 	lowJob, err := textJob("low", scale.Seed+111, setup.lowPosts, setup.lowSize)
 	if err != nil {
@@ -180,48 +156,23 @@ func ExtensionVariableSizes(scale Scale) (*ComparisonFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	lowDur, _, err := profileSolo(meanLow, nil, cost, cluCfg, 3, scale.Seed+113)
+	mix, err := profileMix([]*engine.Job{meanLow, highJob}, setup.ratio, cost, 3, scale.Seed+113)
 	if err != nil {
 		return nil, err
 	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+114)
+	rates, err := mix.rates(setup.util)
 	if err != nil {
 		return nil, err
 	}
-	totalRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, setup.util)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	policies := []struct {
-		name   string
-		policy core.Config
-	}{
+	return compare("Extension: variable low-priority job sizes (uniform task counts)", scenario{
+		rates: rates, source: source, scale: scale,
+		cost: cost, cluster: cluster.DefaultConfig(),
+	}, []namedPolicy{
 		{"P", core.PolicyP(2)},
 		{"NP", core.PolicyNP(2)},
 		{"DA(0,10)", core.PolicyDA([]float64{0.1, 0})},
 		{"DA(0,20)", core.PolicyDA([]float64{0.2, 0})},
-	}
-	scs := make([]scenario, len(policies))
-	for i, p := range policies {
-		scs[i] = scenario{
-			name: p.name, policy: p.policy, rates: rates,
-			cost: cost, cluster: cluCfg, scale: scale, source: source,
-		}
-	}
-	results, err := runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	return &ComparisonFigure{
-		Title:    "Extension: variable low-priority job sizes (uniform task counts)",
-		Baseline: results[0],
-		Others:   results[1:],
-	}, nil
+	})
 }
 
 // ExtensionFailures runs the two-class reference workload under DA(0,20)
@@ -234,37 +185,16 @@ func ExtensionFailures(scale Scale) (*ComparisonFigure, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+141, setup.lowPosts, setup.lowSize)
-	if err != nil {
-		return nil, err
-	}
-	highJob, err := textJob("high", scale.Seed+142, setup.highPosts, setup.highSize)
-	if err != nil {
-		return nil, err
-	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+143)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+144)
+	mix, err := referenceMix(scale.Seed+140, referenceSetup())
 	if err != nil {
 		return nil, err
 	}
 	// Run at 70% nominal load: failures shave capacity, and the paper-like
 	// 80% would push the faulty runs into saturation.
-	totalRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, 0.7)
+	rates, err := mix.rates(0.7)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{lowJob, highJob}
 	// One node down at a time on average ~1/6 of the time:
 	// 10 nodes x (MTTR 60 / MTTF 3600).
 	faults := &engine.FailureConfig{MTTFSec: 3600, MTTRSec: 60, Seed: scale.Seed + 145}
@@ -281,8 +211,8 @@ func ExtensionFailures(scale Scale) (*ComparisonFigure, error) {
 	scs := make([]scenario, len(variants))
 	for i, v := range variants {
 		scs[i] = scenario{
-			name: v.name, policy: v.policy, rates: rates,
-			jobs: jobs, cost: cost, cluster: cluCfg, scale: scale,
+			name: v.name, policy: v.policy, rates: rates, jobs: mix.jobs,
+			cost: textCostModel(), cluster: cluster.DefaultConfig(), scale: scale,
 			failures: v.failures,
 		}
 	}
@@ -342,34 +272,18 @@ func ExtensionAdaptive(scale Scale) (*AdaptiveResult, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+151, setup.lowPosts, setup.lowSize)
+	mix, err := referenceMix(scale.Seed+150, referenceSetup())
 	if err != nil {
 		return nil, err
 	}
-	highJob, err := textJob("high", scale.Seed+152, setup.highPosts, setup.highSize)
-	if err != nil {
-		return nil, err
-	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+153)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+154)
-	if err != nil {
-		return nil, err
-	}
-	lowExec, highExec := mean(lowDur), mean(highDur)
 	// Build the stepped stream: calm 60% load for the first 60% of
 	// arrivals, then ~110% for the rest.
-	calmRate, err := workload.CalibrateTotalRate([]float64{lowExec, highExec}, []float64{0.9, 0.1}, 0.6)
+	calmRate, err := mix.totalRate(0.6)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(scale.Seed + 155))
-	calmRates, err := workload.MixFromRatio(setup.ratio, calmRate)
+	calmRates, err := workload.MixFromRatio(mix.ratio, calmRate)
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +293,7 @@ func ExtensionAdaptive(scale Scale) (*AdaptiveResult, error) {
 	}
 	nCalm := scale.Jobs * 6 / 10
 	arrivals := calmPM.Stream(rng, nCalm)
-	hotRates, err := workload.MixFromRatio(setup.ratio, calmRate*110.0/60.0)
+	hotRates, err := workload.MixFromRatio(mix.ratio, calmRate*110.0/60.0)
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +310,7 @@ func ExtensionAdaptive(scale Scale) (*AdaptiveResult, error) {
 	}
 	// Target: keep low-priority mean response within 3x its solo
 	// execution; ceiling 0.4 (the paper's 32%-error operating point).
-	target := 3 * lowExec
+	target := 3 * mix.solo[0]
 	var lastCtl *core.AdaptiveDeflator
 	mkAdaptive := func(sim *simtime.Simulation) (core.Deflator, error) {
 		ctl, err := core.NewAdaptiveDeflator(sim, core.AdaptiveConfig{
@@ -429,9 +343,8 @@ func ExtensionAdaptive(scale Scale) (*AdaptiveResult, error) {
 			return nil, err
 		}
 		scs[i] = scenario{
-			name: v.name, policy: v.policy,
-			jobs: []*engine.Job{lowJob, highJob},
-			cost: cost, cluster: cluCfg, scale: scale,
+			name: v.name, policy: v.policy, jobs: mix.jobs,
+			cost: textCostModel(), cluster: cluster.DefaultConfig(), scale: scale,
 			proc: rp, deflator: v.deflator,
 		}
 	}

@@ -15,7 +15,6 @@ import (
 
 	"dias/internal/cluster"
 	"dias/internal/core"
-	"dias/internal/engine"
 	"dias/internal/faults"
 	"dias/internal/metrics"
 	"dias/internal/workload"
@@ -84,49 +83,20 @@ func FaultTolerance(scale Scale) (*FaultFigure, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+171, setup.lowPosts, setup.lowSize)
-	if err != nil {
-		return nil, err
-	}
-	highJob, err := textJob("high", scale.Seed+172, setup.highPosts, setup.highSize)
-	if err != nil {
-		return nil, err
-	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+173)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+174)
+	mix, err := referenceMix(scale.Seed+170, referenceSetup())
 	if err != nil {
 		return nil, err
 	}
 	// 70% nominal load: the faulty regimes shave capacity, and 80% would
 	// push them into saturation.
-	totalRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, 0.7)
+	rates, err := mix.rates(0.7)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{lowJob, highJob}
-	policies := []struct {
-		name   string
-		policy core.Config
-	}{
+	policies := []namedPolicy{
 		{"P", core.PolicyP(2)},
 		{"DA(0,20)", core.PolicyDA([]float64{0.2, 0})},
-		{"DiAS(0,20)", core.PolicyDiAS([]float64{0.2, 0}, core.SprintPolicy{
-			TimeoutSec:     []float64{60, 0},
-			BudgetJoules:   22e3,
-			DrainWatts:     900,
-			ReplenishWatts: 90,
-		})},
+		{"DiAS(0,20)", federationPolicy()},
 	}
 	var scs []scenario
 	for _, p := range policies {
@@ -135,9 +105,9 @@ func FaultTolerance(scale Scale) (*FaultFigure, error) {
 				name:      fmt.Sprintf("%s/%s", p.name, reg.name),
 				policy:    p.policy,
 				rates:     rates,
-				jobs:      jobs,
-				cost:      cost,
-				cluster:   cluCfg,
+				jobs:      mix.jobs,
+				cost:      textCostModel(),
+				cluster:   cluster.DefaultConfig(),
 				scale:     scale,
 				faultPlan: reg.plan,
 			})
@@ -173,53 +143,26 @@ func Elasticity(scale Scale) (*FaultFigure, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	setup := referenceSetup()
 	small := cluster.DefaultConfig() // 10 nodes
 	big := cluster.DefaultConfig()
 	big.Nodes = 16
-	lowJob, err := textJob("low", scale.Seed+181, setup.lowPosts, setup.lowSize)
-	if err != nil {
-		return nil, err
-	}
-	highJob, err := textJob("high", scale.Seed+182, setup.highPosts, setup.highSize)
-	if err != nil {
-		return nil, err
-	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, small, 3, scale.Seed+183)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, small, 3, scale.Seed+184)
+	mix, err := referenceMix(scale.Seed+180, referenceSetup())
 	if err != nil {
 		return nil, err
 	}
 	// Mean load 60% of the small cluster's capacity; a 0.75 amplitude
 	// swings the instantaneous load between 15% and 105% of it.
-	totalRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, 0.6)
+	totalRate, err := mix.totalRate(0.6)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
+	rates, err := workload.MixFromRatio(mix.ratio, totalRate)
 	if err != nil {
 		return nil, err
 	}
 	// Four full swings across the expected arrival span.
 	period := float64(scale.Jobs) / totalRate / 4
-	diurnal := func() (workload.Process, error) {
-		d, err := workload.NewDiurnalMix(rates, 0.75, period)
-		if err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-	diasPolicy := core.PolicyDiAS([]float64{0.2, 0}, core.SprintPolicy{
-		TimeoutSec:     []float64{60, 0},
-		BudgetJoules:   22e3,
-		DrainWatts:     900,
-		ReplenishWatts: 90,
-	})
+	diasPolicy := federationPolicy()
 	backlogAS := &core.AutoscalerConfig{
 		Policy:       core.BacklogScalePolicy{ScaleOutAbove: 3, ScaleInBelow: 1, Step: 3},
 		MinNodes:     4,
@@ -230,7 +173,7 @@ func Elasticity(scale Scale) (*FaultFigure, error) {
 	}
 	latencyAS := &core.AutoscalerConfig{
 		Policy: core.LatencyScalePolicy{
-			TargetSec: 2.5 * mean(lowDur),
+			TargetSec: 2.5 * mix.solo[0],
 			Headroom:  0.3,
 			Step:      3,
 		},
@@ -252,7 +195,7 @@ func Elasticity(scale Scale) (*FaultFigure, error) {
 	}
 	var scs []scenario
 	for _, c := range cells {
-		proc, err := diurnal()
+		proc, err := workload.NewDiurnalMix(rates, 0.75, period)
 		if err != nil {
 			return nil, err
 		}
@@ -260,8 +203,8 @@ func Elasticity(scale Scale) (*FaultFigure, error) {
 			name:      c.name,
 			policy:    diasPolicy,
 			rates:     rates,
-			jobs:      []*engine.Job{lowJob, highJob},
-			cost:      cost,
+			jobs:      mix.jobs,
+			cost:      textCostModel(),
 			cluster:   c.cluster,
 			scale:     scale,
 			proc:      proc,

@@ -48,10 +48,11 @@ func federationPolicySet() []fedPolicyFactory {
 	}
 }
 
-// federationPolicy is the per-member scheduling discipline of the
-// federation figures: the full DiAS system, DA(0,20) plus sprinting under
-// a finite replenishing budget, so routing policies differentiate on
-// latency, waste and sprint-energy state alike.
+// federationPolicy is the full DiAS reference configuration, DA(0,20)
+// plus sprinting under a finite replenishing 22 kJ budget: the per-member
+// discipline of the federation figures (routing policies differentiate on
+// latency, waste and sprint-energy state alike) and the DiAS row of every
+// single-stack figure and cell.
 func federationPolicy() core.Config {
 	return core.PolicyDiAS([]float64{0.2, 0}, core.SprintPolicy{
 		TimeoutSec:     []float64{60, 0},
@@ -241,9 +242,13 @@ func runFedScenarios(scs []fedScenario) ([]metrics.FederationScenarioResult, err
 	if len(scs) == 0 {
 		return nil, nil
 	}
+	owners := make(collectorOwners)
 	tasks := make([]runner.Task[metrics.FederationScenarioResult], len(scs))
 	for i := range scs {
 		sc := scs[i]
+		if err := owners.claim(sc.scale.Telemetry, sc.name); err != nil {
+			return nil, err
+		}
 		tasks[i] = func(context.Context) (metrics.FederationScenarioResult, error) {
 			res, err := sc.run()
 			if err != nil {
@@ -286,35 +291,15 @@ func (f *FederationFigure) Scenarios() []metrics.ScenarioResult {
 // at the given utilization; callers scale rates by the federation's
 // capacity factor.
 func fedWorkload(scale Scale, variants int, util float64) (variantSource, []float64, error) {
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+161, setup.lowPosts, setup.lowSize)
+	mix, err := referenceMix(scale.Seed+160, referenceSetup())
 	if err != nil {
 		return nil, nil, err
 	}
-	highJob, err := textJob("high", scale.Seed+162, setup.highPosts, setup.highSize)
+	rates, err := mix.rates(util)
 	if err != nil {
 		return nil, nil, err
 	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+163)
-	if err != nil {
-		return nil, nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+164)
-	if err != nil {
-		return nil, nil, err
-	}
-	totalRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, util)
-	if err != nil {
-		return nil, nil, err
-	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
-	if err != nil {
-		return nil, nil, err
-	}
-	return variantSource{fedVariants(lowJob, variants), fedVariants(highJob, variants)}, rates, nil
+	return variantSource{fedVariants(mix.jobs[0], variants), fedVariants(mix.jobs[1], variants)}, rates, nil
 }
 
 // scaleRates multiplies per-class rates by a capacity factor.

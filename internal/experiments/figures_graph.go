@@ -29,6 +29,18 @@ func perStageDrops(theta float64) []float64 {
 	return []float64{theta, theta, theta, theta, theta, theta}
 }
 
+// limitedSprintPolicy is the §5.3 limited budget: the high class sprints
+// after timeoutSec on 22 kJ drained at 900 W and replenished at 90 W; the
+// low class never sprints.
+func limitedSprintPolicy(timeoutSec float64) *core.SprintPolicy {
+	return &core.SprintPolicy{
+		TimeoutSec:     []float64{-1, timeoutSec},
+		BudgetJoules:   22000,
+		DrainWatts:     900,
+		ReplenishWatts: 90,
+	}
+}
+
 // --- Figure 10: differential approximation on triangle count ---------------
 
 // Figure10 runs P, NP and DA with per-stage drop ratios {1,2,5,10,20}% on
@@ -46,32 +58,20 @@ func Figure10(scale Scale) (*ComparisonFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	durs, _, err := profileSolo(job, nil, cost, cluCfg, 2, scale.Seed+52)
+	mix, err := profileMix([]*engine.Job{job, job}, []float64{9, 1}, cost, 2, scale.Seed+52)
 	if err != nil {
 		return nil, err
 	}
-	exec := mean(durs)
-	totalRate, err := workload.CalibrateTotalRate([]float64{exec, exec}, []float64{0.9, 0.1}, 0.8)
+	rates, err := mix.rates(0.8)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio([]float64{9, 1}, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{job, job}
-	policies := []struct {
-		name   string
-		policy core.Config
-	}{
+	policies := []namedPolicy{
 		{"P", core.PolicyP(2)},
 		{"NP", core.PolicyNP(2)},
 	}
 	for _, pct := range []float64{1, 2, 5, 10, 20} {
-		policies = append(policies, struct {
-			name   string
-			policy core.Config
-		}{
+		policies = append(policies, namedPolicy{
 			name: fmt.Sprintf("DA(0,%g)", pct),
 			policy: core.Config{
 				Classes:    2,
@@ -79,22 +79,9 @@ func Figure10(scale Scale) (*ComparisonFigure, error) {
 			},
 		})
 	}
-	scs := make([]scenario, len(policies))
-	for i, p := range policies {
-		scs[i] = scenario{
-			name: p.name, policy: p.policy, rates: rates,
-			jobs: jobs, cost: cost, cluster: cluCfg, scale: scale,
-		}
-	}
-	results, err := runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	return &ComparisonFigure{
-		Title:    "Figure 10: differential approximation on triangle count",
-		Baseline: results[0],
-		Others:   results[1:],
-	}, nil
+	return compare("Figure 10: differential approximation on triangle count", scenario{
+		rates: rates, jobs: mix.jobs, cost: cost, cluster: cluCfg, scale: scale,
+	}, policies)
 }
 
 // --- Figure 11 + Table 2: full DiAS -----------------------------------------
@@ -150,29 +137,15 @@ func Figure11(scale Scale) (*Figure11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	durs, _, err := profileSolo(job, nil, cost, cluCfg, 2, scale.Seed+62)
+	mix, err := profileMix([]*engine.Job{job, job}, []float64{7, 3}, cost, 2, scale.Seed+62)
 	if err != nil {
 		return nil, err
 	}
-	exec := mean(durs)
-	totalRate, err := workload.CalibrateTotalRate([]float64{exec, exec}, []float64{0.7, 0.3}, 0.8)
+	rates, err := mix.rates(0.8)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio([]float64{7, 3}, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{job, job}
-
-	limitedSprint := func() *core.SprintPolicy {
-		return &core.SprintPolicy{
-			TimeoutSec:     []float64{-1, 0.65 * exec},
-			BudgetJoules:   22000,
-			DrainWatts:     900,
-			ReplenishWatts: 90,
-		}
-	}
+	timeout := 0.65 * mix.solo[1]
 	unlimitedSprint := func() *core.SprintPolicy {
 		return &core.SprintPolicy{
 			TimeoutSec:   []float64{-1, 0},
@@ -186,23 +159,27 @@ func Figure11(scale Scale) (*Figure11Result, error) {
 	}
 
 	npsCfg := core.PolicyNP(2)
-	npsCfg.Sprint = limitedSprint()
+	npsCfg.Sprint = limitedSprintPolicy(timeout)
 	// All six runs (P, NPS, limited/unlimited DiAS at θ=0.1/0.2) are
 	// independent; fan them out as one grid. Each scenario carries its own
-	// SprintPolicy instance, so concurrent runs share no budget state.
-	mk := func(name string, policy core.Config) scenario {
+	// SprintPolicy instance, so concurrent runs share no budget state. The
+	// unlimited runs reuse the limited runs' names, so they trace into a
+	// namespace of their own: concurrent runs never share a collector.
+	unlimited := scale
+	unlimited.Telemetry = scale.Telemetry.Namespace("unlimited")
+	mk := func(name string, policy core.Config, sc Scale) scenario {
 		return scenario{
 			name: name, policy: policy, rates: rates,
-			jobs: jobs, cost: cost, cluster: cluCfg, scale: scale,
+			jobs: mix.jobs, cost: cost, cluster: cluCfg, scale: sc,
 		}
 	}
 	results, err := runScenarios([]scenario{
-		mk("P", core.PolicyP(2)),
-		mk("NPS", npsCfg),
-		mk("DiAS(0,10)", mkDiAS(0.1, limitedSprint())),
-		mk("DiAS(0,20)", mkDiAS(0.2, limitedSprint())),
-		mk("DiAS(0,10)", mkDiAS(0.1, unlimitedSprint())),
-		mk("DiAS(0,20)", mkDiAS(0.2, unlimitedSprint())),
+		mk("P", core.PolicyP(2), scale),
+		mk("NPS", npsCfg, scale),
+		mk("DiAS(0,10)", mkDiAS(0.1, limitedSprintPolicy(timeout)), scale),
+		mk("DiAS(0,20)", mkDiAS(0.2, limitedSprintPolicy(timeout)), scale),
+		mk("DiAS(0,10)", mkDiAS(0.1, unlimitedSprint()), unlimited),
+		mk("DiAS(0,20)", mkDiAS(0.2, unlimitedSprint()), unlimited),
 	})
 	if err != nil {
 		return nil, err

@@ -280,28 +280,20 @@ func Figure5(scale Scale) (*Figure5Result, error) {
 	}
 	cost := textCostModel()
 	cluCfg := cluster.DefaultConfig()
-	lowJob, err := textJob("fig5-low", scale.Seed+11, 80, 1117<<20)
+	setup := referenceSetup()
+	lowJob, err := textJob("fig5-low", scale.Seed+11, setup.lowPosts, setup.lowSize)
 	if err != nil {
 		return nil, err
 	}
-	highJob, err := textJob("fig5-high", scale.Seed+12, 34, 473<<20)
+	highJob, err := textJob("fig5-high", scale.Seed+12, setup.highPosts, setup.highSize)
 	if err != nil {
 		return nil, err
 	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+13)
+	mix, err := profileMix([]*engine.Job{lowJob, highJob}, setup.ratio, cost, 3, scale.Seed+13)
 	if err != nil {
 		return nil, err
 	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+14)
-	if err != nil {
-		return nil, err
-	}
-	totalRate, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := workload.MixFromRatio([]float64{9, 1}, totalRate)
+	rates, err := mix.rates(setup.util)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +314,7 @@ func Figure5(scale Scale) (*Figure5Result, error) {
 			name:    fmt.Sprintf("DA(0,%.0f)", theta*100),
 			policy:  core.PolicyDA([]float64{theta, 0}),
 			rates:   rates,
-			jobs:    []*engine.Job{lowJob, highJob},
+			jobs:    mix.jobs,
 			cost:    cost,
 			cluster: cluCfg,
 			scale:   scale,
@@ -524,55 +516,23 @@ func runTwoClass(title string, setup twoClassSetup, scale Scale) (*ComparisonFig
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	lowJob, err := textJob("low", scale.Seed+21, setup.lowPosts, setup.lowSize)
+	mix, err := referenceMix(scale.Seed+20, setup)
 	if err != nil {
 		return nil, err
 	}
-	highJob, err := textJob("high", scale.Seed+22, setup.highPosts, setup.highSize)
+	rates, err := mix.rates(setup.util)
 	if err != nil {
 		return nil, err
 	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+23)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+24)
-	if err != nil {
-		return nil, err
-	}
-	mixFrac := []float64{setup.ratio[0] / (setup.ratio[0] + setup.ratio[1]), setup.ratio[1] / (setup.ratio[0] + setup.ratio[1])}
-	totalRate, err := workload.CalibrateTotalRate([]float64{mean(lowDur), mean(highDur)}, mixFrac, setup.util)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := workload.MixFromRatio(setup.ratio, totalRate)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{lowJob, highJob}
-	policies := []struct {
-		name   string
-		policy core.Config
-	}{
+	return compare(title, scenario{
+		rates: rates, jobs: mix.jobs, scale: scale,
+		cost: textCostModel(), cluster: cluster.DefaultConfig(),
+	}, []namedPolicy{
 		{"P", core.PolicyP(2)},
 		{"NP", core.PolicyNP(2)},
 		{"DA(0,10)", core.PolicyDA([]float64{0.1, 0})},
 		{"DA(0,20)", core.PolicyDA([]float64{0.2, 0})},
-	}
-	scs := make([]scenario, len(policies))
-	for i, p := range policies {
-		scs[i] = scenario{
-			name: p.name, policy: p.policy, rates: rates,
-			jobs: jobs, cost: cost, cluster: cluCfg, scale: scale,
-		}
-	}
-	results, err := runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	return &ComparisonFigure{Title: title, Baseline: results[0], Others: results[1:]}, nil
+	})
 }
 
 // Figure7 is the two-priority reference comparison (§5.2.1).
@@ -614,7 +574,6 @@ func Figure9(scale Scale) (*ComparisonFigure, error) {
 		return nil, err
 	}
 	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
 	lowJob, err := textJob("low", scale.Seed+31, 80, 1117<<20)
 	if err != nil {
 		return nil, err
@@ -627,49 +586,22 @@ func Figure9(scale Scale) (*ComparisonFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := []*engine.Job{lowJob, midJob, highJob}
-	var execs []float64
-	for i, j := range jobs {
-		d, _, err := profileSolo(j, nil, cost, cluCfg, 3, scale.Seed+40+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		execs = append(execs, mean(d))
-	}
 	// Ratio low-mid-high = 5-4-1.
-	ratio := []float64{5, 4, 1}
-	mixFrac := []float64{0.5, 0.4, 0.1}
-	totalRate, err := workload.CalibrateTotalRate(execs, mixFrac, 0.8)
+	mix, err := profileMix([]*engine.Job{lowJob, midJob, highJob}, []float64{5, 4, 1}, cost, 3, scale.Seed+40)
 	if err != nil {
 		return nil, err
 	}
-	rates, err := workload.MixFromRatio(ratio, totalRate)
+	rates, err := mix.rates(0.8)
 	if err != nil {
 		return nil, err
 	}
-	policies := []struct {
-		name   string
-		policy core.Config
-	}{
+	return compare("Figure 9: three-priority system", scenario{
+		rates: rates, jobs: mix.jobs, scale: scale,
+		cost: cost, cluster: cluster.DefaultConfig(),
+	}, []namedPolicy{
 		{"P", core.PolicyP(3)},
 		{"NP", core.PolicyNP(3)},
 		{"DA(0,10,20)", core.PolicyDA([]float64{0.2, 0.1, 0})},
 		{"DA(0,20,40)", core.PolicyDA([]float64{0.4, 0.2, 0})},
-	}
-	scs := make([]scenario, len(policies))
-	for i, p := range policies {
-		scs[i] = scenario{
-			name: p.name, policy: p.policy, rates: rates,
-			jobs: jobs, cost: cost, cluster: cluCfg, scale: scale,
-		}
-	}
-	results, err := runScenarios(scs)
-	if err != nil {
-		return nil, err
-	}
-	return &ComparisonFigure{
-		Title:    "Figure 9: three-priority system",
-		Baseline: results[0],
-		Others:   results[1:],
-	}, nil
+	})
 }

@@ -5,9 +5,7 @@ import (
 
 	"dias/internal/cluster"
 	"dias/internal/core"
-	"dias/internal/engine"
 	"dias/internal/metrics"
-	"dias/internal/workload"
 )
 
 // The paper's motivation (§1, §2.1) rests on two trace observations about
@@ -56,22 +54,7 @@ func Motivation(scale Scale) (*MotivationResult, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+161, setup.lowPosts, setup.lowSize)
-	if err != nil {
-		return nil, err
-	}
-	highJob, err := textJob("high", scale.Seed+162, setup.highPosts, setup.highSize)
-	if err != nil {
-		return nil, err
-	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+163)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+164)
+	mix, err := referenceMix(scale.Seed+160, referenceSetup())
 	if err != nil {
 		return nil, err
 	}
@@ -82,20 +65,15 @@ func Motivation(scale Scale) (*MotivationResult, error) {
 	scs := make([]scenario, len(utils))
 	sds := make([]*metrics.SlowdownAccumulator, len(utils))
 	for i, util := range utils {
-		totalRate, err := workload.CalibrateTotalRate(
-			[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, util)
-		if err != nil {
-			return nil, err
-		}
-		rates, err := workload.MixFromRatio(setup.ratio, totalRate)
+		rates, err := mix.rates(util)
 		if err != nil {
 			return nil, err
 		}
 		sds[i] = metrics.NewSlowdownAccumulator(2, scale.Jobs, scale.WarmupFraction)
 		scs[i] = scenario{
 			name: fmt.Sprintf("P@%.0f%%", 100*util), policy: core.PolicyP(2),
-			rates: rates, jobs: []*engine.Job{lowJob, highJob},
-			cost: cost, cluster: cluCfg, scale: scale,
+			rates: rates, jobs: mix.jobs,
+			cost: textCostModel(), cluster: cluster.DefaultConfig(), scale: scale,
 			observe: sds[i].Add,
 		}
 	}

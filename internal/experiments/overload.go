@@ -15,11 +15,8 @@ import (
 
 	"dias/internal/admission"
 	"dias/internal/cluster"
-	"dias/internal/core"
-	"dias/internal/engine"
 	"dias/internal/federation"
 	"dias/internal/metrics"
-	"dias/internal/workload"
 )
 
 // OverloadFigure is the overload sweep's output: a flat grid of scenario
@@ -65,41 +62,15 @@ func Overload(scale Scale) (*OverloadFigure, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	cost := textCostModel()
-	cluCfg := cluster.DefaultConfig()
-	setup := referenceSetup()
-	lowJob, err := textJob("low", scale.Seed+191, setup.lowPosts, setup.lowSize)
+	mix, err := referenceMix(scale.Seed+190, referenceSetup())
 	if err != nil {
 		return nil, err
 	}
-	highJob, err := textJob("high", scale.Seed+192, setup.highPosts, setup.highSize)
+	baseRates, err := mix.rates(overloadCalibrationUtil)
 	if err != nil {
 		return nil, err
 	}
-	lowDur, _, err := profileSolo(lowJob, nil, cost, cluCfg, 3, scale.Seed+193)
-	if err != nil {
-		return nil, err
-	}
-	highDur, _, err := profileSolo(highJob, nil, cost, cluCfg, 3, scale.Seed+194)
-	if err != nil {
-		return nil, err
-	}
-	baseTotal, err := workload.CalibrateTotalRate(
-		[]float64{mean(lowDur), mean(highDur)}, []float64{0.9, 0.1}, overloadCalibrationUtil)
-	if err != nil {
-		return nil, err
-	}
-	baseRates, err := workload.MixFromRatio(setup.ratio, baseTotal)
-	if err != nil {
-		return nil, err
-	}
-	jobs := []*engine.Job{lowJob, highJob}
-	diasPolicy := core.PolicyDiAS([]float64{0.2, 0}, core.SprintPolicy{
-		TimeoutSec:     []float64{60, 0},
-		BudgetJoules:   22e3,
-		DrainWatts:     900,
-		ReplenishWatts: 90,
-	})
+	diasPolicy := federationPolicy()
 
 	// The token bucket sustains 90%-utilization worth of traffic per class
 	// (shedding only genuine overload, not the calibration headroom); the
@@ -109,7 +80,7 @@ func Overload(scale Scale) (*OverloadFigure, error) {
 	tbCfg := admission.TokenBucketConfig{Rate: sustain, Burst: []float64{8, 4}}
 	qdCfg := admission.QueueDepthConfig{MaxBacklog: []int{10, 4}}
 	sloCfg := admission.SLOBudgetConfig{
-		BudgetSec: []float64{6 * mean(lowDur), 3 * mean(highDur)},
+		BudgetSec: []float64{6 * mix.solo[0], 3 * mix.solo[1]},
 	}
 	// Validate the static configs once up front; the per-scenario factories
 	// below can then drop the error (same config, same verdict).
@@ -138,9 +109,9 @@ func Overload(scale Scale) (*OverloadFigure, error) {
 				name:    fmt.Sprintf("%s/%.1fx", cell.name, load),
 				policy:  diasPolicy,
 				rates:   scaleRates(baseRates, load/overloadCalibrationUtil),
-				jobs:    jobs,
-				cost:    cost,
-				cluster: cluCfg,
+				jobs:    mix.jobs,
+				cost:    textCostModel(),
+				cluster: cluster.DefaultConfig(),
 				scale:   scale,
 				admit:   cell.admit,
 			})
@@ -159,8 +130,8 @@ func Overload(scale Scale) (*OverloadFigure, error) {
 	members := homogeneousMembers(overloadSpillMembers)
 	fedRates := scaleRates(baseRates, capacityFactor(members)*overloadSpillLoad/overloadCalibrationUtil)
 	variants := variantSource{
-		fedVariants(lowJob, overloadSpillMembers),
-		fedVariants(highJob, overloadSpillMembers),
+		fedVariants(mix.jobs[0], overloadSpillMembers),
+		fedVariants(mix.jobs[1], overloadSpillMembers),
 	}
 	rr := fedPolicyFactory{"rr", func(int64) federation.RoutingPolicy { return federation.NewRoundRobin() }}
 	jsq := fedPolicyFactory{"jsq", func(int64) federation.RoutingPolicy { return federation.NewJoinShortestQueue() }}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dias/internal/telemetry"
@@ -75,36 +76,54 @@ func TestTelemetryFederationOffInvariance(t *testing.T) {
 // must be byte-identical whether the figure grid ran on one worker or
 // eight. Collector seeds derive from run names (not arrival order) and
 // every export iterates runs in sorted order, so worker scheduling has
-// nothing to perturb.
+// nothing to perturb. Figure 11 runs its limited- and unlimited-budget
+// DiAS scenarios under the same names in one grid, the case where two
+// concurrent runs once shared (and raced on) one collector.
 func TestTelemetryExportWorkerCountInvariance(t *testing.T) {
-	exports := func(workers int) (trace, events, timeline []byte) {
-		scale := faultScale()
-		scale.Workers = workers
-		scale.Telemetry = telemetry.NewRegistry(telemetry.Config{Seed: scale.Seed})
-		if _, err := FaultTolerance(scale); err != nil {
-			t.Fatal(err)
-		}
-		var tb, eb, lb bytes.Buffer
-		if err := scale.Telemetry.WriteChromeTrace(&tb); err != nil {
-			t.Fatal(err)
-		}
-		if err := scale.Telemetry.WriteEventsJSONL(&eb); err != nil {
-			t.Fatal(err)
-		}
-		if err := scale.Telemetry.WriteTimelineCSV(&lb); err != nil {
-			t.Fatal(err)
-		}
-		return tb.Bytes(), eb.Bytes(), lb.Bytes()
+	figures := []struct {
+		name string
+		run  func(Scale) error
+	}{
+		{"faults", func(sc Scale) error { _, err := FaultTolerance(sc); return err }},
+		{"11", func(sc Scale) error { _, err := Figure11(sc); return err }},
 	}
-	t1, e1, l1 := exports(1)
-	t8, e8, l8 := exports(8)
-	if !bytes.Equal(t1, t8) {
-		t.Error("Chrome trace differs between 1 and 8 workers")
+	for _, fig := range figures {
+		exports := func(workers int) (trace, events, timeline []byte) {
+			scale := faultScale()
+			scale.Workers = workers
+			scale.Telemetry = telemetry.NewRegistry(telemetry.Config{Seed: scale.Seed})
+			if err := fig.run(scale); err != nil {
+				t.Fatal(err)
+			}
+			var tb, eb, lb bytes.Buffer
+			if err := scale.Telemetry.WriteChromeTrace(&tb); err != nil {
+				t.Fatal(err)
+			}
+			if err := scale.Telemetry.WriteEventsJSONL(&eb); err != nil {
+				t.Fatal(err)
+			}
+			if err := scale.Telemetry.WriteTimelineCSV(&lb); err != nil {
+				t.Fatal(err)
+			}
+			return tb.Bytes(), eb.Bytes(), lb.Bytes()
+		}
+		t1, e1, l1 := exports(1)
+		t8, e8, l8 := exports(8)
+		if !bytes.Equal(t1, t8) {
+			t.Errorf("%s: Chrome trace differs between 1 and 8 workers", fig.name)
+		}
+		if !bytes.Equal(e1, e8) {
+			t.Errorf("%s: event JSONL differs between 1 and 8 workers", fig.name)
+		}
+		if !bytes.Equal(l1, l8) {
+			t.Errorf("%s: gauge timeline differs between 1 and 8 workers", fig.name)
+		}
 	}
-	if !bytes.Equal(e1, e8) {
-		t.Error("event JSONL differs between 1 and 8 workers")
-	}
-	if !bytes.Equal(l1, l8) {
-		t.Error("gauge timeline differs between 1 and 8 workers")
+	// A grid whose runs would share a collector is refused before fan-out.
+	scale := faultScale()
+	scale.Telemetry = telemetry.NewRegistry(telemetry.Config{Seed: scale.Seed})
+	twin := scenario{name: "twin", scale: scale}
+	if _, err := runScenarios([]scenario{twin, twin}); err == nil || !strings.Contains(err.Error(), "share the telemetry collector") {
+		t.Errorf("two runs sharing one collector: err = %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,28 +27,17 @@ type DiurnalMix struct {
 // NewDiurnalMix builds the process from per-class mean rates (index =
 // class), a relative amplitude in [0,1) and the swing period in seconds.
 func NewDiurnalMix(rates []float64, amplitude, periodSec float64) (*DiurnalMix, error) {
-	if len(rates) == 0 {
-		return nil, errors.New("workload: no arrival rates")
+	pm, err := NewPoissonMix(rates) // reuse the rate validation
+	if err != nil {
+		return nil, err
 	}
-	var total float64
-	for k, r := range rates {
-		if r < 0 {
-			return nil, fmt.Errorf("workload: rate[%d] = %g negative", k, r)
-		}
-		total += r
-	}
-	if total <= 0 {
-		return nil, errors.New("workload: all arrival rates zero")
-	}
-	if amplitude < 0 || amplitude >= 1 {
+	if !(amplitude >= 0 && amplitude < 1) {
 		return nil, fmt.Errorf("workload: diurnal amplitude %g out of [0,1)", amplitude)
 	}
-	if periodSec <= 0 {
+	if !(periodSec > 0 && periodSec <= math.MaxFloat64) {
 		return nil, fmt.Errorf("workload: diurnal period %g", periodSec)
 	}
-	cp := make([]float64, len(rates))
-	copy(cp, rates)
-	return &DiurnalMix{rates: cp, total: total, amplitude: amplitude, periodSec: periodSec}, nil
+	return &DiurnalMix{rates: pm.rates, total: pm.total, amplitude: amplitude, periodSec: periodSec}, nil
 }
 
 // rateAt returns the instantaneous total rate.

@@ -17,6 +17,11 @@ func TestDiurnalMixValidation(t *testing.T) {
 		{[]float64{1}, 1.0, 100},
 		{[]float64{1}, -0.1, 100},
 		{[]float64{1}, 0.5, 0},
+		{[]float64{math.NaN(), 1}, 0.5, 100},
+		{[]float64{math.Inf(1)}, 0.5, 100},
+		{[]float64{1}, math.NaN(), 100},
+		{[]float64{1}, 0.5, math.NaN()},
+		{[]float64{1}, 0.5, math.Inf(1)},
 	}
 	for i, c := range bad {
 		if _, err := NewDiurnalMix(c.rates, c.amp, c.period); err == nil {

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -177,20 +178,21 @@ type PoissonMix struct {
 }
 
 // NewPoissonMix builds a mixed Poisson arrival process from per-class
-// rates (jobs per second; index = class).
+// rates (jobs per second; index = class). Every rate must be finite and
+// non-negative, and at least one positive.
 func NewPoissonMix(rates []float64) (*PoissonMix, error) {
 	if len(rates) == 0 {
 		return nil, errors.New("workload: no arrival rates")
 	}
 	var total float64
 	for k, r := range rates {
-		if r < 0 {
-			return nil, fmt.Errorf("workload: rate[%d] = %g negative", k, r)
+		if !(r >= 0 && r <= math.MaxFloat64) {
+			return nil, fmt.Errorf("workload: rate[%d] = %g not finite and non-negative", k, r)
 		}
 		total += r
 	}
-	if total <= 0 {
-		return nil, errors.New("workload: all arrival rates zero")
+	if !(total > 0 && total <= math.MaxFloat64) {
+		return nil, fmt.Errorf("workload: total arrival rate %g not finite and positive", total)
 	}
 	cp := make([]float64, len(rates))
 	copy(cp, rates)
@@ -226,20 +228,21 @@ func (p *PoissonMix) Stream(rng *rand.Rand, n int) []Arrival {
 }
 
 // MixFromRatio converts a priority ratio (e.g. 9:1 low:high as []float64{9,1},
-// index = class) and a total rate into per-class rates.
+// index = class) and a total rate into per-class rates. The total and
+// every weight must be finite; the total and the weights' sum positive.
 func MixFromRatio(ratio []float64, totalRate float64) ([]float64, error) {
-	if len(ratio) == 0 || totalRate <= 0 {
+	if len(ratio) == 0 || !(totalRate > 0 && totalRate <= math.MaxFloat64) {
 		return nil, fmt.Errorf("workload: ratio %v total %g", ratio, totalRate)
 	}
 	var sum float64
 	for k, w := range ratio {
-		if w < 0 {
-			return nil, fmt.Errorf("workload: ratio[%d] = %g negative", k, w)
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			return nil, fmt.Errorf("workload: ratio[%d] = %g not finite and non-negative", k, w)
 		}
 		sum += w
 	}
-	if sum <= 0 {
-		return nil, errors.New("workload: zero ratio weights")
+	if !(sum > 0 && sum <= math.MaxFloat64) {
+		return nil, fmt.Errorf("workload: ratio weights sum to %g", sum)
 	}
 	out := make([]float64, len(ratio))
 	for k, w := range ratio {
@@ -256,18 +259,18 @@ func CalibrateTotalRate(meanExecSec []float64, mix []float64, targetUtil float64
 	if len(meanExecSec) != len(mix) || len(mix) == 0 {
 		return 0, fmt.Errorf("workload: %d exec means vs %d mix entries", len(meanExecSec), len(mix))
 	}
-	if targetUtil <= 0 || targetUtil >= 1 {
+	if !(targetUtil > 0 && targetUtil < 1) {
 		return 0, fmt.Errorf("workload: target utilization %g out of (0,1)", targetUtil)
 	}
 	var mixSum, weighted float64
 	for k := range mix {
-		if mix[k] < 0 || meanExecSec[k] <= 0 {
+		if !(mix[k] >= 0 && mix[k] <= math.MaxFloat64) || !(meanExecSec[k] > 0 && meanExecSec[k] <= math.MaxFloat64) {
 			return 0, fmt.Errorf("workload: class %d mix %g exec %g", k, mix[k], meanExecSec[k])
 		}
 		mixSum += mix[k]
 		weighted += mix[k] * meanExecSec[k]
 	}
-	if mixSum <= 0 || weighted <= 0 {
+	if !(mixSum > 0 && mixSum <= math.MaxFloat64) || !(weighted > 0 && weighted <= math.MaxFloat64) {
 		return 0, errors.New("workload: degenerate mix")
 	}
 	weighted /= mixSum

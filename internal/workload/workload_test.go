@@ -257,6 +257,15 @@ func TestPoissonMixValidation(t *testing.T) {
 	if _, err := NewPoissonMix([]float64{0, 0}); err == nil {
 		t.Fatal("zero rates accepted")
 	}
+	// Non-finite rates would schedule arrivals at NaN or at t = 0 forever.
+	for _, rates := range [][]float64{{math.NaN(), 1}, {math.Inf(1), 1}, {math.Inf(-1), 1}, {math.MaxFloat64, math.MaxFloat64}} {
+		if _, err := NewPoissonMix(rates); err == nil {
+			t.Fatalf("rates %v accepted", rates)
+		}
+		if _, err := NewGamma(rates, 2); err == nil {
+			t.Fatalf("gamma rates %v accepted", rates)
+		}
+	}
 }
 
 func TestStream(t *testing.T) {
@@ -298,6 +307,16 @@ func TestMixFromRatio(t *testing.T) {
 	if _, err := MixFromRatio([]float64{0, 0}, 1); err == nil {
 		t.Fatal("zero weights accepted")
 	}
+	for _, total := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := MixFromRatio([]float64{9, 1}, total); err == nil {
+			t.Fatalf("total %g accepted", total)
+		}
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := MixFromRatio([]float64{w, 1}, 1); err == nil {
+			t.Fatalf("weight %g accepted", w)
+		}
+	}
 }
 
 func TestCalibrateTotalRate(t *testing.T) {
@@ -318,6 +337,17 @@ func TestCalibrateTotalRate(t *testing.T) {
 	}
 	if _, err := CalibrateTotalRate([]float64{0}, []float64{1}, 0.5); err == nil {
 		t.Fatal("zero exec accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct{ exec, mix, util float64 }{
+		{100, 1, nan}, {100, 1, inf}, {100, 1, -inf},
+		{nan, 1, 0.5}, {inf, 1, 0.5},
+		{100, nan, 0.5}, {100, inf, 0.5},
+	}
+	for _, c := range bad {
+		if _, err := CalibrateTotalRate([]float64{c.exec}, []float64{c.mix}, c.util); err == nil {
+			t.Fatalf("exec %g mix %g util %g accepted", c.exec, c.mix, c.util)
+		}
 	}
 }
 
