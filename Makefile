@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race cover bench bench-smoke benchmark-smoke bench-baseline bench-check determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
+.PHONY: build test test-short test-race examples cover bench bench-smoke benchmark-smoke bench-baseline bench-check determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
 
 # The reduced figure set and scale the smoke/baseline/gate pipeline runs.
 # Changing it requires regenerating the committed baseline (bench-baseline).
@@ -24,6 +24,23 @@ test-short:
 # through one job template are the concurrency-bearing paths this guards.
 test-race:
 	$(GO) test -race -short ./...
+
+# Build every examples/* program into a temp dir and run each one from its
+# own temp working directory (examples/telemetry writes its exports into
+# the working directory), failing on the first non-zero exit. A run's
+# output is printed only when it fails. CI's fast lane runs this.
+examples:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for dir in examples/*/; do \
+		name="$$(basename "$$dir")"; \
+		$(GO) build -o "$$tmp/bin/$$name" "./$$dir"; \
+		mkdir -p "$$tmp/run/$$name"; \
+		if (cd "$$tmp/run/$$name" && "$$tmp/bin/$$name" > out.txt 2>&1); then \
+			echo "ok   examples/$$name"; \
+		else \
+			cat "$$tmp/run/$$name/out.txt"; echo "FAIL examples/$$name"; exit 1; \
+		fi; \
+	done
 
 # Per-package coverage over the short suite: coverage.out (the profile)
 # plus coverage.txt (the per-function/per-package summary). CI's fast

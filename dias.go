@@ -20,7 +20,7 @@
 //   - internal/admission overload control: token-bucket, queue-depth and
 //     SLO-budget shedding ahead of the buffers
 //   - internal/mmap      MMAP[K] arrival processes (bursty traffic)
-//   - internal/trace     scheduler event log, replayable as workload
+//   - internal/trace     streamed arrival traces, replayable as workload
 //   - internal/faults    fault/churn injection: node crash/recover
 //     (stochastic or trace-driven), bounded-retry task faults, stragglers
 //   - internal/metrics   per-class latency/waste/energy/slowdown aggregation
@@ -73,10 +73,6 @@ type StackConfig struct {
 	// scale policy (see ScalePolicies) commissions/decommissions nodes
 	// inside the configured bounds at run time.
 	Scaling *core.AutoscalerConfig
-	// Autoscale is the old name for Scaling.
-	//
-	// Deprecated: use Scaling. Setting both is an error.
-	Autoscale *core.AutoscalerConfig
 	// Deflation, when non-nil, builds the deflator for this stack (see
 	// DeflationPolicies). Setting both Deflation and Policy.Deflator is an
 	// error.
@@ -120,12 +116,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		cfg.Cost = engine.DefaultCostModel()
 	}
 	scaling := cfg.Scaling
-	if cfg.Autoscale != nil {
-		if scaling != nil {
-			return nil, fmt.Errorf("dias: set StackConfig.Scaling or the deprecated Autoscale, not both")
-		}
-		scaling = cfg.Autoscale
-	}
 	sim := simtime.New()
 	clu, err := cluster.New(sim, cfg.Cluster)
 	if err != nil {
@@ -237,13 +227,6 @@ func (s *Stack) SubmitStream(proc workload.Process, source workload.JobSource, n
 			panic(fmt.Sprintf("dias: arrival at t=%v failed: %v", s.Sim.Now(), err))
 		}
 	})
-}
-
-// InjectFailures arms random node fail/repair cycles on the deployment
-// (see engine.FailureConfig); running tasks on failed nodes are re-executed.
-func (s *Stack) InjectFailures(cfg engine.FailureConfig) error {
-	_, err := engine.NewFailureInjector(s.Sim, s.Engine, cfg)
-	return err
 }
 
 // Run drains the simulation: all scheduled arrivals are processed and all

@@ -1,8 +1,9 @@
-// Trace replay: record a scheduler trace from one run (the JSONL format of
-// internal/trace, the analogue of the production cluster traces the
-// paper's motivation analyzes), then replay the exact same arrival
-// sequence under a different policy — an apples-to-apples comparison with
-// identical arrival instants, the methodology trace studies use.
+// Trace replay: record the arrivals of one run as a "#dias-trace v1"
+// stream (the format of internal/trace, the analogue of the production
+// cluster traces the paper's motivation analyzes), then replay the exact
+// same arrival sequence under a different policy — an apples-to-apples
+// comparison with identical arrival instants, the methodology trace
+// studies use.
 //
 //	go run ./examples/tracereplay
 package main
@@ -12,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 
 	"dias"
 	"dias/internal/analytics"
@@ -55,11 +58,8 @@ func run() error {
 		return err
 	}
 
-	// 1. Record: run P with tracing enabled on a fresh Poisson stream.
-	log := &trace.Log{}
-	pCfg := core.PolicyP(2)
-	pCfg.Trace = log
-	recorder, err := dias.NewStack(dias.StackConfig{Policy: pCfg, Seed: 1})
+	// 1. Record: run P on a fresh Poisson stream.
+	recorder, err := dias.NewStack(dias.StackConfig{Policy: core.PolicyP(2), Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -72,24 +72,33 @@ func run() error {
 	}
 	recorder.Run()
 
-	// 2. Persist + reload the trace through its JSONL wire format, as a
-	// field study would with a real cluster trace.
+	// 2. Persist the arrivals through the streamed trace format, as a
+	// field study would with a real cluster trace. Records come back in
+	// completion order; the format wants arrival order.
+	recs := slices.Clone(recorder.Records())
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].ArrivedAt < recs[j].ArrivedAt })
 	var buf bytes.Buffer
-	if err := log.WriteJSONL(&buf); err != nil {
-		return err
-	}
-	wire := buf.Len()
-	reloaded, err := trace.ReadJSONL(&buf)
+	sw, err := trace.NewStreamWriter(&buf)
 	if err != nil {
 		return err
 	}
-	st := reloaded.Summarize()
-	fmt.Printf("recorded trace: %d events (%d B JSONL), %d arrivals, %d evictions of low-priority jobs\n",
-		reloaded.Len(), wire, st.ByKind[trace.Arrival], st.EvictionsByClass[0])
+	lowEvictions := 0
+	for _, r := range recs {
+		if err := sw.Write(trace.Rec{At: r.ArrivedAt.Seconds(), Class: r.Class, Home: -1}); err != nil {
+			return err
+		}
+		if r.Class == 0 {
+			lowEvictions += r.Evictions
+		}
+	}
+	if err := sw.Flush(); err != nil {
+		return err
+	}
+	fmt.Printf("recorded trace: %d arrivals (%d B %s), %d evictions of low-priority jobs\n",
+		sw.Count(), buf.Len(), trace.StreamHeader, lowEvictions)
 
 	// 3. Replay the identical arrival sequence under DA(0,20).
-	arrivals := workload.FromTraceLog(reloaded)
-	replayProc, err := workload.NewReplay(arrivals)
+	replayProc, err := workload.NewEmpiricalStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return err
 	}
@@ -100,7 +109,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := replayer.SubmitStream(replayProc, workload.FixedJobs(jobs), len(arrivals), 7); err != nil {
+	if err := replayer.SubmitStream(replayProc, workload.FixedJobs(jobs), sw.Count(), 7); err != nil {
 		return err
 	}
 	replayer.Run()

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"dias/internal/simtime"
-	"dias/internal/trace"
+	"dias/internal/telemetry"
 )
 
 func validAdaptiveConfig() AdaptiveConfig {
@@ -259,11 +259,11 @@ func TestAdaptiveComposesWithSprinting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &trace.Log{}
+	col := telemetry.NewCollector(telemetry.Config{})
 	r.sch, err = New(r.sim, r.clu, r.eng, Config{
 		Classes:  2,
 		Deflator: ctl,
-		Trace:    log,
+		Tracer:   col.Member(0),
 		Sprint: &SprintPolicy{
 			TimeoutSec:     []float64{-1, 0}, // sprint high class immediately
 			BudgetJoules:   1e6,
@@ -297,14 +297,22 @@ func TestAdaptiveComposesWithSprinting(t *testing.T) {
 	if ctl.Theta(0) == 0 {
 		t.Error("controller never deflated the overloaded low class")
 	}
-	starts := log.Filter(trace.SprintStart)
-	if len(starts) == 0 {
-		t.Error("sprinter never fired for high-priority jobs")
-	}
-	for _, e := range starts {
-		if e.Class != 1 {
-			t.Errorf("sprint started for class %d", e.Class)
+	// A sprint start carries no class: the sprinted job is the one
+	// dispatched last before it.
+	starts, lastDispatched := 0, -1
+	for _, e := range col.Events() {
+		switch e.Kind {
+		case telemetry.KindDispatch:
+			lastDispatched = e.Class
+		case telemetry.KindSprintStart:
+			starts++
+			if lastDispatched != 1 {
+				t.Errorf("sprint started for class %d", lastDispatched)
+			}
 		}
+	}
+	if starts == 0 {
+		t.Error("sprinter never fired for high-priority jobs")
 	}
 	if got := len(r.sch.Records()); got != 35 {
 		t.Fatalf("%d records, want 35", got)

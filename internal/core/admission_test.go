@@ -7,7 +7,7 @@ import (
 
 	"dias/internal/admission"
 	"dias/internal/simtime"
-	"dias/internal/trace"
+	"dias/internal/telemetry"
 )
 
 // deferAll always answers Defer — the policy a federation spills on; on a
@@ -109,8 +109,8 @@ func TestNilAdmissionMatchesAlwaysAdmit(t *testing.T) {
 func TestDeferDegradesToReject(t *testing.T) {
 	cfg := PolicyNP(1)
 	cfg.Admission = deferAll{}
-	tl := &trace.Log{}
-	cfg.Trace = tl
+	col := telemetry.NewCollector(telemetry.Config{})
+	cfg.Tracer = col.Member(0)
 	r := newRig(t, 1, 10, cfg)
 	submitBurst(r, 0, 3)
 	r.sim.Run()
@@ -123,10 +123,14 @@ func TestDeferDegradesToReject(t *testing.T) {
 			t.Errorf("job %s not rejected", rec.Name)
 		}
 	}
-	if got := len(tl.Filter(trace.Reject)); got != 3 {
+	byKind := map[telemetry.Kind]int{}
+	for _, e := range col.Events() {
+		byKind[e.Kind]++
+	}
+	if got := byKind[telemetry.KindReject]; got != 3 {
 		t.Errorf("%d reject trace events", got)
 	}
-	if got := len(tl.Filter(trace.Arrival)); got != 0 {
+	if got := byKind[telemetry.KindSubmit]; got != 0 {
 		t.Errorf("%d arrival trace events for fully-shed stream", got)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"dias/internal/ring"
 	"dias/internal/simtime"
 	"dias/internal/telemetry"
-	"dias/internal/trace"
 )
 
 // SprintPolicy configures the sprinter (§3.2, §3.3 "Sprinter").
@@ -104,9 +103,6 @@ type Config struct {
 	// OnRecord to aggregate long runs in O(classes) instead of O(jobs)
 	// memory.
 	DiscardRecords bool
-	// Trace, when non-nil, receives scheduler events (arrivals,
-	// dispatches, evictions, sprint transitions, completions).
-	Trace *trace.Log
 	// Tracer, when non-nil, receives the full job lifecycle as telemetry
 	// spans (admission verdicts with policy names, dispatches, evictions,
 	// sprint windows, completions with failure reasons). Every emission is
@@ -377,7 +373,6 @@ func (s *Scheduler) Offer(class int, job *engine.Job) (admission.Decision, error
 		}
 	}
 	en := s.newEntry(class, job)
-	s.trace(trace.Arrival, en, "")
 	if s.cfg.Tracer != nil {
 		en.span = s.cfg.Tracer.JobSubmitted(s.sim.Now(), job.Name, class)
 		if s.cfg.Admission != nil {
@@ -407,13 +402,6 @@ func (s *Scheduler) Offer(class int, job *engine.Job) (admission.Decision, error
 func (s *Scheduler) Reject(class int, job *engine.Job) {
 	if class >= 0 && class < len(s.rejected) {
 		s.rejected[class]++
-	}
-	if s.cfg.Trace != nil {
-		name := ""
-		if job != nil {
-			name = job.Name
-		}
-		s.cfg.Trace.Record(s.sim.Now(), trace.Reject, name, class, "")
 	}
 	if s.cfg.Tracer != nil {
 		name, policy := "", ""
@@ -455,7 +443,6 @@ func (s *Scheduler) evictCurrent() {
 		return
 	}
 	victim.evictions++
-	s.trace(trace.Evict, victim, "")
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.JobEvicted(s.sim.Now(), victim.span)
 	}
@@ -488,18 +475,6 @@ func (s *Scheduler) newEntry(class int, job *engine.Job) *entry {
 func (s *Scheduler) freeEntry(en *entry) {
 	en.job = nil
 	s.entryFree = append(s.entryFree, en)
-}
-
-// trace records a scheduler event when tracing is enabled.
-func (s *Scheduler) trace(kind trace.Kind, en *entry, detail string) {
-	if s.cfg.Trace == nil {
-		return
-	}
-	name, class := "", -1
-	if en != nil {
-		name, class = en.job.Name, en.class
-	}
-	s.cfg.Trace.Record(s.sim.Now(), kind, name, class, detail)
 }
 
 // dispatchNext sends the head of the highest non-empty buffer to the
@@ -543,7 +518,6 @@ func (s *Scheduler) dispatchNext() {
 	}
 	next.engineID = id
 	s.current = next
-	s.trace(trace.Dispatch, next, "")
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.JobDispatched(s.sim.Now(), next.span)
 	}
@@ -561,7 +535,6 @@ func (s *Scheduler) onComplete(en *entry, res engine.JobResult) {
 		}
 	}
 	s.stopSprint()
-	s.trace(trace.Complete, en, "")
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.JobCompleted(s.sim.Now(), en.span, res.Failed, res.FailureReason)
 	}
@@ -649,7 +622,6 @@ func (s *Scheduler) startSprint(en *entry) {
 	}
 	s.sprinting = true
 	s.clu.SetSprinting(true)
-	s.trace(trace.SprintStart, en, "")
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.SprintChanged(s.sim.Now(), true, "")
 	}
@@ -669,7 +641,6 @@ func (s *Scheduler) onBudgetDepleted() {
 	s.updateBudget()
 	s.sprinting = false
 	s.clu.SetSprinting(false)
-	s.trace(trace.SprintStop, s.current, "budget-depleted")
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.SprintChanged(s.sim.Now(), false, "budget-depleted")
 	}
@@ -687,7 +658,6 @@ func (s *Scheduler) stopSprint() {
 		s.updateBudget()
 		s.sprinting = false
 		s.clu.SetSprinting(false)
-		s.trace(trace.SprintStop, s.current, "job-left-engine")
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.SprintChanged(s.sim.Now(), false, "job-left-engine")
 		}

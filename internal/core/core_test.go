@@ -10,7 +10,6 @@ import (
 	"dias/internal/engine"
 	"dias/internal/simtime"
 	"dias/internal/telemetry"
-	"dias/internal/trace"
 )
 
 // rig bundles the full simulated stack under a DiAS scheduler.
@@ -555,45 +554,61 @@ func TestInvalidJobYieldsFailedRecord(t *testing.T) {
 }
 
 func TestSchedulerTracing(t *testing.T) {
-	log := &trace.Log{}
+	col := telemetry.NewCollector(telemetry.Config{})
 	cfg := PolicyP(2)
-	cfg.Trace = log
+	cfg.Tracer = col.Member(0)
 	r := newRig(t, 1, 10, cfg)
 	r.sim.At(0, func() { _ = r.sch.Arrive(0, simpleJob("low", 1)) })
 	r.sim.At(4, func() { _ = r.sch.Arrive(1, simpleJob("high", 1)) })
 	r.sim.Run()
-	s := log.Summarize()
-	if s.ByKind[trace.Arrival] != 2 || s.ByKind[trace.Complete] != 2 {
-		t.Fatalf("arrivals/completes = %v", s.ByKind)
-	}
-	if s.ByKind[trace.Evict] != 1 || s.EvictionsByClass[0] != 1 {
-		t.Fatalf("evictions = %v / %v", s.ByKind, s.EvictionsByClass)
-	}
-	// Low is dispatched twice (original + re-execution).
-	lowTL := log.JobTimeline("low")
-	var dispatches int
-	for _, e := range lowTL {
-		if e.Kind == trace.Dispatch {
-			dispatches++
+	byKind := map[telemetry.Kind]int{}
+	evictionsByClass := map[int]int{}
+	lowDispatches := 0
+	for _, e := range col.Events() {
+		byKind[e.Kind]++
+		switch {
+		case e.Kind == telemetry.KindEvict:
+			evictionsByClass[e.Class]++
+		case e.Kind == telemetry.KindDispatch && e.Class == 0:
+			lowDispatches++
 		}
 	}
-	if dispatches != 2 {
-		t.Fatalf("low dispatched %d times, want 2", dispatches)
+	if byKind[telemetry.KindSubmit] != 2 || byKind[telemetry.KindComplete] != 2 {
+		t.Fatalf("arrivals/completes = %v", byKind)
+	}
+	if byKind[telemetry.KindEvict] != 1 || evictionsByClass[0] != 1 {
+		t.Fatalf("evictions = %v / %v", byKind, evictionsByClass)
+	}
+	// Low is dispatched twice (original + re-execution).
+	if lowDispatches != 2 {
+		t.Fatalf("low dispatched %d times, want 2", lowDispatches)
 	}
 }
 
 func TestSchedulerTracesSprint(t *testing.T) {
-	log := &trace.Log{}
+	col := telemetry.NewCollector(telemetry.Config{})
 	cfg := Config{
 		Classes: 1,
 		Sprint:  &SprintPolicy{TimeoutSec: []float64{4}, BudgetJoules: math.Inf(1)},
-		Trace:   log,
+		Tracer:  col.Member(0),
 	}
 	r := newRig(t, 1, 10, cfg)
 	r.sim.At(0, func() { _ = r.sch.Arrive(0, simpleJob("j", 1)) })
 	r.sim.Run()
 	// Sprint runs from t=4 until completion at 6.4.
-	if got := log.SprintSeconds(r.sim.Now().Seconds()); math.Abs(got-2.4) > 1e-9 {
+	var starts, stops []float64
+	for _, e := range col.Events() {
+		switch e.Kind {
+		case telemetry.KindSprintStart:
+			starts = append(starts, e.At)
+		case telemetry.KindSprintStop:
+			stops = append(stops, e.At)
+		}
+	}
+	if len(starts) != 1 || len(stops) != 1 {
+		t.Fatalf("sprint starts %v, stops %v; want one window", starts, stops)
+	}
+	if got := stops[0] - starts[0]; math.Abs(got-2.4) > 1e-9 {
 		t.Fatalf("traced sprint seconds = %g, want 2.4", got)
 	}
 }

@@ -87,9 +87,9 @@ func (e *Engine) FailedJobs() int { return e.failedJobs }
 // Superseded by internal/faults, which adds trace-driven outage
 // schedules, per-task faults with bounded retries, stragglers, and
 // compose-safe skipping when another layer holds a node down. New code
-// should attach a faults.Injector; this type remains for existing
-// callers (dias.Stack.InjectFailures, ExtensionFailures) whose published
-// figures depend on its exact RNG draw order.
+// should attach a faults.Injector; this type remains for its one caller,
+// ExtensionFailures, whose published figure depends on its exact RNG draw
+// order.
 type FailureInjector struct {
 	sim *simtime.Simulation
 	eng *Engine

@@ -54,9 +54,9 @@ type Config struct {
 	// Members lists the per-cluster specs; at least one is required.
 	Members []MemberSpec
 	// Policy is the scheduling discipline instantiated on every member
-	// (classes, drop ratios, sprinting). It must not carry a Deflator,
-	// OnRecord or Trace: deflators are stateful per scheduler, and the
-	// record/trace hooks are owned by the federation (see Config.OnRecord).
+	// (classes, drop ratios, sprinting). It must not carry a Deflator or
+	// OnRecord: deflators are stateful per scheduler, and the record hook
+	// is owned by the federation (see Config.OnRecord).
 	Policy core.Config
 	// Routing picks the destination member for each arrival.
 	Routing RoutingPolicy
@@ -103,8 +103,8 @@ func (c Config) validate() error {
 	if c.Policy.Deflator != nil {
 		return errors.New("federation: Policy.Deflator cannot be shared across members")
 	}
-	if c.Policy.OnRecord != nil || c.Policy.Trace != nil {
-		return errors.New("federation: set record/trace hooks on Config, not Config.Policy")
+	if c.Policy.OnRecord != nil {
+		return errors.New("federation: set the record hook on Config, not Config.Policy")
 	}
 	if c.Policy.Tracer != nil {
 		return errors.New("federation: set Config.Telemetry, not Config.Policy.Tracer")

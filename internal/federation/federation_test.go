@@ -354,16 +354,16 @@ type pinPolicy int
 func (p pinPolicy) Name() string                                       { return "Pin" }
 func (p pinPolicy) Route(federation.Arrival, []*federation.Member) int { return int(p) }
 
-// TestTraceReplayThroughFederation records a scheduler event log on a
-// single cluster, replays it as the arrival stream of a two-cluster
-// federation, and asserts conservation of jobs per class: every recorded
-// arrival completes exactly once somewhere in the federation.
+// TestTraceReplayThroughFederation records the arrivals of a single
+// cluster from its telemetry event log, persists them through the
+// "#dias-trace v1" stream format, replays the stream as the arrival
+// process of a two-cluster federation, and asserts conservation of jobs
+// per class: every recorded arrival completes exactly once somewhere in
+// the federation.
 func TestTraceReplayThroughFederation(t *testing.T) {
-	// Record: one default stack, Poisson two-class stream, trace enabled.
-	log := &trace.Log{}
-	policy := core.PolicyNP(2)
-	policy.Trace = log
-	stack, err := dias.NewStack(dias.StackConfig{Policy: policy, Seed: 3})
+	// Record: one default stack, Poisson two-class stream, telemetry on.
+	col := telemetry.NewCollector(telemetry.Config{})
+	stack, err := dias.NewStack(dias.StackConfig{Policy: core.PolicyNP(2), Telemetry: col, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,17 +378,32 @@ func TestTraceReplayThroughFederation(t *testing.T) {
 	}
 	stack.Run()
 
-	arrivals := workload.FromTraceLog(log)
-	if len(arrivals) != 40 {
-		t.Fatalf("trace recorded %d arrivals, want 40", len(arrivals))
+	// Persist: every submission, in emission (= time) order.
+	var wire bytes.Buffer
+	sw, err := trace.NewStreamWriter(&wire)
+	if err != nil {
+		t.Fatal(err)
 	}
 	wantPerClass := map[int]int{}
-	for _, a := range arrivals {
-		wantPerClass[a.Class]++
+	for _, e := range col.Events() {
+		if e.Kind != telemetry.KindSubmit {
+			continue
+		}
+		if err := sw.Write(trace.Rec{At: e.At, Class: e.Class, Home: -1}); err != nil {
+			t.Fatal(err)
+		}
+		wantPerClass[e.Class]++
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	arrivals := sw.Count()
+	if arrivals != 40 {
+		t.Fatalf("trace recorded %d arrivals, want 40", arrivals)
 	}
 
-	// Replay through a two-cluster federation.
-	replay, err := workload.NewReplay(arrivals)
+	// Replay the stream through a two-cluster federation.
+	replay, err := workload.NewEmpiricalStream(bytes.NewReader(wire.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,13 +423,13 @@ func TestTraceReplayThroughFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.SubmitStream(replay, workload.FixedJobs(jobs), len(arrivals), 3); err != nil {
+	if err := fed.SubmitStream(replay, workload.FixedJobs(jobs), arrivals, 3); err != nil {
 		t.Fatal(err)
 	}
 	fed.Run()
 
-	if total != len(arrivals) {
-		t.Fatalf("federation completed %d of %d replayed jobs", total, len(arrivals))
+	if total != arrivals {
+		t.Fatalf("federation completed %d of %d replayed jobs", total, arrivals)
 	}
 	for class, want := range wantPerClass {
 		if gotPerClass[class] != want {
@@ -423,8 +438,8 @@ func TestTraceReplayThroughFederation(t *testing.T) {
 		}
 	}
 	routed := fed.Routed()
-	if routed[0]+routed[1] != len(arrivals) {
-		t.Fatalf("routed %v does not cover %d arrivals", routed, len(arrivals))
+	if routed[0]+routed[1] != arrivals {
+		t.Fatalf("routed %v does not cover %d arrivals", routed, arrivals)
 	}
 	if routed[0] == 0 || routed[1] == 0 {
 		t.Fatalf("JSQ left a member idle: routed %v", routed)

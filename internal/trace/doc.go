@@ -1,24 +1,18 @@
-// Package trace records and replays scheduler-level workload traces.
+// Package trace persists and replays scheduler-level arrival traces.
 //
-// Two representations coexist, matching the two scales the simulator
-// runs at:
+// StreamReader/StreamWriter move arrival records (time, class, size, home
+// cluster) through the line-oriented "#dias-trace v1" text format
+// incrementally over bufio, one record in memory at a time, so
+// million-job traces replay in O(1) space regardless of file length.
+// Synthesize writes such a trace deterministically from per-class rates,
+// and workload.EmpiricalStream turns any trace stream back into an
+// arrival process (see docs/WORKLOADS.md for the format spec).
 //
-//   - Log captures scheduler events (arrivals, dispatches, evictions,
-//     sprint transitions, completions, rejections) on the virtual
-//     timeline and exports them as JSON lines — the equivalent of the
-//     cluster traces the paper's motivation analyses (§2.1) and handy
-//     for debugging policies. A Log is materialized: it holds every
-//     event, so it suits runs up to the figure scale.
-//
-//   - StreamReader/StreamWriter move arrival records (time, class, size,
-//     home cluster) through a line-oriented text format incrementally
-//     over bufio, one record in memory at a time, so million-job traces
-//     replay in O(1) space regardless of file length. Synthesize writes
-//     such a trace deterministically from per-class rates, and
-//     workload.EmpiricalStream turns any trace stream back into an
-//     arrival process (see docs/WORKLOADS.md for the format spec).
-//
-// Both directions round-trip losslessly: times are formatted with
-// strconv's shortest exact representation, so write → read → write is
+// The format round-trips losslessly: times are formatted with strconv's
+// shortest exact representation, so write → read → write is
 // byte-identical.
+//
+// Scheduler events (arrivals, dispatches, evictions, sprint transitions,
+// completions, rejections) are not recorded here: the telemetry package
+// is the one event log.
 package trace

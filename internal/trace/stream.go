@@ -248,19 +248,21 @@ func Synthesize(w io.Writer, cfg SynthConfig) (int, error) {
 	if cfg.Jobs <= 0 {
 		return 0, fmt.Errorf("trace: synthesize %d jobs", cfg.Jobs)
 	}
-	if cfg.Clusters < 0 || cfg.MeanSizeBytes < 0 || cfg.SizeCV < 0 {
+	// The negated comparisons also reject NaN and ±Inf.
+	if cfg.Clusters < 0 || !(cfg.MeanSizeBytes >= 0 && cfg.MeanSizeBytes <= math.MaxFloat64) ||
+		!(cfg.SizeCV >= 0 && cfg.SizeCV <= math.MaxFloat64) {
 		return 0, fmt.Errorf("trace: synthesize clusters %d size %g cv %g",
 			cfg.Clusters, cfg.MeanSizeBytes, cfg.SizeCV)
 	}
 	var total float64
 	for k, r := range cfg.Rates {
-		if r < 0 {
-			return 0, fmt.Errorf("trace: synthesize rate[%d] = %g negative", k, r)
+		if !(r >= 0 && r <= math.MaxFloat64) {
+			return 0, fmt.Errorf("trace: synthesize rate[%d] = %g not a finite nonnegative rate", k, r)
 		}
 		total += r
 	}
-	if total <= 0 {
-		return 0, errors.New("trace: synthesize needs a positive total rate")
+	if !(total > 0 && total <= math.MaxFloat64) {
+		return 0, fmt.Errorf("trace: synthesize needs a positive finite total rate, got %g", total)
 	}
 	// Lognormal parameters from mean and CV: sigma^2 = ln(1+CV^2),
 	// mu = ln(mean) - sigma^2/2.

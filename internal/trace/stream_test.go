@@ -243,6 +243,13 @@ func TestSynthesizeValidation(t *testing.T) {
 		{Jobs: 10, Rates: []float64{1}, Clusters: -1},
 		{Jobs: 10, Rates: []float64{1}, MeanSizeBytes: -1},
 		{Jobs: 10, Rates: []float64{1}, SizeCV: -1},
+		{Jobs: 10, Rates: []float64{math.Inf(1), 1}},
+		{Jobs: 10, Rates: []float64{math.NaN(), 1}},
+		{Jobs: 10, Rates: []float64{math.MaxFloat64, math.MaxFloat64}},
+		{Jobs: 10, Rates: []float64{1}, MeanSizeBytes: math.NaN()},
+		{Jobs: 10, Rates: []float64{1}, MeanSizeBytes: math.Inf(1)},
+		{Jobs: 10, Rates: []float64{1}, MeanSizeBytes: 100, SizeCV: math.NaN()},
+		{Jobs: 10, Rates: []float64{1}, MeanSizeBytes: 100, SizeCV: math.Inf(1)},
 	} {
 		var buf bytes.Buffer
 		if _, err := Synthesize(&buf, cfg); err == nil {

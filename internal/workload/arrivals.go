@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-
-	"dias/internal/trace"
 )
 
 // Process is a stateful arrival process: each call draws the gap to the
@@ -82,19 +79,6 @@ func (r *Replay) Next(_ *rand.Rand) (gap float64, class int) {
 
 // Len returns the number of recorded arrivals in one replay cycle.
 func (r *Replay) Len() int { return len(r.arrivals) }
-
-// FromTraceLog extracts the arrival events of a scheduler trace as an
-// Arrival sequence, ready for NewReplay — closing the loop from a recorded
-// run back into a workload.
-func FromTraceLog(l *trace.Log) []Arrival {
-	evs := l.Filter(trace.Arrival)
-	out := make([]Arrival, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, Arrival{At: e.At, Class: e.Class})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
 
 // Rescale multiplies every arrival time by factor: factor > 1 stretches the
 // stream (lower load), factor < 1 compresses it (higher load).

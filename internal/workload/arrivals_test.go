@@ -7,8 +7,6 @@ import (
 	"testing/quick"
 
 	"dias/internal/mmap"
-	"dias/internal/simtime"
-	"dias/internal/trace"
 )
 
 func TestStreamOfMatchesPoissonStream(t *testing.T) {
@@ -101,24 +99,6 @@ func TestNewReplayRejectsBadSequences(t *testing.T) {
 		if _, err := NewReplay(seq); err == nil {
 			t.Errorf("%s: no error", name)
 		}
-	}
-}
-
-func TestFromTraceLogRoundTrip(t *testing.T) {
-	var l trace.Log
-	l.Record(simtime.Time(2), trace.Arrival, "a", 1, "")
-	l.Record(simtime.Time(2.5), trace.Dispatch, "a", 1, "")
-	l.Record(simtime.Time(4), trace.Arrival, "b", 0, "")
-	l.Record(simtime.Time(9), trace.Complete, "a", 1, "")
-	arr := FromTraceLog(&l)
-	if len(arr) != 2 {
-		t.Fatalf("got %d arrivals, want 2", len(arr))
-	}
-	if arr[0] != (Arrival{At: 2, Class: 1}) || arr[1] != (Arrival{At: 4, Class: 0}) {
-		t.Fatalf("arrivals %+v", arr)
-	}
-	if _, err := NewReplay(arr); err != nil {
-		t.Fatalf("trace arrivals should replay: %v", err)
 	}
 }
 

@@ -30,13 +30,18 @@ type EmpiricalStream struct {
 	last   trace.Rec
 	prevAt float64
 	count  int
+	// first holds the record the constructor read until the first draw
+	// takes it.
+	first  trace.Rec
+	primed bool
 }
 
-// NewEmpiricalStream wraps a streamed trace. The header and records are
-// validated lazily as Next consumes them; a malformed record panics at
-// the draw that hits it (with its line number), again because Next has
-// no error path. Validate untrusted traces by reading them through
-// trace.StreamReader first.
+// NewEmpiricalStream wraps a streamed trace. The header and the first
+// record are read here, so an empty, header-less or record-less trace is
+// an error up front. Later records are validated lazily as Next consumes
+// them; a malformed one panics at the draw that hits it (with its line
+// number), because Next has no error path. Validate untrusted traces by
+// reading them through trace.StreamReader first.
 func NewEmpiricalStream(r io.Reader) (*EmpiricalStream, error) {
 	if r == nil {
 		return nil, errors.New("workload: nil trace reader")
@@ -45,7 +50,14 @@ func NewEmpiricalStream(r io.Reader) (*EmpiricalStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	es := &EmpiricalStream{src: r, sr: sr}
+	first, err := sr.Next()
+	if err == io.EOF {
+		return nil, errors.New("workload: empty trace stream")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("workload: reading trace: %w", err)
+	}
+	es := &EmpiricalStream{src: r, sr: sr, first: first, primed: true}
 	if s, ok := r.(io.Seeker); ok {
 		es.seeker = s
 	}
@@ -54,14 +66,16 @@ func NewEmpiricalStream(r io.Reader) (*EmpiricalStream, error) {
 
 // Next replays the next recorded arrival, ignoring the RNG.
 func (e *EmpiricalStream) Next(_ *rand.Rand) (gap float64, class int) {
-	rec, err := e.sr.Next()
+	rec, err := e.first, error(nil)
+	if e.primed {
+		e.primed = false
+	} else {
+		rec, err = e.sr.Next()
+	}
 	if err == io.EOF {
 		if e.seeker == nil {
 			panic(fmt.Sprintf(
 				"workload: trace exhausted after %d arrivals and the reader cannot rewind", e.count))
-		}
-		if e.count == 0 {
-			panic("workload: empty trace stream")
 		}
 		if _, serr := e.seeker.Seek(0, io.SeekStart); serr != nil {
 			panic(fmt.Sprintf("workload: rewinding trace: %v", serr))

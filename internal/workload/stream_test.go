@@ -83,17 +83,21 @@ func TestEmpiricalStreamMalformedPanics(t *testing.T) {
 	es.Next(nil)
 }
 
-func TestEmpiricalStreamEmptyTracePanics(t *testing.T) {
-	es, err := NewEmpiricalStream(strings.NewReader(trace.StreamHeader + "\n"))
-	if err != nil {
-		t.Fatal(err)
+// A trace without a header or without a single record is refused by the
+// constructor, not left to panic at the first draw mid-run.
+func TestEmpiricalStreamRejectsBadTraces(t *testing.T) {
+	cases := map[string]string{
+		"empty input": "",
+		"no header":   "garbage\n",
+		"no records":  trace.StreamHeader + "\n",
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty trace did not panic")
-		}
-	}()
-	es.Next(nil)
+	for name, in := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := NewEmpiricalStream(strings.NewReader(in)); err == nil {
+				t.Fatal("bad trace accepted")
+			}
+		})
+	}
 }
 
 // The synthesizer and the streaming replayer agree end to end: a

@@ -288,7 +288,7 @@ func TestFederationFacadeAdmission(t *testing.T) {
 	}
 }
 
-// TestStackConfigAliases covers the deprecated/conflicting field handling.
+// TestStackConfigAliases covers the conflicting field handling.
 func TestStackConfigAliases(t *testing.T) {
 	scaling := &core.AutoscalerConfig{
 		Policy:       core.BacklogScalePolicy{ScaleOutAbove: 2, ScaleInBelow: 1, Step: 1},
@@ -298,25 +298,12 @@ func TestStackConfigAliases(t *testing.T) {
 		IntervalSec:  20,
 		HorizonSec:   200,
 	}
-	// The deprecated Autoscale alias still arms the autoscaler.
-	stack, err := dias.NewStack(dias.StackConfig{Policy: core.PolicyNP(1), Autoscale: scaling})
+	stack, err := dias.NewStack(dias.StackConfig{Policy: core.PolicyNP(1), Scaling: scaling})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stack.Autoscaler == nil {
-		t.Fatal("deprecated Autoscale no longer arms the autoscaler")
-	}
-	// The new name works identically; both at once is an error.
-	if stack, err = dias.NewStack(dias.StackConfig{Policy: core.PolicyNP(1), Scaling: scaling}); err != nil {
-		t.Fatal(err)
-	}
-	if stack.Autoscaler == nil {
 		t.Fatal("Scaling did not arm the autoscaler")
-	}
-	if _, err := dias.NewStack(dias.StackConfig{
-		Policy: core.PolicyNP(1), Scaling: scaling, Autoscale: scaling,
-	}); err == nil {
-		t.Fatal("Scaling + Autoscale accepted")
 	}
 
 	// Admission conflicts with Policy.Admission.

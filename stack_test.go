@@ -64,13 +64,15 @@ func TestStackSubmitStream(t *testing.T) {
 }
 
 func TestStackInjectFailures(t *testing.T) {
-	stack, err := dias.NewStack(dias.StackConfig{Policy: core.PolicyNP(2), Seed: 2})
+	stack, err := dias.NewStack(dias.StackConfig{
+		Policy: core.PolicyNP(2),
+		Faults: &faults.Config{
+			Churn: &faults.ChurnConfig{MTTFSec: 200, MTTRSec: 30, HorizonSec: 2000},
+			Seed:  5,
+		},
+		Seed: 2,
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stack.InjectFailures(engine.FailureConfig{
-		MTTFSec: 200, MTTRSec: 30, HorizonSec: 2000, Seed: 5,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	mix, err := workload.NewPoissonMix([]float64{0.05, 0.01})
@@ -88,8 +90,11 @@ func TestStackInjectFailures(t *testing.T) {
 		t.Fatal("nodes left down after drain")
 	}
 	// Bad config surfaces.
-	if stack.InjectFailures(engine.FailureConfig{}) == nil {
-		t.Fatal("zero config accepted")
+	if _, err := dias.NewStack(dias.StackConfig{
+		Policy: core.PolicyNP(2),
+		Faults: &faults.Config{Churn: &faults.ChurnConfig{}},
+	}); err == nil {
+		t.Fatal("zero churn config accepted")
 	}
 }
 
@@ -104,7 +109,7 @@ func TestStackFaultsAndAutoscale(t *testing.T) {
 			Tasks: &faults.TaskFaultConfig{FailProb: 0.1, MaxAttempts: 3},
 			Seed:  3,
 		},
-		Autoscale: &core.AutoscalerConfig{
+		Scaling: &core.AutoscalerConfig{
 			Policy:       core.BacklogScalePolicy{ScaleOutAbove: 2, ScaleInBelow: 1, Step: 2},
 			MinNodes:     4,
 			MaxNodes:     12,
