@@ -61,7 +61,7 @@ bench:
 # No pipe here: /bin/sh has no pipefail, and `... | tee` would mask a
 # failing benchmark behind tee's exit status.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkTriangleStages|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting' -benchmem . > bench_smoke.txt
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFigureSetRunner|BenchmarkKernelChurn|BenchmarkEngineTextJob|BenchmarkTriangleStages|BenchmarkSynthesizeCorpus|BenchmarkWaveLevelProcessingTime|BenchmarkDispatcherRouting|BenchmarkFederationChurnRouting' -benchmem . > bench_smoke.txt
 	cat bench_smoke.txt
 	$(GO) run ./cmd/dias-experiments $(BENCH_SMOKE_ARGS) -bench-out BENCH_results.json > /dev/null
 

@@ -22,6 +22,8 @@ import (
 	"dias/internal/engine"
 	"dias/internal/experiments"
 	"dias/internal/federation"
+	"dias/internal/model"
+	"dias/internal/phdist"
 	"dias/internal/runner"
 	"dias/internal/simtime"
 	"dias/internal/telemetry"
@@ -278,6 +280,57 @@ func BenchmarkTriangleStages(b *testing.B) {
 	}
 	if completed != b.N+1 {
 		b.Fatalf("completed %d jobs, want %d", completed, b.N+1)
+	}
+}
+
+// BenchmarkSynthesizeCorpus builds the default text corpus (50 partitions
+// of 60 twelve-word posts) per iteration: the input every text figure
+// synthesizes cold. allocs/op is one box per post plus a few per
+// partition; nothing is allocated per word.
+func BenchmarkSynthesizeCorpus(b *testing.B) {
+	cfg := workload.DefaultCorpusConfig()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.SynthesizeCorpus(rng, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Partitions*cfg.PostsPerPartition), "ns/post")
+}
+
+// BenchmarkWaveLevelProcessingTime assembles the §4.2 wave-level PH of a
+// Figure 4 text job (20 slots, 50 map tasks at θ = 0.2, 10 reducers,
+// fitted setup, shuffle and wave times) and takes its mean: the model
+// layer's cold cost per predicted point.
+func BenchmarkWaveLevelProcessingTime(b *testing.B) {
+	fit := func(mean, scv float64) *phdist.PH {
+		p, err := phdist.FitMeanSCV(mean, scv)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	mapWave, redWave := fit(8.5, 0.02), fit(1.5, 0.02)
+	cfg := model.WaveLevelConfig{
+		Slots:       20,
+		MapTasks:    model.FixedTasks(50),
+		ReduceTasks: model.FixedTasks(10),
+		ThetaMap:    0.2,
+		Setup:       fit(5, 0.05),
+		Shuffle:     fit(1.2, 0.05),
+		MapWave:     func(int) *phdist.PH { return mapWave },
+		ReduceWave:  func(int) *phdist.PH { return redWave },
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ph, err := cfg.ProcessingTime()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ph.Mean(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -91,11 +91,34 @@ func reduceWordCounts(in []engine.Record) []engine.Record {
 func countsToRecords(counts map[string]float64) []engine.Record {
 	out := make([]engine.Record, 0, len(counts))
 	for k, v := range counts {
-		out = append(out, engine.Record{Key: k, Value: v})
+		out = append(out, engine.Record{Key: k, Value: boxCount(v)})
 	}
 	// Deterministic order keeps downstream bucketing and tests stable.
 	sortRecords(out)
 	return out
+}
+
+// countBoxes holds float64(i) boxed as an interface for each whole count
+// i in 1..1023 (index 0 unused): boxing a float64 allocates, and almost
+// every count the stages emit is one of these. Sharing a box is safe
+// because Go never writes through an interface's data pointer.
+var countBoxes = func() (b [1024]any) {
+	for i := 1; i < len(b); i++ {
+		b[i] = float64(i)
+	}
+	return b
+}()
+
+// boxCount returns v as a Record.Value, from countBoxes when v is a whole
+// count it holds. Anything else, -0 and NaN included, is boxed afresh, so
+// the value and its sign bit are kept exactly.
+func boxCount(v float64) any {
+	if v >= 1 && v < float64(len(countBoxes)) {
+		if i := int(v); float64(i) == v {
+			return countBoxes[i]
+		}
+	}
+	return v
 }
 
 // WordCounts folds a word-popularity result into a count map.
@@ -498,7 +521,7 @@ func stageJoin(in []engine.Record) []engine.Record {
 		out = make([]engine.Record, 0, matched)
 		for i, k := range edges {
 			if counts[i] > 0 {
-				out = append(out, engine.Record{Key: k, Value: counts[i]})
+				out = append(out, engine.Record{Key: k, Value: boxCount(counts[i])})
 			}
 		}
 	}
@@ -516,7 +539,7 @@ func stagePartialCount(in []engine.Record) []engine.Record {
 			sum += v
 		}
 	}
-	return []engine.Record{{Key: "partial", Value: sum}}
+	return []engine.Record{{Key: "partial", Value: boxCount(sum)}}
 }
 
 // stageTotal sums partial counts; each triangle was matched at its three

@@ -49,12 +49,12 @@ func newOwned(alpha []float64, a *matrix.Matrix) (*PH, error) {
 	}
 	var mass float64
 	for i, v := range alpha {
-		if v < -1e-12 {
-			return nil, fmt.Errorf("phdist: alpha[%d] = %g negative", i, v)
+		if !(v >= -1e-12) {
+			return nil, fmt.Errorf("phdist: alpha[%d] = %g negative or NaN", i, v)
 		}
 		mass += v
 	}
-	if mass > 1+1e-9 {
+	if !(mass <= 1+1e-9) {
 		return nil, fmt.Errorf("phdist: alpha mass %g exceeds 1", mass)
 	}
 	for i := 0; i < n; i++ {
@@ -62,15 +62,15 @@ func newOwned(alpha []float64, a *matrix.Matrix) (*PH, error) {
 		for j := 0; j < n; j++ {
 			v := a.At(i, j)
 			if i == j {
-				if v > 1e-12 {
-					return nil, fmt.Errorf("phdist: diagonal A[%d][%d] = %g positive", i, j, v)
+				if !(v <= 1e-12) {
+					return nil, fmt.Errorf("phdist: diagonal A[%d][%d] = %g positive or NaN", i, j, v)
 				}
-			} else if v < -1e-12 {
-				return nil, fmt.Errorf("phdist: off-diagonal A[%d][%d] = %g negative", i, j, v)
+			} else if !(v >= -1e-12) {
+				return nil, fmt.Errorf("phdist: off-diagonal A[%d][%d] = %g negative or NaN", i, j, v)
 			}
 			row += v
 		}
-		if row > 1e-9 {
+		if !(row <= 1e-9) {
 			return nil, fmt.Errorf("phdist: row %d of A sums to %g > 0", i, row)
 		}
 	}
@@ -287,7 +287,7 @@ func (p *PH) Sample(rng *rand.Rand) float64 {
 
 // Exponential returns an exponential distribution with the given rate.
 func Exponential(rate float64) (*PH, error) {
-	if rate <= 0 {
+	if !(rate > 0 && rate <= math.MaxFloat64) {
 		return nil, fmt.Errorf("phdist: Exponential rate %g", rate)
 	}
 	return newOwned([]float64{1}, matrix.New(1, 1, []float64{-rate}))
@@ -295,7 +295,7 @@ func Exponential(rate float64) (*PH, error) {
 
 // Erlang returns the sum of k exponentials of the given rate.
 func Erlang(k int, rate float64) (*PH, error) {
-	if k < 1 || rate <= 0 {
+	if k < 1 || !(rate > 0 && rate <= math.MaxFloat64) {
 		return nil, fmt.Errorf("phdist: Erlang(%d, %g)", k, rate)
 	}
 	a := matrix.Zeros(k, k)
@@ -319,13 +319,13 @@ func HyperExponential(probs, rates []float64) (*PH, error) {
 	a := matrix.Zeros(n, n)
 	var mass float64
 	for i := 0; i < n; i++ {
-		if rates[i] <= 0 || probs[i] < 0 {
+		if !(rates[i] > 0 && rates[i] <= math.MaxFloat64) || !(probs[i] >= 0) {
 			return nil, fmt.Errorf("phdist: HyperExponential branch %d (p=%g, rate=%g)", i, probs[i], rates[i])
 		}
 		a.Set(i, i, -rates[i])
 		mass += probs[i]
 	}
-	if math.Abs(mass-1) > 1e-9 {
+	if !(math.Abs(mass-1) <= 1e-9) {
 		return nil, fmt.Errorf("phdist: HyperExponential probabilities sum to %g", mass)
 	}
 	return newOwned(append([]float64(nil), probs...), a)
@@ -368,16 +368,57 @@ func Convolve(x, y *PH) *PH {
 	return out
 }
 
-// ConvolveAll folds Convolve over a non-empty sequence.
+// ConvolveAll returns the distribution of the sum of independent PH
+// variables: the chain runs each in turn to absorption. It writes the
+// chained generator once, bit for bit the one a pairwise Convolve fold
+// builds: each row keeps its running sum in column order, so every exit
+// product -rowsum·α is the float the fold computes.
 func ConvolveAll(ps ...*PH) (*PH, error) {
 	if len(ps) == 0 {
 		return nil, errors.New("phdist: ConvolveAll of nothing")
 	}
-	out := ps[0]
-	for _, p := range ps[1:] {
-		out = Convolve(out, p)
+	if len(ps) == 1 {
+		return ps[0], nil
 	}
-	return out, nil
+	var n int
+	for _, p := range ps {
+		n += p.Order()
+	}
+	a := matrix.Zeros(n, n)
+	alpha := make([]float64, n)
+	rowSum := make([]float64, n)
+	var mass float64 // Σ alpha so far, summed in order as sum() does
+	off := 0
+	for _, p := range ps {
+		// The chain so far exits into p's initial phases…
+		for i := 0; i < off; i++ {
+			exit := -rowSum[i]
+			for j, aj := range p.alpha {
+				v := exit * aj
+				a.Set(i, off+j, v)
+				rowSum[i] += v
+			}
+		}
+		// …and its atom at zero starts p immediately.
+		if atom := 1 - mass; atom > 1e-12 {
+			for j, aj := range p.alpha {
+				alpha[off+j] = atom * aj
+				mass += alpha[off+j]
+			}
+		}
+		m := p.Order()
+		for i := 0; i < m; i++ {
+			var row float64
+			for j := 0; j < m; j++ {
+				v := p.a.At(i, j)
+				a.Set(off+i, off+j, v)
+				row += v
+			}
+			rowSum[off+i] = row
+		}
+		off += m
+	}
+	return newOwned(alpha, a)
 }
 
 // Mixture returns the distribution that is ps[i] with probability ws[i].
@@ -389,13 +430,13 @@ func Mixture(ws []float64, ps []*PH) (*PH, error) {
 	var mass float64
 	var n int
 	for i, w := range ws {
-		if w < 0 {
+		if !(w >= 0) {
 			return nil, fmt.Errorf("phdist: Mixture weight %d = %g", i, w)
 		}
 		mass += w
 		n += ps[i].Order()
 	}
-	if math.Abs(mass-1) > 1e-9 {
+	if !(math.Abs(mass-1) <= 1e-9) {
 		return nil, fmt.Errorf("phdist: Mixture weights sum to %g", mass)
 	}
 	a := matrix.Zeros(n, n)
@@ -427,8 +468,8 @@ func (p *PH) ScaleTime(c float64) (*PH, error) {
 // scv>1. This is the standard two-moment fit used to parameterize wave
 // execution times from profiled task samples.
 func FitMeanSCV(mean, scv float64) (*PH, error) {
-	if mean <= 0 {
-		return nil, fmt.Errorf("phdist: FitMeanSCV mean %g", mean)
+	if !(mean > 0 && mean <= math.MaxFloat64) || math.IsNaN(scv) || math.IsInf(scv, 0) {
+		return nil, fmt.Errorf("phdist: FitMeanSCV(%g, %g)", mean, scv)
 	}
 	const eps = 1e-6
 	switch {

@@ -119,6 +119,10 @@ func TestNewValidation(t *testing.T) {
 		{"positive diagonal", []float64{1}, matrix.New(1, 1, []float64{2})},
 		{"negative off-diagonal", []float64{1, 0}, matrix.New(2, 2, []float64{-1, -1, 0, -1})},
 		{"positive row sum", []float64{1, 0}, matrix.New(2, 2, []float64{-1, 3, 0, -1})},
+		{"NaN alpha", []float64{math.NaN()}, matrix.New(1, 1, []float64{-1})},
+		{"NaN diagonal", []float64{1}, matrix.New(1, 1, []float64{math.NaN()})},
+		{"NaN off-diagonal", []float64{1, 0}, matrix.New(2, 2, []float64{-1, math.NaN(), 0, -1})},
+		{"infinite rates, NaN row sum", []float64{1, 0}, matrix.New(2, 2, []float64{math.Inf(-1), math.Inf(1), 0, -1})},
 	}
 	for _, c := range cases {
 		if _, err := New(c.alpha, c.a); err == nil {
@@ -198,6 +202,117 @@ func TestConvolveAll(t *testing.T) {
 	}
 	if _, err := ConvolveAll(); err == nil {
 		t.Fatal("expected error for empty ConvolveAll")
+	}
+}
+
+// foldConvolve is ConvolveAll as it was first written, a pairwise
+// Convolve fold: kept as the reference the one-shot chain must match.
+func foldConvolve(ps ...*PH) *PH {
+	out := ps[0]
+	for _, p := range ps[1:] {
+		out = Convolve(out, p)
+	}
+	return out
+}
+
+// TestConvolveAllMatchesFold pins ConvolveAll to the pairwise fold bit
+// for bit, alpha and generator, on seeded chains that mix components with
+// an atom at zero (alpha mass 0.95) and without one (Erlang, fitted
+// waves, whose rows sum to exactly zero).
+func TestConvolveAllMatchesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		ps := make([]*PH, 2+rng.Intn(5))
+		for i := range ps {
+			switch rng.Intn(3) {
+			case 0:
+				ps[i] = randomPH(t, rng, 1+rng.Intn(6), rng.Intn(2) == 0)
+			case 1:
+				e, err := Erlang(1+rng.Intn(5), 0.5+rng.Float64())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps[i] = e
+			default:
+				f, err := FitMeanSCV(0.5+5*rng.Float64(), 0.05+3*rng.Float64())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps[i] = f
+			}
+		}
+		got, err := ConvolveAll(ps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := foldConvolve(ps...)
+		if got.Order() != want.Order() {
+			t.Fatalf("trial %d: order %d, fold %d", trial, got.Order(), want.Order())
+		}
+		for i, v := range want.alpha {
+			if math.Float64bits(got.alpha[i]) != math.Float64bits(v) {
+				t.Fatalf("trial %d: alpha[%d] = %v, fold %v", trial, i, got.alpha[i], v)
+			}
+		}
+		for i := 0; i < want.Order(); i++ {
+			for j := 0; j < want.Order(); j++ {
+				if g, w := got.a.At(i, j), want.a.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("trial %d: A[%d][%d] = %v, fold %v", trial, i, j, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestConvolveAllAllocations pins the one-shot chain: a constant number
+// of allocations whatever the chain length, where the fold paid a matrix
+// per step.
+func TestConvolveAllAllocations(t *testing.T) {
+	e, err := Erlang(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base float64
+	for _, k := range []int{2, 5, 20} {
+		chain := make([]*PH, k)
+		for i := range chain {
+			chain[i] = e
+		}
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := ConvolveAll(chain...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if k == 2 {
+			base = got
+		}
+		if got != base || got > 5 {
+			t.Errorf("chain of %d: %v allocations, want the %v of a chain of 2 (at most 5)", k, got, base)
+		}
+	}
+}
+
+func TestConstructorsRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	e, err := Exponential(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() (*PH, error){
+		"FitMeanSCV(NaN, 0.5)":  func() (*PH, error) { return FitMeanSCV(nan, 0.5) },
+		"FitMeanSCV(+Inf, 0.5)": func() (*PH, error) { return FitMeanSCV(inf, 0.5) },
+		"FitMeanSCV(2, NaN)":    func() (*PH, error) { return FitMeanSCV(2, nan) },
+		"FitMeanSCV(2, +Inf)":   func() (*PH, error) { return FitMeanSCV(2, inf) },
+		"Erlang(3, NaN)":        func() (*PH, error) { return Erlang(3, nan) },
+		"Erlang(3, +Inf)":       func() (*PH, error) { return Erlang(3, inf) },
+		"Exponential(NaN)":      func() (*PH, error) { return Exponential(nan) },
+		"Exponential(+Inf)":     func() (*PH, error) { return Exponential(inf) },
+		"HyperExponential(NaN)": func() (*PH, error) { return HyperExponential([]float64{nan, 1}, []float64{1, 2}) },
+		"Mixture(NaN weight)":   func() (*PH, error) { return Mixture([]float64{nan}, []*PH{e}) },
+	} {
+		if p, err := build(); err == nil {
+			t.Errorf("%s: no error, built order-%d PH", name, p.Order())
+		}
 	}
 }
 

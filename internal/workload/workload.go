@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
-	"strings"
 
 	"dias/internal/analytics"
 	"dias/internal/engine"
@@ -22,7 +21,7 @@ type CorpusConfig struct {
 	Partitions int
 	// PostsPerPartition controls the data volume.
 	PostsPerPartition int
-	// WordsPerPost is the mean post length.
+	// WordsPerPost is the exact number of words in every post.
 	WordsPerPost int
 	// VocabSize is the global vocabulary size.
 	VocabSize int
@@ -58,9 +57,9 @@ func (c CorpusConfig) validate() error {
 			c.Partitions, c.PostsPerPartition, c.WordsPerPost)
 	case c.VocabSize <= 1 || c.TopicVocab <= 1:
 		return fmt.Errorf("workload: vocab sizes %d/%d too small", c.VocabSize, c.TopicVocab)
-	case c.ZipfS <= 1:
-		return fmt.Errorf("workload: zipf exponent %g must exceed 1", c.ZipfS)
-	case c.TopicSkew < 0 || c.TopicSkew > 1:
+	case !(c.ZipfS > 1 && c.ZipfS <= math.MaxFloat64):
+		return fmt.Errorf("workload: zipf exponent %g must be finite and exceed 1", c.ZipfS)
+	case !(c.TopicSkew >= 0 && c.TopicSkew <= 1):
 		return fmt.Errorf("workload: topic skew %g out of [0,1]", c.TopicSkew)
 	}
 	return nil
@@ -69,39 +68,69 @@ func (c CorpusConfig) validate() error {
 // SynthesizeCorpus builds a partitioned corpus of posts. Each partition
 // leans toward its own topic vocabulary, so word counts vary across
 // partitions and task dropping incurs a measurable accuracy loss.
+//
+// A partition's keys and post bodies are slices of one backing string:
+// holding any one record keeps its whole partition's text alive.
 func SynthesizeCorpus(rng *rand.Rand, cfg CorpusConfig) (engine.Dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	global := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.VocabSize-1))
 	topic := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.TopicVocab-1))
+	vocab := uint64(cfg.VocabSize)
+	posts := cfg.PostsPerPartition
+	// A bound on a partition's text, so the buffer never regrows: a word
+	// is "w", its id's digits and a separator; a key is "post-p-q".
+	text := make([]byte, 0, posts*(cfg.WordsPerPost*(2+decimalLen(cfg.VocabSize-1))+
+		6+decimalLen(cfg.Partitions-1)+decimalLen(posts-1)))
+	ends := make([]int, 2*posts) // body ends, then key ends, in text
 	ds := make(engine.Dataset, cfg.Partitions)
-	var sb strings.Builder
-	for p := 0; p < cfg.Partitions; p++ {
+	for p := range ds {
 		// Each partition's topic occupies a distinct vocabulary slice.
-		topicBase := (p * cfg.TopicVocab) % cfg.VocabSize
-		for q := 0; q < cfg.PostsPerPartition; q++ {
-			sb.Reset()
+		topicBase := uint64((p * cfg.TopicVocab) % cfg.VocabSize)
+		text = text[:0]
+		for q := 0; q < posts; q++ {
 			for w := 0; w < cfg.WordsPerPost; w++ {
 				var id uint64
 				if rng.Float64() < cfg.TopicSkew {
-					id = uint64(topicBase) + topic.Uint64()
+					id = topicBase + topic.Uint64()
 				} else {
 					id = global.Uint64()
 				}
 				if w > 0 {
-					sb.WriteByte(' ')
+					text = append(text, ' ')
 				}
-				sb.WriteString("w")
-				sb.WriteString(strconv.FormatUint(id%uint64(cfg.VocabSize), 10))
+				text = append(text, 'w')
+				text = strconv.AppendUint(text, id%vocab, 10)
 			}
-			ds[p] = append(ds[p], engine.Record{
-				Key:   "post-" + strconv.Itoa(p) + "-" + strconv.Itoa(q),
-				Value: sb.String(),
-			})
+			ends[q] = len(text)
 		}
+		for q := 0; q < posts; q++ {
+			text = append(text, "post-"...)
+			text = strconv.AppendInt(text, int64(p), 10)
+			text = append(text, '-')
+			text = strconv.AppendInt(text, int64(q), 10)
+			ends[posts+q] = len(text)
+		}
+		s := string(text)
+		part := make(engine.Partition, posts)
+		body, key := 0, ends[posts-1]
+		for q := range part {
+			part[q] = engine.Record{Key: s[key:ends[posts+q]], Value: s[body:ends[q]]}
+			body, key = ends[q], ends[posts+q]
+		}
+		ds[p] = part
 	}
 	return ds, nil
+}
+
+// decimalLen is the number of decimal digits of n >= 0.
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // --- Graphs --------------------------------------------------------------

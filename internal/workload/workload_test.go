@@ -54,6 +54,12 @@ func TestSynthesizeCorpusValidation(t *testing.T) {
 		func(c *CorpusConfig) { c.ZipfS = 1 },
 		func(c *CorpusConfig) { c.TopicSkew = 1.5 },
 		func(c *CorpusConfig) { c.TopicVocab = 0 },
+		// Non-finite exponents used to pass validation and then spin
+		// forever in rand.Zipf's rejection loop; a NaN skew slipped by.
+		func(c *CorpusConfig) { c.ZipfS = math.NaN() },
+		func(c *CorpusConfig) { c.ZipfS = math.Inf(1) },
+		func(c *CorpusConfig) { c.TopicSkew = math.NaN() },
+		func(c *CorpusConfig) { c.TopicSkew = math.Inf(-1) },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultCorpusConfig()
@@ -61,6 +67,58 @@ func TestSynthesizeCorpusValidation(t *testing.T) {
 		if _, err := SynthesizeCorpus(rng, cfg); err == nil {
 			t.Errorf("case %d: no error", i)
 		}
+	}
+}
+
+// TestSynthesizeCorpusPinned pins a SHA-256 over every key and body of
+// four corpora: the text, the RNG draws behind it and their order are the
+// figures' input, so any drift here moves every text figure.
+func TestSynthesizeCorpusPinned(t *testing.T) {
+	small := DefaultCorpusConfig()
+	small.Partitions, small.PostsPerPartition = 7, 13
+	wide := small
+	wide.Partitions, wide.VocabSize, wide.TopicVocab, wide.WordsPerPost = 120, 100000, 900, 3
+	skewed := small
+	skewed.ZipfS, skewed.TopicSkew, skewed.WordsPerPost = 2.5, 1, 30
+	for i, tc := range []struct {
+		cfg  CorpusConfig
+		want string
+	}{
+		{DefaultCorpusConfig(), "386ecc6d79d2ce1d0c92c21b7d79118e3e8364c2656b38ea8462a4e67fffe53f"},
+		{small, "9236dd7a26503d50c2c32adb2dea35acd7c0ae70b33d8f482eeacd0c724da478"},
+		{wide, "9ed6abf850a9d8a5dbd073716db6ea43a4597961079b59b5627df0387be1250c"},
+		{skewed, "d6bd0afa1733993db0ac295ce8ff4559b47403690daf87c60d4f0a49f3152668"},
+	} {
+		ds, err := SynthesizeCorpus(rand.New(rand.NewSource(int64(11+i))), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, part := range ds {
+			for _, rec := range part {
+				fmt.Fprintf(h, "%s\x00%s\x01", rec.Key, rec.Value.(string))
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+			t.Errorf("config %d: corpus digest %s, want %s", i, got, tc.want)
+		}
+	}
+}
+
+// TestSynthesizeCorpusAllocations pins the allocation budget: per
+// partition its record slice and its backing string (one spare), per post
+// the box of its body in Record.Value, and nothing per word.
+func TestSynthesizeCorpusAllocations(t *testing.T) {
+	cfg := DefaultCorpusConfig()
+	cfg.Partitions, cfg.PostsPerPartition = 6, 40
+	rng := rand.New(rand.NewSource(3))
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := SynthesizeCorpus(rng, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := float64(cfg.Partitions*(cfg.PostsPerPartition+3) + 4); got > ceiling {
+		t.Fatalf("%v allocations per corpus, ceiling %v", got, ceiling)
 	}
 }
 
