@@ -11,7 +11,8 @@
 //   - internal/dfs       HDFS-like replicated block store
 //   - internal/engine    dataflow engine with task dropping and eviction
 //   - internal/analytics word-popularity and triangle-count jobs
-//   - internal/workload  synthetic corpora, graphs, Poisson job streams
+//   - internal/workload  synthetic corpora, graphs, Poisson, Gamma and
+//     MMPP job streams, trace replay
 //   - internal/phdist    phase-type distributions (§4 building block)
 //   - internal/model     task-level and wave-level job-time models (§4)
 //   - internal/queueing  M[K]/PH[K]/1 priority-queue solver + simulator
@@ -19,7 +20,6 @@
 //     and the closed-loop AdaptiveDeflator
 //   - internal/admission overload control: token-bucket, queue-depth and
 //     SLO-budget shedding ahead of the buffers
-//   - internal/mmap      MMAP[K] arrival processes (bursty traffic)
 //   - internal/trace     streamed arrival traces, replayable as workload
 //   - internal/faults    fault/churn injection: node crash/recover
 //     (stochastic or trace-driven), bounded-retry task faults, stragglers
@@ -203,7 +203,7 @@ func (s *Stack) SubmitAt(t float64, class int, job *engine.Job) {
 }
 
 // SubmitStream schedules n arrivals drawn from any arrival process
-// (Poisson mix, Gamma/MMPP bursty streams, MMAP source, trace replay,
+// (Poisson mix, Gamma/MMPP bursty streams, trace replay,
 // bootstrap) with jobs built by the source (fixed templates or
 // per-arrival variants). The seed drives both the arrival and the
 // job-variant RNGs.

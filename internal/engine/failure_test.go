@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -117,17 +118,51 @@ func TestFailRepairValidation(t *testing.T) {
 	}
 }
 
-func TestFailureInjectorEndToEnd(t *testing.T) {
-	rig := newRig(t, 6, flatCost(5))
-	inj, err := NewFailureInjector(rig.sim, rig.eng, FailureConfig{
-		MTTFSec:    40,
-		MTTRSec:    15,
-		HorizonSec: 400,
-		Seed:       7,
-	})
-	if err != nil {
-		t.Fatal(err)
+// churn is a test-local seeded crash/recover schedule: every node fails
+// after Exp(mttf), comes back after Exp(mttr) and re-arms, until the next
+// failure would land past the horizon. It drives FailNode/RepairNode
+// directly, so these tests need no injection layer above the engine
+// (internal/faults tests its own injector).
+type churn struct {
+	failures, repairs int
+	downSecs          float64
+}
+
+func armChurn(t *testing.T, rig *testRig, mttf, mttr, horizon float64, seed int64) *churn {
+	t.Helper()
+	c := &churn{}
+	rng := rand.New(rand.NewSource(seed))
+	var arm func(node int)
+	arm = func(node int) {
+		at := rig.sim.Now().Add(simtime.Duration(rng.ExpFloat64() * mttf))
+		if at.Seconds() > horizon {
+			return
+		}
+		rig.sim.At(at, func() {
+			if err := rig.eng.FailNode(node); err != nil {
+				t.Errorf("fail node %d: %v", node, err)
+			}
+			c.failures++
+			down := rng.ExpFloat64() * mttr
+			c.downSecs += down
+			rig.sim.After(simtime.Duration(down), func() {
+				if err := rig.eng.RepairNode(node); err != nil {
+					t.Errorf("repair node %d: %v", node, err)
+				}
+				c.repairs++
+				arm(node)
+			})
+		})
 	}
+	for n := 0; n < rig.clu.Config().Nodes; n++ {
+		arm(n)
+	}
+	return c
+}
+
+func TestSeededChurnEndToEnd(t *testing.T) {
+	rig := newRig(t, 6, flatCost(5))
+	inj := armChurn(t, rig, 40, 15, 400, 7)
 	// A stream of jobs across the injection window.
 	jobs := 0
 	for i := 0; i < 12; i++ {
@@ -144,12 +179,12 @@ func TestFailureInjectorEndToEnd(t *testing.T) {
 	if jobs != 12 {
 		t.Fatalf("%d jobs completed, want 12", jobs)
 	}
-	if inj.Failures() == 0 {
-		t.Fatal("injector produced no failures over 400s at MTTF 40s x6 nodes")
+	if inj.failures == 0 {
+		t.Fatal("churn produced no failures over 400s at MTTF 40s x6 nodes")
 	}
-	if inj.Repairs() != inj.Failures() {
+	if inj.repairs != inj.failures {
 		t.Fatalf("%d repairs vs %d failures: repairs must always complete",
-			inj.Repairs(), inj.Failures())
+			inj.repairs, inj.failures)
 	}
 	if rig.clu.DownNodes() != 0 {
 		t.Fatalf("%d nodes still down after drain", rig.clu.DownNodes())
@@ -157,7 +192,7 @@ func TestFailureInjectorEndToEnd(t *testing.T) {
 	if rig.clu.FreeSlots() != 6 {
 		t.Fatalf("%d free slots after drain, want 6", rig.clu.FreeSlots())
 	}
-	if inj.DownSeconds() <= 0 {
+	if inj.downSecs <= 0 {
 		t.Fatal("no downtime accumulated")
 	}
 	if rig.eng.ActiveJobs() != 0 {
@@ -165,32 +200,10 @@ func TestFailureInjectorEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFailureInjectorValidation(t *testing.T) {
-	rig := newRig(t, 2, flatCost(1))
-	bad := []FailureConfig{
-		{MTTFSec: 0, MTTRSec: 1, HorizonSec: 10},
-		{MTTFSec: 1, MTTRSec: 0, HorizonSec: 10},
-		{MTTFSec: 1, MTTRSec: 1, HorizonSec: 0},
-		{MTTFSec: 1, MTTRSec: 1, HorizonSec: 10, Nodes: []int{5}},
-	}
-	for i, cfg := range bad {
-		if _, err := NewFailureInjector(rig.sim, rig.eng, cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
-		}
-	}
-	if _, err := NewFailureInjector(nil, rig.eng, bad[0]); err == nil {
-		t.Error("nil sim accepted")
-	}
-}
-
 func TestFailureDeterminism(t *testing.T) {
 	run := func() (simtime.Time, int) {
 		rig := newRigB(6)
-		if _, err := NewFailureInjector(rig.sim, rig.eng, FailureConfig{
-			MTTFSec: 30, MTTRSec: 10, HorizonSec: 300, Seed: 3,
-		}); err != nil {
-			panic(err)
-		}
+		armChurn(t, rig, 30, 10, 300, 3)
 		var finish simtime.Time
 		for i := 0; i < 8; i++ {
 			job := wordCountJob(makeInput(7, 2), 2)
@@ -269,11 +282,7 @@ func TestFailureWithSpeculationStaysConsistent(t *testing.T) {
 	if err := eng.SetSpeculation(SpeculationConfig{Enabled: true, Multiplier: 1.3, MinCompleted: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFailureInjector(sim, eng, FailureConfig{
-		MTTFSec: 25, MTTRSec: 8, HorizonSec: 240, Seed: 5,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	ch := armChurn(t, &testRig{sim: sim, clu: clu, eng: eng}, 25, 8, 240, 5)
 	job := wordCountJob(makeInput(10, 3), 3)
 	var res JobResult
 	done := false
@@ -283,6 +292,9 @@ func TestFailureWithSpeculationStaysConsistent(t *testing.T) {
 	sim.Run()
 	if !done {
 		t.Fatal("job did not complete under speculation + failures")
+	}
+	if ch.failures == 0 || eng.TasksRetried() == 0 {
+		t.Fatalf("%d failures, %d retries: the churn never hit the job", ch.failures, eng.TasksRetried())
 	}
 	// Output correctness: every input key appears exactly once.
 	seen := map[string]bool{}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dias"
 	"dias/internal/admission"
 	"dias/internal/analytics"
 	"dias/internal/cluster"
@@ -131,14 +132,11 @@ type scenario struct {
 	cluster cluster.Config
 	scale   Scale
 	// proc overrides the default Poisson mix built from rates (e.g. an
-	// MMAP source for bursty traffic or a trace replay).
+	// MMPP for bursty traffic or a trace replay).
 	proc workload.Process
 	// source overrides the fixed per-class templates (e.g. variable task
 	// counts per arrival).
 	source workload.JobSource
-	// failures, when non-nil, arms random node fail/repair cycles across
-	// the arrival window (HorizonSec is filled in from the stream).
-	failures *engine.FailureConfig
 	// faultPlan, when non-nil, arms the internal/faults injection layer:
 	// node churn (stochastic or trace-driven), per-task failures with
 	// bounded retries, stragglers. A zero stochastic-churn horizon is
@@ -151,7 +149,7 @@ type scenario struct {
 	// deflator, when non-nil, builds a dynamic deflator bound to the
 	// scenario's simulation and installs it into the policy (the policy
 	// must then carry no static DropRatios).
-	deflator func(sim *simtime.Simulation) (core.Deflator, error)
+	deflator dias.DeflatorFactory
 	// observe, when non-nil, receives every completed-job record as it
 	// streams out of the scheduler — the hook for analyses beyond the
 	// standard aggregates (e.g. slowdown accumulators). The scheduler
@@ -164,10 +162,11 @@ type scenario struct {
 	admit func() admission.Policy
 }
 
-// run executes the scenario to completion, streaming completed-job
-// records into per-class accumulators. No per-job record slice is ever
-// materialized: scheduler memory stays O(classes) plus the retained
-// response-time samples needed for percentiles.
+// run executes the scenario to completion on a dias.NewStack deployment,
+// streaming completed-job records into per-class accumulators. No
+// per-job record slice is ever materialized: scheduler memory stays
+// O(classes) plus the retained response-time samples needed for
+// percentiles.
 func (sc scenario) run() (metrics.ScenarioResult, error) {
 	if err := sc.scale.validate(); err != nil {
 		return metrics.ScenarioResult{}, err
@@ -177,53 +176,6 @@ func (sc scenario) run() (metrics.ScenarioResult, error) {
 	}
 	if sc.source == nil && len(sc.jobs) != sc.policy.Classes {
 		return metrics.ScenarioResult{}, errors.New("experiments: job/class count mismatch")
-	}
-	sim := simtime.New()
-	clu, err := cluster.New(sim, sc.cluster)
-	if err != nil {
-		return metrics.ScenarioResult{}, err
-	}
-	eng, err := engine.New(sim, clu, nil, sc.cost, sc.scale.Seed)
-	if err != nil {
-		return metrics.ScenarioResult{}, err
-	}
-	policy := sc.policy
-	if sc.admit != nil {
-		policy.Admission = sc.admit()
-	}
-	if sc.deflator != nil {
-		d, err := sc.deflator(sim)
-		if err != nil {
-			return metrics.ScenarioResult{}, fmt.Errorf("building deflator: %w", err)
-		}
-		policy.Deflator = d
-	}
-	// Stream records straight into the accumulator (every arrival
-	// completes or fails, so the expected record count is the arrival
-	// count). The autoscaler, when armed below, taps the same stream.
-	acc := metrics.NewAccumulator(sc.policy.Classes, sc.scale.Jobs, sc.scale.WarmupFraction)
-	policy.DiscardRecords = true
-	var as *core.Autoscaler
-	obs := sc.observe
-	policy.OnRecord = func(r core.JobRecord) {
-		acc.Add(r)
-		if obs != nil {
-			obs(r)
-		}
-		if as != nil {
-			as.Observe(r)
-		}
-	}
-	var col *telemetry.Collector
-	if sc.scale.Telemetry != nil {
-		col = sc.scale.Telemetry.Collector(sc.name)
-		tr := col.Member(0)
-		policy.Tracer = tr
-		eng.SetTracer(tr)
-	}
-	sch, err := core.New(sim, clu, eng, policy)
-	if err != nil {
-		return metrics.ScenarioResult{}, err
 	}
 	proc := sc.proc
 	if proc == nil {
@@ -243,14 +195,27 @@ func (sc scenario) run() (metrics.ScenarioResult, error) {
 	// The injection/scaling horizon covers the whole arrival window plus
 	// drain slack, so the event queue always drains.
 	horizon := arrivals[len(arrivals)-1].At*1.1 + 300
-	if sc.failures != nil {
-		fcfg := *sc.failures
-		if fcfg.HorizonSec == 0 {
-			fcfg.HorizonSec = horizon
+	cfg := dias.StackConfig{
+		Cluster:   sc.cluster,
+		Cost:      sc.cost,
+		Policy:    sc.policy,
+		Deflation: sc.deflator,
+		Seed:      sc.scale.Seed,
+	}
+	// Stream records straight into the accumulator (every arrival
+	// completes or fails, so the expected record count is the arrival
+	// count). The autoscaler, when armed, taps the same stream.
+	acc := metrics.NewAccumulator(sc.policy.Classes, sc.scale.Jobs, sc.scale.WarmupFraction)
+	obs := sc.observe
+	cfg.Policy.DiscardRecords = true
+	cfg.Policy.OnRecord = func(r core.JobRecord) {
+		acc.Add(r)
+		if obs != nil {
+			obs(r)
 		}
-		if _, err := engine.NewFailureInjector(sim, eng, fcfg); err != nil {
-			return metrics.ScenarioResult{}, fmt.Errorf("arming failure injector: %w", err)
-		}
+	}
+	if sc.admit != nil {
+		cfg.Admission = sc.admit()
 	}
 	if sc.faultPlan != nil {
 		fp := *sc.faultPlan
@@ -262,19 +227,21 @@ func (sc scenario) run() (metrics.ScenarioResult, error) {
 			ch.HorizonSec = horizon
 			fp.Churn = &ch
 		}
-		if _, err := faults.Attach(sim, eng, fp); err != nil {
-			return metrics.ScenarioResult{}, fmt.Errorf("arming fault plan: %w", err)
-		}
+		cfg.Faults = &fp
 	}
 	if sc.autoscale != nil {
 		ac := *sc.autoscale
 		if ac.HorizonSec == 0 {
 			ac.HorizonSec = horizon
 		}
-		var err error
-		if as, err = core.NewAutoscaler(sim, clu, eng, sch, ac); err != nil {
-			return metrics.ScenarioResult{}, fmt.Errorf("arming autoscaler: %w", err)
-		}
+		cfg.Scaling = &ac
+	}
+	if sc.scale.Telemetry != nil {
+		cfg.Telemetry = sc.scale.Telemetry.Collector(sc.name)
+	}
+	stack, err := dias.NewStack(cfg)
+	if err != nil {
+		return metrics.ScenarioResult{}, err
 	}
 	var arriveErr error
 	for _, a := range arrivals {
@@ -283,32 +250,22 @@ func (sc scenario) run() (metrics.ScenarioResult, error) {
 		if err != nil {
 			return metrics.ScenarioResult{}, fmt.Errorf("building class-%d job: %w", a.Class, err)
 		}
-		sim.At(simtime.Time(a.At), func() {
-			if err := sch.Arrive(a.Class, job); err != nil && arriveErr == nil {
+		stack.Sim.At(simtime.Time(a.At), func() {
+			if err := stack.Scheduler.Arrive(a.Class, job); err != nil && arriveErr == nil {
 				arriveErr = err
 			}
 		})
 	}
-	if col != nil {
-		telemetry.NewSampler(col, []telemetry.MemberGauges{{
-			Classes:       policy.Classes,
-			QueuedInClass: sch.QueuedJobsInClass,
-			Rejected:      sch.RejectedJobs,
-			BusySlots:     clu.BusySlots,
-			PoweredNodes:  clu.PoweredNodes,
-			Utilization:   clu.Utilization,
-		}}).Drive(sim)
-	} else {
-		sim.Run()
-	}
+	stack.Run()
 	if arriveErr != nil {
 		return metrics.ScenarioResult{}, arriveErr
 	}
+	clu, eng := stack.Cluster, stack.Engine
 	res := metrics.ScenarioResult{
 		Name:         sc.name,
 		PerClass:     acc.Classes(),
 		EnergyJoules: clu.EnergyJoules(),
-		MakespanSec:  sim.Now().Seconds(),
+		MakespanSec:  stack.Sim.Now().Seconds(),
 		FailedJobs:   eng.FailedJobs(),
 		TasksRetried: eng.TasksRetried(),
 	}

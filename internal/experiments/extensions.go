@@ -9,21 +9,22 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
+	"dias"
 	"dias/internal/analytics"
 	"dias/internal/cluster"
 	"dias/internal/core"
 	"dias/internal/engine"
-	"math/rand"
-
-	"dias/internal/mmap"
+	"dias/internal/faults"
 	"dias/internal/model"
 	"dias/internal/simtime"
 	"dias/internal/workload"
 )
 
 // ExtensionBurstyResult compares the two-class policies under stationary
-// Poisson arrivals and under a bursty MMPP2 with the same mean rates.
+// Poisson arrivals and under a bursty two-state MMPP with the same mean
+// rates.
 type ExtensionBurstyResult struct {
 	Poisson *ComparisonFigure
 	Bursty  *ComparisonFigure
@@ -34,33 +35,21 @@ func (r *ExtensionBurstyResult) String() string {
 	return r.Poisson.String() + "\n" + r.Bursty.String()
 }
 
-// burstyProcess builds an MMPP2 whose stationary per-class rates equal the
-// given Poisson rates: a calm phase at 0.4x and a bursty phase at 2.5x,
-// visited 5/7 and 2/7 of the time (5/7*0.4 + 2/7*2.5 = 1 exactly). Phase
-// sojourns span ~dozens of arrivals so bursts are long enough to pile up
-// queues.
-func burstyProcess(rates []float64, rng *rand.Rand) (workload.Process, error) {
+// burstyProcess builds a two-state MMPP whose stationary per-class rates
+// equal the given Poisson rates: a calm phase at 0.4x and a burst phase
+// at 2.5x, visited 5/7 and 2/7 of the time (5/7*0.4 + 2/7*2.5 = 1
+// exactly). The mean sojourns are 40 and 16 mean gaps, so bursts last
+// dozens of arrivals and pile up queues.
+func burstyProcess(rates []float64) (workload.Process, error) {
 	var total float64
 	for _, r := range rates {
 		total += r
 	}
-	calm := make([]float64, len(rates))
-	burst := make([]float64, len(rates))
-	for k, r := range rates {
-		calm[k] = 0.4 * r
-		burst[k] = 2.5 * r
-	}
-	// Mean calm sojourn = 40 mean gaps, mean burst sojourn = 16, keeping
-	// the 5:2 stationary split.
-	m, err := mmap.MMPP2(total/40, total/16, calm, burst)
+	m, err := workload.NewMMPP(rates, 2.5, [2]float64{40 / total, 16 / total})
 	if err != nil {
-		return nil, fmt.Errorf("building MMPP2: %w", err)
+		return nil, fmt.Errorf("building MMPP: %w", err)
 	}
-	src, err := m.NewSource(rng)
-	if err != nil {
-		return nil, fmt.Errorf("starting MMPP2 source: %w", err)
-	}
-	return src, nil
+	return m, nil
 }
 
 // ExtensionBursty runs P, NP and DA(0,20) on the reference two-class text
@@ -94,10 +83,8 @@ func ExtensionBursty(scale Scale) (*ExtensionBurstyResult, error) {
 				cost: textCostModel(), cluster: cluster.DefaultConfig(), scale: scale,
 			}
 			if bursty {
-				// A fresh source per policy keeps runs independent but
-				// identically distributed (same seed per policy index).
-				procRng := rand.New(rand.NewSource(scale.Seed + 300 + int64(pi)))
-				proc, err := burstyProcess(rates, procRng)
+				// A fresh process per policy: the MMPP's phase is state.
+				proc, err := burstyProcess(rates)
 				if err != nil {
 					return nil, err
 				}
@@ -197,23 +184,23 @@ func ExtensionFailures(scale Scale) (*ComparisonFigure, error) {
 	}
 	// One node down at a time on average ~1/6 of the time:
 	// 10 nodes x (MTTR 60 / MTTF 3600).
-	faults := &engine.FailureConfig{MTTFSec: 3600, MTTRSec: 60, Seed: scale.Seed + 145}
+	churn := &faults.Config{Churn: &faults.ChurnConfig{MTTFSec: 3600, MTTRSec: 60}, Seed: scale.Seed + 145}
 	variants := []struct {
-		name     string
-		policy   core.Config
-		failures *engine.FailureConfig
+		name   string
+		policy core.Config
+		plan   *faults.Config
 	}{
 		{"P", core.PolicyP(2), nil},
-		{"P-faulty", core.PolicyP(2), faults},
+		{"P-faulty", core.PolicyP(2), churn},
 		{"DA(0,20)", core.PolicyDA([]float64{0.2, 0}), nil},
-		{"DA(0,20)-faulty", core.PolicyDA([]float64{0.2, 0}), faults},
+		{"DA(0,20)-faulty", core.PolicyDA([]float64{0.2, 0}), churn},
 	}
 	scs := make([]scenario, len(variants))
 	for i, v := range variants {
 		scs[i] = scenario{
 			name: v.name, policy: v.policy, rates: rates, jobs: mix.jobs,
 			cost: textCostModel(), cluster: cluster.DefaultConfig(), scale: scale,
-			failures: v.failures,
+			faultPlan: v.plan,
 		}
 	}
 	results, err := runScenarios(scs)
@@ -329,7 +316,7 @@ func ExtensionAdaptive(scale Scale) (*AdaptiveResult, error) {
 	variants := []struct {
 		name     string
 		policy   core.Config
-		deflator func(*simtime.Simulation) (core.Deflator, error)
+		deflator dias.DeflatorFactory
 	}{
 		{"NP", core.PolicyNP(2), nil},
 		{"DA(0,20)", core.PolicyDA([]float64{0.2, 0}), nil},

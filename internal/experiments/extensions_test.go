@@ -167,7 +167,7 @@ func TestExtensionAdaptiveShape(t *testing.T) {
 func TestBurstyProcessMatchesMeanRates(t *testing.T) {
 	rates := []float64{0.9, 0.1}
 	rng := rand.New(rand.NewSource(17))
-	proc, err := burstyProcess(rates, rng)
+	proc, err := burstyProcess(rates)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v2
+//go:build amd64
 
 package experiments
 
@@ -29,7 +29,7 @@ var figureDigests = map[string]string{
 	"federation-outage":   "f102f2bd2d1814c0a701fc5886185e78a8f7fb78554bf65434ec215ede2f6fdd",
 	"federation-scaleout": "e249e1b26112ec41f44144afc93a39efd96e80394dbed4609e43dd8fc2abf83e",
 	"federation-hetero":   "10234e76921bc44329479181280475d8b42dd72a9bc91c7757bcd3df3d9d6fa1",
-	"extensions":          "adf6abae015c28c22f5093e99547ca3031e77e00b8135e136ee1b70a4776dba4",
+	"extensions":          "c6fbde96a5e0be757a983f846abece4152f5e8c81bd2011dd53505d59c40043c",
 	"overload":            "10ad783607ca337113b9fb02a6ef4ad3105d782c40ada45657f3f70883717365",
 	"scale":               "0a28b245c200337dc289e12638825c9194d016767b1f47532ad05054f0397d7a",
 }
@@ -38,9 +38,10 @@ var pinScale = Scale{Jobs: 40, WarmupFraction: 0.1, Seed: 1}
 
 // TestFigureTextPinned renders every registered driver, including those
 // "-fig all" skips, and compares each text's digest against the table.
-// The build constraint holds it to amd64 at the default GOAMD64: elsewhere
-// the compiler may fuse multiply-adds, which moves the last bits of the
-// floating-point results the figures print.
+// The build constraint holds it to amd64, where the Go compiler never fuses
+// an explicit multiply-add at any GOAMD64 level (CI also runs it under
+// GOAMD64=v3); other architectures may fuse them, which moves the last
+// bits of the floating-point results the figures print.
 func TestFigureTextPinned(t *testing.T) {
 	for _, d := range Drivers() {
 		out, err := d.Run(d.Scaled(pinScale))

@@ -4,10 +4,10 @@
 // experiment runner's worker count:
 //
 //   - Node churn: crash/recover processes per node, either stochastic
-//     (exponential MTBF/MTTR, like the paper-era engine.FailureInjector)
-//     or trace-driven (an explicit outage schedule). In-flight tasks on a
-//     crashed node are aborted and re-queued by the engine; the machine
-//     time they had consumed is attributed to failures.
+//     (exponential MTTF/MTTR) or trace-driven (an explicit outage
+//     schedule). In-flight tasks on a crashed node are aborted and
+//     re-queued by the engine; the machine time they had consumed is
+//     attributed to failures.
 //   - Task faults: each attempt fails with a per-attempt probability,
 //     aborting partway through its duration; the task retries from
 //     scratch under a bounded attempt budget, beyond which the whole job
@@ -16,13 +16,15 @@
 //     per-attempt probability, modelling the slow-node/slow-task tail the
 //     paper's testbed fights with speculative execution.
 //
-// Attach wires an Injector into an engine; experiment drivers and the
-// dias facade expose it as a configuration knob.
+// Attach wires an Injector into an engine. It is the one node-churn
+// mechanism: dias.NewStack arms it from StackConfig.Faults, and every
+// single-cluster figure driver reaches it through that path.
 package faults
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -81,6 +83,12 @@ type Config struct {
 	Seed int64
 }
 
+// positive reports whether x is a positive finite number; NaN fails it.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// probability reports whether p lies in [0,1); NaN fails it.
+func probability(p float64) bool { return p >= 0 && p < 1 }
+
 func (c Config) validate(clusterNodes int) error {
 	if c.Churn == nil && c.Tasks == nil {
 		return errors.New("faults: empty config (no churn, no task faults)")
@@ -91,11 +99,11 @@ func (c Config) validate(clusterNodes int) error {
 			return errors.New("faults: churn needs exactly one of MTTF/MTTR or an outage trace")
 		}
 		if stochastic {
-			if ch.MTTFSec <= 0 || ch.MTTRSec <= 0 {
-				return fmt.Errorf("faults: MTTF %g / MTTR %g must be positive", ch.MTTFSec, ch.MTTRSec)
+			if !positive(ch.MTTFSec) || !positive(ch.MTTRSec) {
+				return fmt.Errorf("faults: MTTF %g / MTTR %g must be positive and finite", ch.MTTFSec, ch.MTTRSec)
 			}
-			if ch.HorizonSec <= 0 {
-				return errors.New("faults: stochastic churn needs a positive horizon")
+			if !positive(ch.HorizonSec) {
+				return fmt.Errorf("faults: stochastic churn horizon %g must be positive and finite", ch.HorizonSec)
 			}
 			for _, n := range ch.Nodes {
 				if n < 0 || n >= clusterNodes {
@@ -109,17 +117,17 @@ func (c Config) validate(clusterNodes int) error {
 		}
 	}
 	if tf := c.Tasks; tf != nil {
-		if tf.FailProb < 0 || tf.FailProb >= 1 {
+		if !probability(tf.FailProb) {
 			return fmt.Errorf("faults: fail probability %g out of [0,1)", tf.FailProb)
 		}
 		if tf.FailProb > 0 && tf.MaxAttempts < 1 {
 			return fmt.Errorf("faults: fail probability %g needs MaxAttempts >= 1", tf.FailProb)
 		}
-		if tf.StragglerProb < 0 || tf.StragglerProb >= 1 {
+		if !probability(tf.StragglerProb) {
 			return fmt.Errorf("faults: straggler probability %g out of [0,1)", tf.StragglerProb)
 		}
-		if tf.StragglerProb > 0 && tf.StragglerFactor <= 1 {
-			return fmt.Errorf("faults: straggler factor %g must exceed 1", tf.StragglerFactor)
+		if tf.StragglerProb > 0 && !(tf.StragglerFactor > 1 && tf.StragglerFactor <= math.MaxFloat64) {
+			return fmt.Errorf("faults: straggler factor %g must exceed 1 and be finite", tf.StragglerFactor)
 		}
 		if tf.FailProb == 0 && tf.StragglerProb == 0 {
 			return errors.New("faults: task-fault section enabled with zero probabilities")
@@ -128,15 +136,16 @@ func (c Config) validate(clusterNodes int) error {
 	return nil
 }
 
-// validateOutages checks node bounds, positive durations and per-node
-// non-overlap (so a fail never lands on an already-down node).
+// validateOutages checks node bounds, finite start times and durations,
+// and per-node non-overlap (so a fail never lands on an already-down
+// node).
 func validateOutages(outages []Outage, clusterNodes int) error {
 	perNode := make(map[int][]Outage)
 	for _, o := range outages {
 		if o.Node < 0 || o.Node >= clusterNodes {
 			return fmt.Errorf("faults: outage node %d of %d", o.Node, clusterNodes)
 		}
-		if o.AtSec < 0 || o.DurationSec <= 0 {
+		if !(o.AtSec >= 0 && o.AtSec <= math.MaxFloat64) || !positive(o.DurationSec) {
 			return fmt.Errorf("faults: outage at %g for %g", o.AtSec, o.DurationSec)
 		}
 		perNode[o.Node] = append(perNode[o.Node], o)

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"testing"
 
@@ -46,6 +47,7 @@ func job(name string, tasks int) *engine.Job {
 }
 
 func TestValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	r := newRig(t, 4, 1, 1)
 	bad := []Config{
 		{},                                 // empty
@@ -58,10 +60,23 @@ func TestValidation(t *testing.T) {
 		{Tasks: &TaskFaultConfig{}},                                       // zero probabilities
 		{Tasks: &TaskFaultConfig{FailProb: 0.1}},                          // missing attempt budget
 		{Tasks: &TaskFaultConfig{StragglerProb: 0.1, StragglerFactor: 1}}, // factor <= 1
+		// Non-finite input: NaN slips past <= 0 style checks.
+		{Churn: &ChurnConfig{MTTFSec: nan, MTTRSec: 1, HorizonSec: 10}},
+		{Churn: &ChurnConfig{MTTFSec: 10, MTTRSec: nan, HorizonSec: 10}},
+		{Churn: &ChurnConfig{MTTFSec: 10, MTTRSec: inf, HorizonSec: 10}},
+		{Churn: &ChurnConfig{MTTFSec: 10, MTTRSec: 1, HorizonSec: nan}},
+		{Churn: &ChurnConfig{MTTFSec: 10, MTTRSec: 1, HorizonSec: inf}},
+		{Churn: &ChurnConfig{Outages: []Outage{{Node: 1, AtSec: nan, DurationSec: 1}}}},
+		{Churn: &ChurnConfig{Outages: []Outage{{Node: 1, AtSec: inf, DurationSec: 1}}}},
+		{Churn: &ChurnConfig{Outages: []Outage{{Node: 1, AtSec: 1, DurationSec: nan}}}},
+		{Tasks: &TaskFaultConfig{FailProb: nan, MaxAttempts: 2}},
+		{Tasks: &TaskFaultConfig{StragglerProb: nan, StragglerFactor: 2}},
+		{Tasks: &TaskFaultConfig{StragglerProb: 0.1, StragglerFactor: nan}},
+		{Tasks: &TaskFaultConfig{StragglerProb: 0.1, StragglerFactor: inf}},
 	}
 	for i, cfg := range bad {
 		if _, err := Attach(r.sim, r.eng, cfg); err == nil {
-			t.Fatalf("config %d should have been rejected", i)
+			t.Errorf("config %d should have been rejected", i)
 		}
 	}
 }

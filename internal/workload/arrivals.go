@@ -7,9 +7,10 @@ import (
 )
 
 // Process is a stateful arrival process: each call draws the gap to the
-// next arrival and its priority class. PoissonMix satisfies it, as does
-// mmap.Source (the paper's MMAP[K] arrivals, §4) and the replay/bootstrap
-// processes below, so scenarios can swap arrival models freely.
+// next arrival and its priority class. PoissonMix satisfies it, as do
+// the bursty Gamma and MMPP processes (MMPP is the per-class case of the
+// paper's MMAP[K] arrivals, §4) and the replay/bootstrap processes below,
+// so scenarios can swap arrival models freely.
 type Process interface {
 	Next(rng *rand.Rand) (gap float64, class int)
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"dias/internal/mmap"
 )
 
 func TestStreamOfMatchesPoissonStream(t *testing.T) {
@@ -23,33 +21,6 @@ func TestStreamOfMatchesPoissonStream(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("arrival %d: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestMMAPSourceSatisfiesProcess(t *testing.T) {
-	m, err := mmap.MarkedPoisson([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	src, err := m.NewSource(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p Process = src // compile-time + runtime check
-	arr := StreamOf(p, rng, 4000)
-	var high int
-	for i, a := range arr {
-		if a.Class < 0 || a.Class > 1 {
-			t.Fatalf("arrival %d class %d", i, a.Class)
-		}
-		if a.Class == 1 {
-			high++
-		}
-	}
-	frac := float64(high) / float64(len(arr))
-	if frac < 0.70 || frac > 0.80 {
-		t.Errorf("class-1 fraction %.3f, want ~0.75", frac)
 	}
 }
 

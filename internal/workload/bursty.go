@@ -137,8 +137,10 @@ func NewMMPP(rates []float64, burst float64, meanSojournSec [2]float64) (*MMPP, 
 	if burst <= 1 || math.IsNaN(burst) || math.IsInf(burst, 0) {
 		return nil, fmt.Errorf("workload: mmpp burst factor %g must exceed 1", burst)
 	}
-	if meanSojournSec[0] <= 0 || meanSojournSec[1] <= 0 {
-		return nil, fmt.Errorf("workload: mmpp sojourns %v must be positive", meanSojournSec)
+	for _, s := range meanSojournSec {
+		if !(s > 0 && s <= math.MaxFloat64) {
+			return nil, fmt.Errorf("workload: mmpp sojourns %v must be positive and finite", meanSojournSec)
+		}
 	}
 	pi1 := meanSojournSec[1] / (meanSojournSec[0] + meanSojournSec[1])
 	if pi1*burst > 1 {

@@ -151,6 +151,11 @@ func TestMMPPValidation(t *testing.T) {
 		{[]float64{1}, 0.5, [2]float64{300, 60}}, // burst must exceed 1
 		{[]float64{1}, 4, [2]float64{0, 60}},
 		{[]float64{1}, 4, [2]float64{300, -1}},
+		// Non-finite sojourns: NaN slips past <= 0 and poisons the rates.
+		{[]float64{1}, 4, [2]float64{math.NaN(), 60}},
+		{[]float64{1}, 4, [2]float64{300, math.NaN()}},
+		{[]float64{1}, 4, [2]float64{math.Inf(1), 60}},
+		{[]float64{1}, 4, [2]float64{300, math.Inf(1)}},
 		// pi1*burst > 1: the calm rate would need to be negative.
 		{[]float64{1}, 4, [2]float64{60, 300}},
 	} {
