@@ -50,8 +50,9 @@ import (
 
 // StackConfig assembles a simulated DiAS deployment.
 type StackConfig struct {
-	// Cluster describes the simulated machines; zero value means the
-	// paper's testbed (10 workers x 2 slots, 800 MHz->2.4 GHz DVFS).
+	// Cluster describes the simulated machines; the zero value means the
+	// paper's testbed (10 workers x 2 slots, 800 MHz->2.4 GHz DVFS). Any
+	// other value is used as given, so it must set Nodes.
 	Cluster cluster.Config
 	// Cost converts work to virtual task durations; zero value means
 	// engine.DefaultCostModel.
@@ -108,7 +109,10 @@ type Stack struct {
 
 // NewStack builds a ready-to-use deployment.
 func NewStack(cfg StackConfig) (*Stack, error) {
-	if cfg.Cluster.Nodes == 0 {
+	if cfg.Cluster == (cluster.Config{}) {
+		// Only a fully zero config means the testbed; a partly filled one
+		// goes to cluster.New, whose validation rejects it rather than
+		// silently dropping the fields the caller set.
 		cfg.Cluster = cluster.DefaultConfig()
 	}
 	zero := engine.CostModel{}
@@ -203,10 +207,9 @@ func (s *Stack) SubmitAt(t float64, class int, job *engine.Job) {
 }
 
 // SubmitStream schedules n arrivals drawn from any arrival process
-// (Poisson mix, Gamma/MMPP bursty streams, trace replay,
-// bootstrap) with jobs built by the source (fixed templates or
-// per-arrival variants). The seed drives both the arrival and the
-// job-variant RNGs.
+// (Poisson mix, Gamma/MMPP bursty streams, trace replay) with jobs built
+// by the source (fixed templates or per-arrival variants). The seed drives
+// both the arrival and the job-variant RNGs.
 //
 // Arrivals are injected feed-forward: only the next arrival is pending
 // at any instant, and each arrival event builds its job and schedules

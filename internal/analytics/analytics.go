@@ -644,6 +644,3 @@ func ExactTriangles(edges []Edge) int64 {
 func sortRecords(rs []engine.Record) {
 	slices.SortFunc(rs, compareKeys)
 }
-
-// ParseEdgeKey is exported for tests and tooling that inspect shuffle keys.
-func ParseEdgeKey(k string) (Edge, bool) { return parseEdgeKey(k) }

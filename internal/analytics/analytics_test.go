@@ -267,14 +267,14 @@ func TestEdgeHelpers(t *testing.T) {
 	if e.U != 2 || e.V != 5 {
 		t.Fatalf("canonical = %+v", e)
 	}
-	parsed, ok := ParseEdgeKey("2,5")
+	parsed, ok := parseEdgeKey("2,5")
 	if !ok || parsed != e {
 		t.Fatalf("parse = %+v, %v", parsed, ok)
 	}
-	if _, ok := ParseEdgeKey("bogus"); ok {
+	if _, ok := parseEdgeKey("bogus"); ok {
 		t.Fatal("parsed bogus key")
 	}
-	if _, ok := ParseEdgeKey("a,b"); ok {
+	if _, ok := parseEdgeKey("a,b"); ok {
 		t.Fatal("parsed non-numeric key")
 	}
 }

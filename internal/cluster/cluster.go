@@ -11,6 +11,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dias/internal/simtime"
 )
@@ -54,18 +55,21 @@ func DefaultConfig() Config {
 }
 
 func (c Config) validate() error {
+	// Every float bound is written so that NaN fails it: a NaN speedup
+	// would turn sprinted task durations into NaN mid-run, and a NaN or
+	// infinite wattage would make the energy total meaningless.
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("cluster: %d nodes", c.Nodes)
 	case c.CoresPerNode <= 0:
 		return fmt.Errorf("cluster: %d cores per node", c.CoresPerNode)
-	case c.SprintSpeedup < 1:
-		return fmt.Errorf("cluster: sprint speedup %g < 1", c.SprintSpeedup)
-	case c.IdleWatts < 0 || c.BusyWatts < c.IdleWatts || c.SprintWatts < c.BusyWatts:
-		return fmt.Errorf("cluster: power model idle=%g busy=%g sprint=%g must be nondecreasing",
+	case !(c.SprintSpeedup >= 1 && c.SprintSpeedup <= math.MaxFloat64):
+		return fmt.Errorf("cluster: sprint speedup %g must be finite and >= 1", c.SprintSpeedup)
+	case !(c.IdleWatts >= 0 && c.BusyWatts >= c.IdleWatts && c.SprintWatts >= c.BusyWatts && c.SprintWatts <= math.MaxFloat64):
+		return fmt.Errorf("cluster: power model idle=%g busy=%g sprint=%g must be finite, nonnegative and nondecreasing",
 			c.IdleWatts, c.BusyWatts, c.SprintWatts)
-	case c.SprintFreqMHz < c.BaseFreqMHz:
-		return fmt.Errorf("cluster: sprint frequency %g below base %g", c.SprintFreqMHz, c.BaseFreqMHz)
+	case !(c.BaseFreqMHz >= -math.MaxFloat64 && c.SprintFreqMHz >= c.BaseFreqMHz && c.SprintFreqMHz <= math.MaxFloat64):
+		return fmt.Errorf("cluster: sprint frequency %g must be finite and at least base %g", c.SprintFreqMHz, c.BaseFreqMHz)
 	}
 	return nil
 }

@@ -31,21 +31,51 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	sim := simtime.New()
-	cases := []struct {
+	nan, inf := math.NaN(), math.Inf(1)
+	type mutation struct {
 		name   string
 		mutate func(*Config)
-	}{
+	}
+	rejected := []mutation{
 		{"zero nodes", func(c *Config) { c.Nodes = 0 }},
 		{"zero cores", func(c *Config) { c.CoresPerNode = 0 }},
 		{"speedup below 1", func(c *Config) { c.SprintSpeedup = 0.5 }},
 		{"sprint watts below busy", func(c *Config) { c.SprintWatts = 10 }},
 		{"sprint freq below base", func(c *Config) { c.SprintFreqMHz = 100 }},
+		// Non-finite values the comparison checks once let through.
+		{"NaN speedup", func(c *Config) { c.SprintSpeedup = nan }},
+		{"+Inf speedup", func(c *Config) { c.SprintSpeedup = inf }},
+		{"NaN idle watts", func(c *Config) { c.IdleWatts = nan }},
+		{"NaN busy watts", func(c *Config) { c.BusyWatts = nan }},
+		{"NaN sprint watts", func(c *Config) { c.SprintWatts = nan }},
+		{"+Inf sprint watts", func(c *Config) { c.SprintWatts = inf }},
+		{"+Inf every wattage", func(c *Config) { c.IdleWatts, c.BusyWatts, c.SprintWatts = inf, inf, inf }},
+		{"NaN base freq", func(c *Config) { c.BaseFreqMHz = nan }},
+		{"-Inf base freq", func(c *Config) { c.BaseFreqMHz = -inf }},
+		{"NaN sprint freq", func(c *Config) { c.SprintFreqMHz = nan }},
+		{"+Inf sprint freq", func(c *Config) { c.SprintFreqMHz = inf }},
+		{"+Inf both freqs", func(c *Config) { c.BaseFreqMHz, c.SprintFreqMHz = inf, inf }},
 	}
-	for _, c := range cases {
+	for _, c := range rejected {
 		cfg := DefaultConfig()
 		c.mutate(&cfg)
 		if _, err := New(sim, cfg); err == nil {
 			t.Errorf("%s: no error", c.name)
+		}
+	}
+	// Finite edge values keep the verdicts the comparison checks gave them.
+	accepted := []mutation{
+		{"speedup exactly 1", func(c *Config) { c.SprintSpeedup = 1 }},
+		{"zero idle watts", func(c *Config) { c.IdleWatts = 0 }},
+		{"largest finite sprint watts", func(c *Config) { c.SprintWatts = math.MaxFloat64 }},
+		{"negative base freq", func(c *Config) { c.BaseFreqMHz = -1 }},
+		{"equal freqs", func(c *Config) { c.SprintFreqMHz = c.BaseFreqMHz }},
+	}
+	for _, c := range accepted {
+		cfg := DefaultConfig()
+		c.mutate(&cfg)
+		if _, err := New(sim, cfg); err != nil {
+			t.Errorf("%s: %v", c.name, err)
 		}
 	}
 	if _, err := New(nil, DefaultConfig()); err == nil {

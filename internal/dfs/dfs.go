@@ -85,9 +85,7 @@ type FS struct {
 	cfg     Config
 	files   map[string]*file
 	nextID  BlockID
-	used    []int64 // bytes stored per datanode
-	placeAt int     // round-robin cursor for replica placement
-	down    []bool  // failed datanodes; their replicas are unreadable
+	placeAt int // round-robin cursor for replica placement
 }
 
 // New builds an empty file system.
@@ -110,8 +108,6 @@ func New(cfg Config) (*FS, error) {
 	return &FS{
 		cfg:   cfg,
 		files: make(map[string]*file),
-		used:  make([]int64, cfg.DataNodes),
-		down:  make([]bool, cfg.DataNodes),
 	}, nil
 }
 
@@ -140,7 +136,6 @@ func (fs *FS) create(kind, path string, size int64, remote bool) error {
 			for r := 0; r < fs.cfg.Replication; r++ {
 				node := (fs.placeAt + r) % fs.cfg.DataNodes
 				b.Replicas = append(b.Replicas, node)
-				fs.used[node] += bs
 			}
 			fs.placeAt = (fs.placeAt + 1) % fs.cfg.DataNodes
 			sort.Ints(b.Replicas)
@@ -169,27 +164,6 @@ func (fs *FS) CreateRemote(path string, size int64) error {
 	return fs.create("create remote", path, size, true)
 }
 
-// Exists reports whether path is present.
-func (fs *FS) Exists(path string) bool {
-	_, ok := fs.files[path]
-	return ok
-}
-
-// Delete removes a file and frees its replicas.
-func (fs *FS) Delete(path string) error {
-	f, ok := fs.files[path]
-	if !ok {
-		return fmt.Errorf("delete %q: %w", path, ErrNotFound)
-	}
-	for _, b := range f.blocks {
-		for _, n := range b.Replicas {
-			fs.used[n] -= b.Size
-		}
-	}
-	delete(fs.files, path)
-	return nil
-}
-
 // Size returns the logical size of a file.
 func (fs *FS) Size(path string) (int64, error) {
 	f, ok := fs.files[path]
@@ -211,31 +185,14 @@ func (fs *FS) Blocks(path string) ([]Block, error) {
 	return f.blocks[:len(f.blocks):len(f.blocks)], nil
 }
 
-// UsedBytes returns the bytes stored on one datanode.
-func (fs *FS) UsedBytes(node int) int64 { return fs.used[node] }
-
-// TotalStored returns the bytes stored across all datanodes (including
-// replication).
-func (fs *FS) TotalStored() int64 {
-	var t int64
-	for _, u := range fs.used {
-		t += u
-	}
-	return t
-}
-
 // IsLocal reports whether reader (a datanode index; compute nodes are
 // co-located with datanodes modulo the datanode count, as in the paper's
-// testbed where workers and datanodes share machines) holds a live replica
-// of b. Replicas on failed datanodes do not count.
+// testbed where workers and datanodes share machines) holds a replica of b.
 func (fs *FS) IsLocal(b Block, readerNode int) bool {
 	if b.Remote {
 		return false
 	}
 	dn := readerNode % fs.cfg.DataNodes
-	if fs.down[dn] {
-		return false
-	}
 	for _, r := range b.Replicas {
 		if r == dn {
 			return true
@@ -244,28 +201,10 @@ func (fs *FS) IsLocal(b Block, readerNode int) bool {
 	return false
 }
 
-// liveReplicas counts replicas of b on up datanodes.
-func (fs *FS) liveReplicas(b Block) int {
-	var n int
-	for _, r := range b.Replicas {
-		if !fs.down[r] {
-			n++
-		}
-	}
-	return n
-}
-
-// DegradedReadPenalty multiplies the remote read time when no live replica
-// exists and the block must be recovered out of band (e.g. from a cold
-// backup) — HDFS would block the read until re-replication.
-const DegradedReadPenalty = 10
-
 // ReadTime returns the virtual time needed to fetch block b from the
 // perspective of a reader on the given compute node: local-disk rate when
-// the reader co-hosts a live replica, network rate when some other live
-// replica exists, WAN rate when the block belongs to a remote file
-// (another cluster's data), and a degraded recovery read when failures
-// took out every replica.
+// the reader co-hosts a replica, network rate otherwise, and WAN rate when
+// the block belongs to a remote file (another cluster's data).
 func (fs *FS) ReadTime(b Block, readerNode int) simtime.Duration {
 	bw := fs.cfg.RemoteBytesPerSec
 	switch {
@@ -273,39 +212,6 @@ func (fs *FS) ReadTime(b Block, readerNode int) simtime.Duration {
 		bw = fs.cfg.WANBytesPerSec
 	case fs.IsLocal(b, readerNode):
 		bw = fs.cfg.LocalBytesPerSec
-	case fs.liveReplicas(b) == 0:
-		bw = fs.cfg.RemoteBytesPerSec / DegradedReadPenalty
 	}
 	return simtime.Duration(float64(b.Size) / bw)
-}
-
-// FailDataNode takes a datanode offline: its replicas become unreadable
-// until repair. Failing a failed datanode is an error.
-func (fs *FS) FailDataNode(dn int) error {
-	if dn < 0 || dn >= fs.cfg.DataNodes {
-		return fmt.Errorf("dfs: fail datanode %d of %d", dn, fs.cfg.DataNodes)
-	}
-	if fs.down[dn] {
-		return fmt.Errorf("dfs: datanode %d already down", dn)
-	}
-	fs.down[dn] = true
-	return nil
-}
-
-// RepairDataNode brings a failed datanode back (its replicas were
-// preserved on disk, as an HDFS restart would find them).
-func (fs *FS) RepairDataNode(dn int) error {
-	if dn < 0 || dn >= fs.cfg.DataNodes {
-		return fmt.Errorf("dfs: repair datanode %d of %d", dn, fs.cfg.DataNodes)
-	}
-	if !fs.down[dn] {
-		return fmt.Errorf("dfs: datanode %d is not down", dn)
-	}
-	fs.down[dn] = false
-	return nil
-}
-
-// DataNodeDown reports whether a datanode is currently failed.
-func (fs *FS) DataNodeDown(dn int) bool {
-	return dn >= 0 && dn < fs.cfg.DataNodes && fs.down[dn]
 }

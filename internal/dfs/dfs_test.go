@@ -75,29 +75,6 @@ func TestCreateErrors(t *testing.T) {
 	if err := fs.Create("/a", 10); err == nil {
 		t.Fatal("created duplicate file")
 	}
-}
-
-func TestDelete(t *testing.T) {
-	fs := newFS(t, DefaultConfig())
-	if err := fs.Create("/a", 1000); err != nil {
-		t.Fatal(err)
-	}
-	if fs.TotalStored() != 3000 { // replication 3
-		t.Fatalf("TotalStored = %d, want 3000", fs.TotalStored())
-	}
-	if err := fs.Delete("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/a") {
-		t.Fatal("file exists after delete")
-	}
-	if fs.TotalStored() != 0 {
-		t.Fatalf("TotalStored = %d after delete", fs.TotalStored())
-	}
-	err := fs.Delete("/a")
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Delete missing = %v, want ErrNotFound", err)
-	}
 	if _, err := fs.Blocks("/missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Blocks missing = %v", err)
 	}
@@ -115,9 +92,19 @@ func TestPlacementBalance(t *testing.T) {
 	if err := fs.Create("/big", 10*100); err != nil { // 100 blocks
 		t.Fatal(err)
 	}
+	blocks, err := fs.Blocks("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := make([]int64, cfg.DataNodes)
+	for _, b := range blocks {
+		for _, n := range b.Replicas {
+			used[n] += b.Size
+		}
+	}
 	// Round-robin placement: each node stores 100*2/4 = 50 blocks of 10B.
-	for n := 0; n < 4; n++ {
-		if got := fs.UsedBytes(n); got != 500 {
+	for n, got := range used {
+		if got != 500 {
 			t.Fatalf("node %d stores %d bytes, want 500", n, got)
 		}
 	}
@@ -198,7 +185,7 @@ func TestPropertyBlockInvariants(t *testing.T) {
 			}
 			total += b.Size
 		}
-		return total == size && fs.TotalStored() == total*int64(cfg.Replication)
+		return total == size
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -15,8 +15,7 @@
 // Task dispatch is allocation-free in steady state. Task structs are
 // pooled on an engine-wide freelist, each carrying a completion closure
 // bound once at allocation; per-job pending queues are ring-buffer deques
-// (no slice reallocation on push-front speculation backups or failure
-// retries); DVFS speed changes reschedule in-flight completion events in
+// (no slice reallocation on push-front failure retries); DVFS speed changes reschedule in-flight completion events in
 // place via simtime.RescheduleAfter instead of cancelling and re-closing
 // them; and shuffle bucketing hashes keys with an inline FNV-1a. The
 // shuffle buckets of an execution are one set that is zeroed and handed on
@@ -42,8 +41,8 @@
 // event still refers to.
 //
 // In-flight tasks are tracked per execution in a launch-ordered slice, so
-// rescaling and speculation scans — and therefore whole simulations — are
-// deterministic per seed with no map-iteration randomness.
+// rescaling — and therefore whole simulations — is deterministic per seed
+// with no map-iteration randomness.
 //
 // # What a stage carries
 //

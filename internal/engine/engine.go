@@ -365,11 +365,6 @@ type task struct {
 	input   []Record
 	records int
 
-	// speculative marks a backup copy of a straggling task; twin links the
-	// two copies of the same partition.
-	speculative bool
-	twin        *task
-
 	// attempt counts prior aborted attempts of this task (injected
 	// failures and node crashes); willFail marks an attempt the fault
 	// injector doomed, so its completion event aborts it instead.
@@ -427,14 +422,8 @@ type execution struct {
 	tasksDropped  int
 	launched      int
 	stageStats    []StageStat
-	stageTaskSecs []float64 // summed wall task durations per stage
-	// stageDurations collects winner task durations for straggler
-	// detection; donePartitions[s][p] dedupes speculative twins (sized per
-	// stage at start, reused across lives).
-	stageDurations [][]float64
-	donePartitions [][]bool
-	specLaunched   int
-	pending        ring.Deque[*task] // this job's runnable tasks, FIFO
+	stageTaskSecs []float64         // summed wall task durations per stage
+	pending       ring.Deque[*task] // this job's runnable tasks, FIFO
 	// inputBlocks is the dfs file's own block list (shared, read-only).
 	inputBlocks []dfs.Block
 	// perRecordSec[s] is stage s's per-record cost and memos[s] its
@@ -445,7 +434,7 @@ type execution struct {
 
 	// running lists in-flight tasks in launch order (compacted by
 	// swap-remove); a deterministic replacement for the old map, so DVFS
-	// rescaling and speculation scans are reproducible per seed.
+	// rescaling is reproducible per seed.
 	running []*task
 	done    bool
 	evicted bool
@@ -463,33 +452,6 @@ type execution struct {
 	retired    bool
 }
 
-// SpeculationConfig enables Spark-style speculative execution: when a
-// stage is mostly done, tasks running far beyond the median duration get a
-// backup copy; the first finisher wins and the loser is cancelled.
-type SpeculationConfig struct {
-	// Enabled turns speculation on.
-	Enabled bool
-	// Multiplier is the straggler threshold relative to the median task
-	// duration of the stage (Spark default: 1.5).
-	Multiplier float64
-	// MinCompleted is the number of completed tasks in the stage required
-	// before speculating (avoids speculating on the first wave).
-	MinCompleted int
-}
-
-func (c SpeculationConfig) validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Multiplier <= 1 {
-		return fmt.Errorf("engine: speculation multiplier %g must exceed 1", c.Multiplier)
-	}
-	if c.MinCompleted < 1 {
-		return fmt.Errorf("engine: speculation min completed %d", c.MinCompleted)
-	}
-	return nil
-}
-
 // Engine schedules jobs onto a cluster.
 type Engine struct {
 	sim  *simtime.Simulation
@@ -501,18 +463,16 @@ type Engine struct {
 	nextID JobID
 	execs  map[JobID]*execution
 	// execOrder lists live executions in submission order; task dispatch
-	// walks it FIFO, or round-robin under fair sharing.
+	// walks it FIFO.
 	execOrder []*execution
-	fairShare bool
-	spec      SpeculationConfig
 
 	// taskFree recycles task structs (and their pre-bound completion
 	// closures) across executions; execFree recycles execution structs and
-	// their per-stage bookkeeping slices (count buckets, durations,
-	// done-partition sets) the same way, so steady-state job churn
-	// performs no per-submission slice or map allocation beyond what
-	// escapes in the JobResult. Shuffle buckets travel separately, across
-	// engines (shuffleBuffers).
+	// their per-stage bookkeeping slices (count buckets, stage flags and
+	// sums) the same way, so steady-state job churn performs no
+	// per-submission slice or map allocation beyond what escapes in the
+	// JobResult. Shuffle buckets travel separately, across engines
+	// (shuffleBuffers).
 	taskFree []*task
 	execFree []*execution
 	// permScratch and markScratch back the drop selection's permutation
@@ -522,11 +482,9 @@ type Engine struct {
 	markScratch  []bool
 	abortScratch []*task
 
-	wastedSlotSeconds    float64
-	completedJobs        int
-	evictions            int
-	speculativeLaunched  int
-	speculativeDiscarded int
+	wastedSlotSeconds float64
+	completedJobs     int
+	evictions         int
 
 	tasksRetried           int
 	failureLostSlotSeconds float64
@@ -703,17 +661,12 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 	ex.stageDone = resetSlice(ex.stageDone, ns)
 	ex.stageStats = make([]StageStat, ns) // escapes via JobResult.Stages
 	ex.stageTaskSecs = resetSlice(ex.stageTaskSecs, ns)
-	ex.stageDurations = growSlice(ex.stageDurations, ns)
-	for si := range ex.stageDurations {
-		ex.stageDurations[si] = ex.stageDurations[si][:0]
-	}
-	ex.donePartitions = growSlice(ex.donePartitions, ns)
 	ex.perRecordSec = growSlice(ex.perRecordSec, ns)
 	ex.memos = growSlice(ex.memos, ns)
 	ex.running = ex.running[:0]
 	ex.slotSeconds, ex.failureLostSec = 0, 0
 	ex.retries, ex.tasksTotal, ex.tasksExecuted, ex.tasksDropped = 0, 0, 0, 0
-	ex.launched, ex.specLaunched = 0, 0
+	ex.launched = 0
 	ex.done, ex.evicted, ex.retired = false, false, false
 	return ex
 }
@@ -871,26 +824,6 @@ func removeRunning(t *task) {
 // (read-mostly: fault and capacity controllers size their plans from it).
 func (e *Engine) Cluster() *cluster.Cluster { return e.clu }
 
-// SetFairSharing switches task dispatch between submission-order FIFO
-// (default, Spark's FIFO scheduler) and round-robin across live jobs
-// (Spark's FAIR scheduler, §2.4).
-func (e *Engine) SetFairSharing(on bool) { e.fairShare = on }
-
-// SetSpeculation configures speculative execution of stragglers.
-func (e *Engine) SetSpeculation(cfg SpeculationConfig) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	e.spec = cfg
-	return nil
-}
-
-// SpeculativeLaunched returns the number of backup task copies started.
-func (e *Engine) SpeculativeLaunched() int { return e.speculativeLaunched }
-
-// SpeculativeDiscarded returns backup or original copies whose twin won.
-func (e *Engine) SpeculativeDiscarded() int { return e.speculativeDiscarded }
-
 // ActiveJobs returns the number of jobs currently executing.
 func (e *Engine) ActiveJobs() int { return len(e.execs) }
 
@@ -1032,7 +965,6 @@ func (e *Engine) startStage(ex *execution, si int) {
 		e.tracer.StageStarted(e.sim.Now(), ex.opts.Span, si, s.Name, len(selected), n-len(selected))
 	}
 	ex.pendingTasks[si] = len(selected)
-	ex.donePartitions[si] = resetSlice(ex.donePartitions[si], n)
 	if s.Kind == ShuffleMap {
 		if ex.carries[si] {
 			ex.openShuffleOutput(si, s.OutPartitions)
@@ -1062,29 +994,15 @@ func (e *Engine) startStage(ex *execution, si int) {
 	e.dispatch()
 }
 
-// nextExec picks the execution to serve next: first-with-work in
-// submission order (FIFO), or — under fair sharing, like Spark's FAIR
-// scheduler — the job currently holding the fewest slots, ties broken by
-// submission order.
+// nextExec picks the execution to serve next: the first with queued work
+// in submission order (FIFO, Spark's default scheduler).
 func (e *Engine) nextExec() *execution {
-	if !e.fairShare {
-		for _, ex := range e.execOrder {
-			if ex.pending.Len() > 0 {
-				return ex
-			}
-		}
-		return nil
-	}
-	var best *execution
 	for _, ex := range e.execOrder {
-		if ex.pending.Len() == 0 {
-			continue
-		}
-		if best == nil || len(ex.running) < len(best.running) {
-			best = ex
+		if ex.pending.Len() > 0 {
+			return ex
 		}
 	}
-	return best
+	return nil
 }
 
 // acquireFor picks a slot for t, preferring nodes holding the task's
@@ -1194,25 +1112,10 @@ func (e *Engine) completeTask(t *task) {
 	removeRunning(t)
 	e.clu.Release(t.slot)
 
-	// A speculative twin may already have delivered this partition; the
-	// loser's work is discarded (its occupancy was still real).
-	if ex.donePartitions[t.stage][t.partition] {
-		e.speculativeDiscarded++
-		if t.twin != nil {
-			t.twin.twin = nil
-		}
-		e.freeTask(t)
-		e.dispatch()
-		return
-	}
-	ex.donePartitions[t.stage][t.partition] = true
-	e.cancelTwin(t)
-
 	duration := now.Sub(t.startedAt).Seconds()
 	ex.tasksExecuted++
 	ex.stageStats[t.stage].TasksExecuted++
 	ex.stageTaskSecs[t.stage] += duration
-	ex.stageDurations[t.stage] = append(ex.stageDurations[t.stage], duration)
 
 	s := &ex.job.Stages[t.stage]
 	switch carries := ex.carries[t.stage]; {
@@ -1235,8 +1138,6 @@ func (e *Engine) completeTask(t *task) {
 	ex.pendingTasks[stage]--
 	if ex.pendingTasks[stage] == 0 {
 		e.finishStage(ex, stage)
-	} else if e.spec.Enabled {
-		e.maybeSpeculate(ex, stage)
 	}
 	e.dispatch()
 }
@@ -1314,16 +1215,6 @@ func (e *Engine) failTask(t *task) {
 	e.clu.Release(t.slot)
 	t.slot = nil
 	t.remainingWork = 0
-	// A speculative twin is already chasing this partition: the failed
-	// copy simply dies and the twin remains the retry.
-	if t.twin != nil {
-		t.twin.twin = nil
-		t.twin = nil
-		e.speculativeDiscarded++
-		e.freeTask(t)
-		e.dispatch()
-		return
-	}
 	t.attempt++
 	if e.maxTaskAttempts > 0 && t.attempt >= e.maxTaskAttempts {
 		stage, part, attempts := t.stage, t.partition, t.attempt
@@ -1363,15 +1254,12 @@ func (e *Engine) failJob(ex *execution, reason string) {
 		ex.failureLostSec += lost
 		e.clu.Release(t.slot)
 		t.running = false
-		t.twin = nil
 		e.freeTask(t)
 	}
 	clear(ex.running)
 	ex.running = ex.running[:0] // keep the capacity for the pooled next life
 	for ex.pending.Len() > 0 {
-		t := ex.pending.PopFront()
-		t.twin = nil
-		e.freeTask(t)
+		e.freeTask(ex.pending.PopFront())
 	}
 	// Everything the attempt consumed is wasted; charge the share not
 	// already booked by aborted attempts to the failure as well.
@@ -1404,85 +1292,6 @@ func (e *Engine) failJob(ex *execution, reason string) {
 		ex.opts.OnComplete(res)
 	}
 	e.retire(ex)
-}
-
-// cancelTwin aborts the other copy of a just-finished partition, whether
-// running or still queued, and recycles its task struct.
-func (e *Engine) cancelTwin(t *task) {
-	twin := t.twin
-	if twin == nil {
-		return
-	}
-	t.twin = nil
-	twin.twin = nil
-	ex := t.exec
-	if twin.running {
-		e.sim.Cancel(twin.event)
-		ex.slotSeconds += e.sim.Now().Sub(twin.lastUpdate).Seconds()
-		twin.running = false
-		removeRunning(twin)
-		e.clu.Release(twin.slot)
-		e.speculativeDiscarded++
-		e.freeTask(twin)
-		return
-	}
-	for i := 0; i < ex.pending.Len(); i++ {
-		if ex.pending.At(i) == twin {
-			ex.pending.Remove(i)
-			e.speculativeDiscarded++
-			e.freeTask(twin)
-			return
-		}
-	}
-}
-
-// maybeSpeculate launches backup copies for stragglers of a stage: running
-// tasks whose elapsed time exceeds Multiplier x the median completed
-// duration, once MinCompleted tasks of the stage have finished.
-func (e *Engine) maybeSpeculate(ex *execution, stage int) {
-	durs := ex.stageDurations[stage]
-	if len(durs) < e.spec.MinCompleted {
-		return
-	}
-	med := median(durs)
-	if med <= 0 {
-		return
-	}
-	threshold := e.spec.Multiplier * med
-	now := e.sim.Now()
-	for _, t := range ex.running {
-		if t.stage != stage || t.twin != nil || t.speculative {
-			continue
-		}
-		if now.Sub(t.startedAt).Seconds() <= threshold {
-			continue
-		}
-		backup := e.newTask(ex, stage, t.partition, t.input, t.records)
-		backup.speculative = true
-		backup.twin = t
-		t.twin = backup
-		// Backups jump the queue: they chase an already-late partition.
-		ex.pending.PushFront(backup)
-		e.speculativeLaunched++
-	}
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sortFloats(cp)
-	return cp[len(cp)/2]
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // finishStage fires the serial shuffle delay (stage S of the §4 model) and
@@ -1572,16 +1381,13 @@ func (e *Engine) Kill(id JobID) (Attempt, error) {
 		ex.slotSeconds += now.Sub(t.lastUpdate).Seconds()
 		e.clu.Release(t.slot)
 		t.running = false
-		t.twin = nil
 		e.freeTask(t)
 	}
 	clear(ex.running)
 	ex.running = ex.running[:0] // keep the capacity for the pooled next life
 	// Discard this job's queued tasks.
 	for ex.pending.Len() > 0 {
-		t := ex.pending.PopFront()
-		t.twin = nil
-		e.freeTask(t)
+		e.freeTask(ex.pending.PopFront())
 	}
 	delete(e.execs, ex.id)
 	e.removeFromOrder(ex)
@@ -1625,23 +1431,13 @@ func (e *Engine) FailNode(node int) error {
 		}
 		// Re-queue in (stage, partition) order rather than launch order so
 		// retry order is stable regardless of how the tasks were dispatched.
-		// The comparator is a total order (twins differ in speculative), so
+		// A partition has one copy, so the comparator is a total order and
 		// the sort is deterministic.
 		slices.SortFunc(aborted, func(a, b *task) int {
 			if a.stage != b.stage {
 				return a.stage - b.stage
 			}
-			if a.partition != b.partition {
-				return a.partition - b.partition
-			}
-			switch {
-			case a.speculative == b.speculative:
-				return 0
-			case b.speculative:
-				return -1
-			default:
-				return 1
-			}
+			return a.partition - b.partition
 		})
 		for _, t := range aborted {
 			e.sim.Cancel(t.event)

@@ -191,11 +191,9 @@ func (moduloFaults) TaskStarted(_ string, stage, partition, attempt int) engine.
 // the run's submissions then calls during with the submission's start
 // time and JobID, to schedule what happens while it executes.
 type planeScenario struct {
-	name string
-	// noiseSigma, when positive, replaces planeCost's lognormal σ.
-	noiseSigma float64
-	arm        func(t *testing.T, r *planeRig)
-	during     func(t *testing.T, r *planeRig, out *planeOutcome, start simtime.Time, id engine.JobID)
+	name   string
+	arm    func(t *testing.T, r *planeRig)
+	during func(t *testing.T, r *planeRig, out *planeOutcome, start simtime.Time, id engine.JobID)
 	// exercised reports whether the run hit the mechanism the scenario is
 	// about; it must hold for at least one job.
 	exercised func(out *planeOutcome) bool
@@ -203,16 +201,6 @@ type planeScenario struct {
 
 var planeScenarios = []planeScenario{
 	{name: "plain"},
-	{
-		name:       "speculation",
-		noiseSigma: 0.7, // wide enough that stragglers exist
-		arm: func(t *testing.T, r *planeRig) {
-			if err := r.eng.SetSpeculation(engine.SpeculationConfig{Enabled: true, Multiplier: 1.3, MinCompleted: 2}); err != nil {
-				t.Fatal(err)
-			}
-		},
-		exercised: func(out *planeOutcome) bool { return out.SpecLaunched > 0 && out.SpecDiscarded > 0 },
-	},
 	{
 		name: "task-faults",
 		arm: func(t *testing.T, r *planeRig) {
@@ -277,8 +265,7 @@ type planeOutcome struct {
 	End      simtime.Time
 
 	BusySlotSec, EnergyJ, WastedSlotSec, FailureLostSec float64
-	Retried, SpecLaunched, SpecDiscarded                int
-	Completed, Evictions                                int
+	Retried, Completed, Evictions                       int
 }
 
 // runPlane submits the job six times back to back on one engine — so the
@@ -286,11 +273,7 @@ type planeOutcome struct {
 // all on pooled executions — and drains the simulation after each.
 func runPlane(t *testing.T, pj planeJob, sc planeScenario, discard bool) *planeOutcome {
 	t.Helper()
-	cost := planeCost()
-	if sc.noiseSigma > 0 {
-		cost.NoiseSigma = sc.noiseSigma
-	}
-	r := newPlaneRig(t, cost)
+	r := newPlaneRig(t, planeCost())
 	if sc.arm != nil {
 		sc.arm(t, r)
 	}
@@ -313,8 +296,7 @@ func runPlane(t *testing.T, pj planeJob, sc planeScenario, discard bool) *planeO
 	out.End = r.sim.Now()
 	out.BusySlotSec, out.EnergyJ = r.clu.BusySlotSeconds(), r.clu.EnergyJoules()
 	out.WastedSlotSec, out.FailureLostSec = r.eng.WastedSlotSeconds(), r.eng.FailureLostSlotSeconds()
-	out.Retried, out.SpecLaunched, out.SpecDiscarded = r.eng.TasksRetried(), r.eng.SpeculativeLaunched(), r.eng.SpeculativeDiscarded()
-	out.Completed, out.Evictions = r.eng.CompletedJobs(), r.eng.Evictions()
+	out.Retried, out.Completed, out.Evictions = r.eng.TasksRetried(), r.eng.CompletedJobs(), r.eng.Evictions()
 	if r.eng.ActiveJobs() != 0 || r.clu.FreeSlots() != r.clu.Slots() {
 		t.Errorf("run left %d active jobs and %d of %d slots free", r.eng.ActiveJobs(), r.clu.FreeSlots(), r.clu.Slots())
 	}
@@ -324,7 +306,7 @@ func runPlane(t *testing.T, pj planeJob, sc planeScenario, discard bool) *planeO
 // TestCountOnlyMatchesPayload is the oracle pair count-only ≡ payload:
 // with the same seed, discarding the output may change nothing a caller
 // can observe except JobResult.Output — not a duration, an RNG draw, a
-// StageStat, a retry, a speculative copy or a joule.
+// StageStat, a retry or a joule.
 func TestCountOnlyMatchesPayload(t *testing.T) {
 	for _, sc := range planeScenarios {
 		exercised := sc.exercised == nil

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"strconv"
 	"testing"
 
 	"dias/internal/cluster"
@@ -10,14 +9,13 @@ import (
 	"dias/internal/simtime"
 )
 
-// --- Fair sharing -----------------------------------------------------------
+// --- FIFO dispatch ----------------------------------------------------------
 
-// fairRig runs two single-stage jobs (6 and 2 unit tasks) on 2 slots and
+// fifoRig runs two single-stage jobs (6 and 2 unit tasks) on 2 slots and
 // returns their completion times.
-func fairRig(t *testing.T, fair bool) (aDone, bDone float64) {
+func fifoRig(t *testing.T) (aDone, bDone float64) {
 	t.Helper()
 	rig := newRig(t, 2, flatCost(10))
-	rig.eng.SetFairSharing(fair)
 	jobA := &Job{Name: "a", Input: makeInput(6, 0), Stages: []Stage{{Kind: Result}}}
 	jobB := &Job{Name: "b", Input: makeInput(2, 0), Stages: []Stage{{Kind: Result}}}
 	var at, bt simtime.Time
@@ -32,25 +30,10 @@ func fairRig(t *testing.T, fair bool) (aDone, bDone float64) {
 }
 
 func TestFIFOServesFirstJobFirst(t *testing.T) {
-	aDone, bDone := fairRig(t, false)
+	aDone, bDone := fifoRig(t)
 	// FIFO: A's 6 tasks monopolize both slots for 30s, B finishes at 40.
 	if math.Abs(aDone-30) > 1e-9 || math.Abs(bDone-40) > 1e-9 {
 		t.Fatalf("FIFO completions a=%g b=%g, want 30/40", aDone, bDone)
-	}
-}
-
-func TestFairSharingInterleavesJobs(t *testing.T) {
-	aDone, bDone := fairRig(t, true)
-	// Fair: B's 2 tasks interleave with A's and finish far earlier.
-	if bDone >= 40-1e-9 {
-		t.Fatalf("fair sharing did not help job B: b=%g", bDone)
-	}
-	if bDone >= aDone {
-		t.Fatalf("small job B (%g) finished after big job A (%g)", bDone, aDone)
-	}
-	// Total work is conserved: last completion still at 40.
-	if math.Abs(aDone-40) > 1e-9 {
-		t.Fatalf("fair sharing changed total makespan: a=%g", aDone)
 	}
 }
 
@@ -136,179 +119,5 @@ func TestLocalityFallsBackToRemote(t *testing.T) {
 	// Remote placement: 1 s overhead + 10 s remote read = 11 s.
 	if math.Abs(finished.Seconds()-11) > 1e-9 {
 		t.Fatalf("finished at %v, want 11 (remote read)", finished)
-	}
-}
-
-// --- Speculative execution ---------------------------------------------------
-
-// stragglerJob builds a single-stage job whose partition 0 is enormous
-// (per-record cost makes it ~100x the others).
-func stragglerJob(nSmall int) *Job {
-	input := make(Dataset, nSmall+1)
-	big := make(Partition, 100)
-	for i := range big {
-		big[i] = Record{Key: "b" + strconv.Itoa(i), Value: 1.0}
-	}
-	input[0] = big
-	for i := 1; i <= nSmall; i++ {
-		input[i] = Partition{{Key: "s" + strconv.Itoa(i), Value: 1.0}}
-	}
-	return &Job{Name: "straggler", Input: input, Stages: []Stage{{Kind: Result}}}
-}
-
-func TestSpeculationLaunchesBackupAndOriginalWins(t *testing.T) {
-	rig := newRig(t, 2, CostModel{TaskOverheadSec: 0.5, PerRecordSec: 1})
-	if err := rig.eng.SetSpeculation(SpeculationConfig{Enabled: true, Multiplier: 1.5, MinCompleted: 2}); err != nil {
-		t.Fatal(err)
-	}
-	job := stragglerJob(4)
-	var res JobResult
-	if _, err := rig.eng.Submit(job, SubmitOptions{OnComplete: func(r JobResult) { res = r }}); err != nil {
-		t.Fatal(err)
-	}
-	rig.sim.Run()
-	if rig.eng.SpeculativeLaunched() == 0 {
-		t.Fatal("no backup launched for the straggler")
-	}
-	if rig.eng.SpeculativeDiscarded() != rig.eng.SpeculativeLaunched() {
-		t.Fatalf("launched %d backups, discarded %d", rig.eng.SpeculativeLaunched(), rig.eng.SpeculativeDiscarded())
-	}
-	// Output must contain each record exactly once (no twin duplication).
-	if len(res.Output) != 104 {
-		t.Fatalf("output records = %d, want 104", len(res.Output))
-	}
-	seen := map[string]int{}
-	for _, r := range res.Output {
-		seen[r.Key]++
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("record %s appears %d times", k, n)
-		}
-	}
-	// The winner count excludes the cancelled copy.
-	if res.TasksExecuted != 5 {
-		t.Fatalf("tasks executed = %d, want 5", res.TasksExecuted)
-	}
-	if rig.clu.FreeSlots() != 2 {
-		t.Fatalf("free slots = %d after run", rig.clu.FreeSlots())
-	}
-}
-
-func TestSpeculationDisabledByDefault(t *testing.T) {
-	rig := newRig(t, 2, CostModel{TaskOverheadSec: 0.5, PerRecordSec: 1})
-	if _, err := rig.eng.Submit(stragglerJob(4), SubmitOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	rig.sim.Run()
-	if rig.eng.SpeculativeLaunched() != 0 {
-		t.Fatal("speculation ran while disabled")
-	}
-}
-
-func TestSpeculationConfigValidation(t *testing.T) {
-	rig := newRig(t, 1, flatCost(1))
-	if err := rig.eng.SetSpeculation(SpeculationConfig{Enabled: true, Multiplier: 0.5, MinCompleted: 1}); err == nil {
-		t.Fatal("multiplier <= 1 accepted")
-	}
-	if err := rig.eng.SetSpeculation(SpeculationConfig{Enabled: true, Multiplier: 2, MinCompleted: 0}); err == nil {
-		t.Fatal("min completed 0 accepted")
-	}
-	if err := rig.eng.SetSpeculation(SpeculationConfig{}); err != nil {
-		t.Fatalf("disabled config rejected: %v", err)
-	}
-}
-
-func TestSpeculationWithNoiseDoesNotHurt(t *testing.T) {
-	// With heavy lognormal noise, backup copies redraw their duration and
-	// frequently win; average makespan must not degrade.
-	makespan := func(spec bool, seed int64) float64 {
-		sim := simtime.New()
-		cfg := cluster.DefaultConfig()
-		cfg.Nodes = 4
-		cfg.CoresPerNode = 1
-		clu, err := cluster.New(sim, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := New(sim, clu, nil, CostModel{TaskOverheadSec: 1, NoiseSigma: 0.9}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spec {
-			if err := eng.SetSpeculation(SpeculationConfig{Enabled: true, Multiplier: 1.5, MinCompleted: 4}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		job := &Job{Name: "noisy", Input: makeInput(16, 0), Stages: []Stage{{Kind: Result}}}
-		var finished simtime.Time
-		if _, err := eng.Submit(job, SubmitOptions{OnComplete: func(r JobResult) { finished = r.FinishedAt }}); err != nil {
-			t.Fatal(err)
-		}
-		sim.Run()
-		return finished.Seconds()
-	}
-	var with, without float64
-	const runs = 12
-	for s := int64(0); s < runs; s++ {
-		with += makespan(true, s)
-		without += makespan(false, s)
-	}
-	if with > without*1.05 {
-		t.Fatalf("speculation degraded mean makespan: %.2f vs %.2f", with/runs, without/runs)
-	}
-}
-
-func TestKillWithSpeculativeTasks(t *testing.T) {
-	rig := newRig(t, 2, CostModel{TaskOverheadSec: 0.5, PerRecordSec: 1})
-	if err := rig.eng.SetSpeculation(SpeculationConfig{Enabled: true, Multiplier: 1.5, MinCompleted: 2}); err != nil {
-		t.Fatal(err)
-	}
-	id, err := rig.eng.Submit(stragglerJob(4), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run until the backup is in flight, then kill.
-	rig.sim.RunUntil(10)
-	if rig.eng.SpeculativeLaunched() == 0 {
-		t.Fatal("backup not launched before kill")
-	}
-	if _, err := rig.eng.Kill(id); err != nil {
-		t.Fatal(err)
-	}
-	rig.sim.Run()
-	if rig.clu.FreeSlots() != 2 {
-		t.Fatalf("free slots = %d after killing with backups in flight", rig.clu.FreeSlots())
-	}
-	if rig.eng.CompletedJobs() != 0 {
-		t.Fatal("killed job completed")
-	}
-}
-
-func TestFairSharingWithKill(t *testing.T) {
-	// Killing a job mid-rotation must not break the round-robin cursor.
-	rig := newRig(t, 1, flatCost(5))
-	rig.eng.SetFairSharing(true)
-	jobs := make([]JobID, 3)
-	done := 0
-	for i := range jobs {
-		id, err := rig.eng.Submit(
-			&Job{Name: "j" + strconv.Itoa(i), Input: makeInput(3, 0), Stages: []Stage{{Kind: Result}}},
-			SubmitOptions{OnComplete: func(JobResult) { done++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = id
-	}
-	rig.sim.RunUntil(7)
-	if _, err := rig.eng.Kill(jobs[1]); err != nil {
-		t.Fatal(err)
-	}
-	rig.sim.Run()
-	if done != 2 {
-		t.Fatalf("completed %d jobs, want 2", done)
-	}
-	if rig.clu.FreeSlots() != 1 {
-		t.Fatal("slot leaked")
 	}
 }

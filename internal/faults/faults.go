@@ -13,8 +13,8 @@
 //     scratch under a bounded attempt budget, beyond which the whole job
 //     is reported failed (engine.JobResult.Failed).
 //   - Stragglers: attempts are slowed by a multiplicative factor with a
-//     per-attempt probability, modelling the slow-node/slow-task tail the
-//     paper's testbed fights with speculative execution.
+//     per-attempt probability, modelling the slow-node/slow-task tail of
+//     the paper's testbed.
 //
 // Attach wires an Injector into an engine. It is the one node-churn
 // mechanism: dias.NewStack arms it from StackConfig.Faults, and every

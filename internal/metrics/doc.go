@@ -8,9 +8,8 @@
 // with DiscardRecords set), so experiment drivers never materialize the
 // full per-job record slice of a run. Memory stays O(classes) plus the
 // retained response-time samples that exact percentiles require. The
-// batch entry points Aggregate and Slowdowns are thin wrappers over the
-// accumulators and produce bit-identical results for the same record
-// sequence.
+// batch entry point Aggregate is a thin wrapper over Accumulator and
+// produces bit-identical results for the same record sequence.
 //
 // Comparison helpers (Compare, FormatComparisonTable,
 // FormatDecompositionTable) render the paper's relative-difference

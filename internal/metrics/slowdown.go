@@ -1,10 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"dias/internal/core"
 	"dias/internal/stats"
 )
@@ -26,8 +22,8 @@ type SlowdownStats struct {
 }
 
 // SlowdownAccumulator computes per-class slowdown statistics from a
-// record stream, the streaming counterpart of Slowdowns (see Accumulator
-// for the expectedRecords/warmup convention).
+// record stream, skipping the first warmupFraction of completions (see
+// Accumulator for the expectedRecords/warmup convention).
 type SlowdownAccumulator struct {
 	classes int
 	skip    int
@@ -69,17 +65,6 @@ func (a *SlowdownAccumulator) Classes() []SlowdownStats {
 	return out
 }
 
-// Slowdowns computes per-class slowdown statistics from job records,
-// skipping the first warmupFraction of completions. It is the batch form
-// of SlowdownAccumulator.
-func Slowdowns(records []core.JobRecord, classes int, warmupFraction float64) []SlowdownStats {
-	a := NewSlowdownAccumulator(classes, len(records), warmupFraction)
-	for _, r := range records {
-		a.Add(r)
-	}
-	return a.Classes()
-}
-
 // SlowdownRatio returns the mean slowdown of the lowest class divided by
 // that of the highest — the paper's headline "3x" motivation number. It
 // returns 0 when either class has no jobs.
@@ -92,24 +77,4 @@ func SlowdownRatio(slowdowns []SlowdownStats) float64 {
 		return 0
 	}
 	return low.MeanSlowdown / high.MeanSlowdown
-}
-
-// WriteJSON streams scenario results as pretty-printed JSON, for piping
-// experiment output into external plotting tools.
-func WriteJSON(w io.Writer, results ...ScenarioResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		return fmt.Errorf("metrics: encoding results: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON parses results written by WriteJSON.
-func ReadJSON(r io.Reader) ([]ScenarioResult, error) {
-	var out []ScenarioResult
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("metrics: decoding results: %w", err)
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -21,8 +20,17 @@ func slowdownRecords() []core.JobRecord {
 	return recs
 }
 
+// slowdowns folds records through a SlowdownAccumulator sized for them.
+func slowdowns(records []core.JobRecord, classes int, warmupFraction float64) []SlowdownStats {
+	a := NewSlowdownAccumulator(classes, len(records), warmupFraction)
+	for _, r := range records {
+		a.Add(r)
+	}
+	return a.Classes()
+}
+
 func TestSlowdowns(t *testing.T) {
-	s := Slowdowns(slowdownRecords(), 2, 0)
+	s := slowdowns(slowdownRecords(), 2, 0)
 	if len(s) != 2 {
 		t.Fatalf("%d classes", len(s))
 	}
@@ -45,7 +53,7 @@ func TestSlowdownsSkipsWarmupAndBadRecords(t *testing.T) {
 		{Class: 9, ResponseSec: 5, ExecSec: 1}, // out of range, skipped
 		{Class: 0, ResponseSec: 40, ExecSec: 10},
 	}
-	s := Slowdowns(recs, 1, 0.2)
+	s := slowdowns(recs, 1, 0.2)
 	if s[0].Jobs != 2 {
 		t.Fatalf("%d jobs counted, want 2", s[0].Jobs)
 	}
@@ -61,38 +69,5 @@ func TestSlowdownRatioDegenerate(t *testing.T) {
 	empty := []SlowdownStats{{Class: 0}, {Class: 1}}
 	if got := SlowdownRatio(empty); got != 0 {
 		t.Fatalf("empty ratio %g", got)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	in := []ScenarioResult{
-		{
-			Name: "P",
-			PerClass: []ClassStats{
-				{Class: 0, Jobs: 5, MeanResponseSec: 12.5, P95ResponseSec: 20},
-				{Class: 1, Jobs: 2, MeanResponseSec: 3},
-			},
-			ResourceWastePct: 4.2,
-			EnergyJoules:     1e6,
-			MakespanSec:      900,
-		},
-		{Name: "DA(0,20)"},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, in...); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Name != "P" || out[1].Name != "DA(0,20)" {
-		t.Fatalf("round trip %+v", out)
-	}
-	if out[0].PerClass[0].MeanResponseSec != 12.5 || out[0].ResourceWastePct != 4.2 {
-		t.Fatalf("fields lost: %+v", out[0])
-	}
-	if _, err := ReadJSON(bytes.NewBufferString("{broken")); err == nil {
-		t.Fatal("broken JSON accepted")
 	}
 }

@@ -401,27 +401,6 @@ func (o OverheadModel) At(theta float64) float64 {
 	return stats.Interpolate(o.ThetaLo, o.OverheadLo, o.ThetaHi, o.OverheadHi, theta)
 }
 
-// FitWave fits a per-wave PH distribution from profiled execution-time
-// samples via two-moment matching.
-func FitWave(samples []float64) (*phdist.PH, error) {
-	if len(samples) < 2 {
-		return nil, errors.New("model: need at least two samples to fit a wave")
-	}
-	var s stats.Stream
-	for _, x := range samples {
-		if x <= 0 {
-			return nil, fmt.Errorf("model: non-positive sample %g", x)
-		}
-		s.Add(x)
-	}
-	mean := s.Mean()
-	scv := s.Variance() / (mean * mean)
-	if scv < 1e-4 {
-		scv = 1e-4
-	}
-	return phdist.FitMeanSCV(mean, scv)
-}
-
 // --- Response-time prediction --------------------------------------------
 
 // ClassModel couples an arrival rate with a processing-time distribution

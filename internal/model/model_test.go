@@ -388,35 +388,6 @@ func TestOverheadModel(t *testing.T) {
 	}
 }
 
-func TestFitWave(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	src, err := phdist.Erlang(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := make([]float64, 4000)
-	for i := range samples {
-		samples[i] = src.Sample(rng)
-	}
-	fit, err := FitWave(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, err := fit.Mean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mean-2)/2 > 0.05 {
-		t.Fatalf("fitted mean = %g, want ~2", mean)
-	}
-	if _, err := FitWave([]float64{1}); err == nil {
-		t.Fatal("single sample accepted")
-	}
-	if _, err := FitWave([]float64{1, -2}); err == nil {
-		t.Fatal("negative sample accepted")
-	}
-}
-
 func TestPredictMeanResponse(t *testing.T) {
 	// Two classes with exponential processing; must equal queueing directly.
 	low := mustExp(t, 1.0/100)

@@ -111,15 +111,6 @@ func validateClasses(classes []Class) error {
 	return nil
 }
 
-// Utilization returns the total offered load ρ = Σ λ_k·E[S_k].
-func Utilization(classes []Class) float64 {
-	var rho float64
-	for _, c := range classes {
-		rho += c.Rate * c.MeanService
-	}
-	return rho
-}
-
 // higherLoad returns Σ ρ_i over classes with strictly higher priority
 // than k.
 func higherLoad(classes []Class, k int) float64 {

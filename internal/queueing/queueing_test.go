@@ -79,16 +79,6 @@ func TestFromPHReadsBothMomentsFromOneSolve(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	classes := []Class{
-		{Rate: 0.1, MeanService: 2, M2Service: 8},
-		{Rate: 0.2, MeanService: 1, M2Service: 2},
-	}
-	if got := Utilization(classes); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("rho = %g, want 0.4", got)
-	}
-}
-
 func TestMM1SingleClass(t *testing.T) {
 	// M/M/1: T = 1/(mu - lambda) for both disciplines.
 	lambda, mu := 0.5, 1.0

@@ -80,29 +80,6 @@ func (d *Deque[T]) At(i int) T {
 	return d.buf[(d.head+i)%len(d.buf)]
 }
 
-// Remove deletes the i-th element from the front, shifting the shorter
-// side of the deque over the gap.
-func (d *Deque[T]) Remove(i int) {
-	if i < 0 || i >= d.n {
-		panic("ring: index out of range")
-	}
-	var zero T
-	if i < d.n-i-1 {
-		// Shift the front section towards the back.
-		for j := i; j > 0; j-- {
-			d.buf[(d.head+j)%len(d.buf)] = d.buf[(d.head+j-1)%len(d.buf)]
-		}
-		d.buf[d.head] = zero
-		d.head = (d.head + 1) % len(d.buf)
-	} else {
-		for j := i; j < d.n-1; j++ {
-			d.buf[(d.head+j)%len(d.buf)] = d.buf[(d.head+j+1)%len(d.buf)]
-		}
-		d.buf[(d.head+d.n-1)%len(d.buf)] = zero
-	}
-	d.n--
-}
-
 // Clear empties the deque, zeroing occupied slots but keeping the backing
 // array for reuse.
 func (d *Deque[T]) Clear() {

@@ -35,41 +35,6 @@ func TestPushFront(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	mk := func() *Deque[int] {
-		d := &Deque[int]{}
-		// Force a wrapped layout: fill, drain some, refill.
-		for i := 0; i < 6; i++ {
-			d.PushBack(-1)
-		}
-		for i := 0; i < 6; i++ {
-			d.PopFront()
-		}
-		for i := 0; i < 5; i++ {
-			d.PushBack(i)
-		}
-		return d
-	}
-	for rm := 0; rm < 5; rm++ {
-		d := mk()
-		d.Remove(rm)
-		want := []int{}
-		for i := 0; i < 5; i++ {
-			if i != rm {
-				want = append(want, i)
-			}
-		}
-		if d.Len() != len(want) {
-			t.Fatalf("Len = %d, want %d", d.Len(), len(want))
-		}
-		for i, w := range want {
-			if got := d.At(i); got != w {
-				t.Fatalf("after Remove(%d): At(%d) = %d, want %d", rm, i, got, w)
-			}
-		}
-	}
-}
-
 func TestClear(t *testing.T) {
 	var d Deque[*int]
 	x := 1
@@ -91,7 +56,7 @@ func TestAgainstSlice(t *testing.T) {
 	var d Deque[int]
 	var ref []int
 	for op := 0; op < 20000; op++ {
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0:
 			v := rng.Int()
 			d.PushBack(v)
@@ -111,12 +76,6 @@ func TestAgainstSlice(t *testing.T) {
 		case 3:
 			if len(ref) > 0 {
 				i := rng.Intn(len(ref))
-				d.Remove(i)
-				ref = append(ref[:i:i], ref[i+1:]...)
-			}
-		case 4:
-			if len(ref) > 0 {
-				i := rng.Intn(len(ref))
 				if got := d.At(i); got != ref[i] {
 					t.Fatalf("op %d: At(%d) = %d, want %d", op, i, got, ref[i])
 				}
@@ -133,7 +92,6 @@ func TestPanics(t *testing.T) {
 		"PopFront": func() { new(Deque[int]).PopFront() },
 		"Front":    func() { new(Deque[int]).Front() },
 		"At":       func() { new(Deque[int]).At(0) },
-		"Remove":   func() { new(Deque[int]).Remove(0) },
 	} {
 		func() {
 			defer func() {

@@ -16,8 +16,6 @@ type Duration float64
 const (
 	Millisecond Duration = 1e-3
 	Second      Duration = 1
-	Minute      Duration = 60
-	Hour        Duration = 3600
 )
 
 // Add returns the instant d after t.

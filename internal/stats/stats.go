@@ -270,62 +270,3 @@ func Interpolate(x0, y0, x1, y1, x float64) float64 {
 		return y0*(1-f) + y1*f
 	}
 }
-
-// Histogram counts observations into fixed-width bins over [lo, hi); values
-// outside the range land in the first or last bin.
-type Histogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
-}
-
-// NewHistogram returns a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: NewHistogram invalid range [%g,%g) with %d bins", lo, hi, n)
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(math.Floor((x - h.lo) / h.width))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.counts[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.width
-}
-
-// CDFAt returns the empirical CDF at the right edge of the bin containing x.
-func (h *Histogram) CDFAt(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum int64
-	for i := range h.counts {
-		edge := h.lo + float64(i+1)*h.width
-		cum += h.counts[i]
-		if x < edge {
-			return float64(cum) / float64(h.total)
-		}
-	}
-	return 1
-}

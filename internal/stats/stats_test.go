@@ -193,46 +193,6 @@ func TestInterpolate(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-5, 0, 1.9, 2, 9.9, 15} {
-		h.Add(x)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Bin(0) != 3 { // -5, 0, 1.9
-		t.Fatalf("Bin(0) = %d, want 3", h.Bin(0))
-	}
-	if h.Bin(1) != 1 || h.Bin(4) != 2 {
-		t.Fatalf("bins = %d %d", h.Bin(1), h.Bin(4))
-	}
-	if h.Bins() != 5 {
-		t.Fatalf("Bins = %d", h.Bins())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %g", got)
-	}
-	if got := h.CDFAt(3.5); math.Abs(got-4.0/6) > 1e-12 {
-		t.Fatalf("CDFAt(3.5) = %g", got)
-	}
-	if got := h.CDFAt(100); got != 1 {
-		t.Fatalf("CDFAt(100) = %g", got)
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	if _, err := NewHistogram(0, 0, 5); err == nil {
-		t.Fatal("expected error for empty range")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("expected error for zero bins")
-	}
-}
-
 // Property: Stream mean/variance agree with direct two-pass computation.
 func TestPropertyStreamMatchesTwoPass(t *testing.T) {
 	f := func(seed int64, n uint8) bool {

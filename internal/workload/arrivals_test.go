@@ -73,67 +73,6 @@ func TestNewReplayRejectsBadSequences(t *testing.T) {
 	}
 }
 
-func TestRescale(t *testing.T) {
-	arr := []Arrival{{At: 1, Class: 0}, {At: 2, Class: 1}}
-	out, err := Rescale(arr, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].At != 0.5 || out[1].At != 1 {
-		t.Fatalf("rescaled %+v", out)
-	}
-	if arr[0].At != 1 {
-		t.Fatal("rescale mutated its input")
-	}
-	if _, err := Rescale(arr, 0); err == nil {
-		t.Fatal("factor 0 accepted")
-	}
-	if _, err := Rescale(arr, -1); err == nil {
-		t.Fatal("negative factor accepted")
-	}
-}
-
-func TestEmpiricalBootstrapPreservesMarginals(t *testing.T) {
-	// Build a ground-truth stream, bootstrap from it, compare mean gap and
-	// class mix.
-	pm, err := NewPoissonMix([]float64{0.3, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	base := pm.Stream(rng, 3000)
-	emp, err := NewEmpirical(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMean := 1.0 / pm.TotalRate()
-	if got := emp.MeanGap(); math.Abs(got-wantMean)/wantMean > 0.1 {
-		t.Errorf("mean gap %g, want ~%g", got, wantMean)
-	}
-	mix := emp.ClassMix()
-	if len(mix) != 2 {
-		t.Fatalf("mix %v", mix)
-	}
-	if math.Abs(mix[0]-0.75) > 0.05 {
-		t.Errorf("class-0 mix %g, want ~0.75", mix[0])
-	}
-	// Resampled stream keeps the same mean rate.
-	out := StreamOf(emp, rng, 3000)
-	gotRate := float64(len(out)) / out[len(out)-1].At
-	if math.Abs(gotRate-pm.TotalRate())/pm.TotalRate() > 0.1 {
-		t.Errorf("bootstrap rate %g, want ~%g", gotRate, pm.TotalRate())
-	}
-}
-
-func TestNewEmpiricalRejectsBadInput(t *testing.T) {
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := NewEmpirical([]Arrival{{At: 3}, {At: 1}}); err == nil {
-		t.Fatal("unsorted accepted")
-	}
-}
-
 // Property: for any valid recorded sequence, replaying it through StreamOf
 // reproduces the original absolute arrival times in the first cycle.
 func TestReplayFirstCycleIdentityProperty(t *testing.T) {

@@ -20,7 +20,7 @@
 //     episodes with mean-preserving rates; correlated burstiness.
 //   - DiurnalMix: sinusoidally rate-modulated arrivals (day/night
 //     cycles).
-//   - Replay / Empirical: materialized trace replay (exact, cycling).
+//   - Replay: materialized trace replay (exact, cycling).
 //   - EmpiricalStream: streaming replay of a trace.StreamReader file —
 //     one record in memory at a time, for million-job runs.
 //

@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"dias/internal/engine"
@@ -12,8 +11,8 @@ import (
 
 // The §4 models treat the number of map/reduce tasks of a priority-k job as
 // a random variable with PMF pm(t). This file provides task-count samplers
-// whose exact PMFs plug into model.TaskCountPMF, size distributions for the
-// byte-volume knob, and job sources that build per-arrival job variants.
+// whose exact PMFs plug into model.TaskCountPMF, and job sources that build
+// per-arrival job variants.
 
 // --- Task-count samplers ---------------------------------------------------
 
@@ -70,149 +69,6 @@ func (u UniformCount) PMF() model.TaskCountPMF {
 
 // Max returns Hi.
 func (u UniformCount) Max() int { return u.Hi }
-
-// EmpiricalCount resamples from observed task counts (e.g. profiled from a
-// production trace), with the exact empirical PMF.
-type EmpiricalCount struct {
-	counts []int
-	pmf    model.TaskCountPMF
-}
-
-// NewEmpiricalCount builds the sampler from observations (each >= 1).
-func NewEmpiricalCount(observed []int) (*EmpiricalCount, error) {
-	if len(observed) == 0 {
-		return nil, errors.New("workload: no observed task counts")
-	}
-	maxN := 0
-	for i, c := range observed {
-		if c < 1 {
-			return nil, fmt.Errorf("workload: observation %d has %d tasks", i, c)
-		}
-		if c > maxN {
-			maxN = c
-		}
-	}
-	pmf := make(model.TaskCountPMF, maxN)
-	for _, c := range observed {
-		pmf[c-1] += 1 / float64(len(observed))
-	}
-	cp := make([]int, len(observed))
-	copy(cp, observed)
-	return &EmpiricalCount{counts: cp, pmf: pmf}, nil
-}
-
-// Sample resamples one observation.
-func (e *EmpiricalCount) Sample(rng *rand.Rand) int {
-	return e.counts[rng.Intn(len(e.counts))]
-}
-
-// PMF returns the empirical distribution.
-func (e *EmpiricalCount) PMF() model.TaskCountPMF {
-	out := make(model.TaskCountPMF, len(e.pmf))
-	copy(out, e.pmf)
-	return out
-}
-
-// Max returns the largest observed count.
-func (e *EmpiricalCount) Max() int { return len(e.pmf) }
-
-// --- Size distributions -----------------------------------------------------
-
-// SizeDist draws positive job sizes (bytes, or any positive scalar knob).
-type SizeDist interface {
-	Sample(rng *rand.Rand) float64
-	Mean() float64
-}
-
-// FixedSize always yields the same size.
-type FixedSize float64
-
-// Sample returns the fixed size.
-func (f FixedSize) Sample(_ *rand.Rand) float64 { return float64(f) }
-
-// Mean returns the fixed size.
-func (f FixedSize) Mean() float64 { return float64(f) }
-
-// UniformSize draws uniformly from [Lo, Hi].
-type UniformSize struct {
-	Lo, Hi float64
-}
-
-// NewUniformSize validates the bounds.
-func NewUniformSize(lo, hi float64) (UniformSize, error) {
-	if lo <= 0 || hi < lo {
-		return UniformSize{}, fmt.Errorf("workload: uniform size bounds [%g,%g]", lo, hi)
-	}
-	return UniformSize{Lo: lo, Hi: hi}, nil
-}
-
-// Sample draws one size.
-func (u UniformSize) Sample(rng *rand.Rand) float64 {
-	return u.Lo + rng.Float64()*(u.Hi-u.Lo)
-}
-
-// Mean returns (Lo+Hi)/2.
-func (u UniformSize) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// LognormalSize draws log-normally distributed sizes — the heavy-tailed
-// shape production job-size traces exhibit. Mu and Sigma parameterize the
-// underlying normal (of the natural log).
-type LognormalSize struct {
-	Mu, Sigma float64
-}
-
-// LognormalFromMeanCV builds the lognormal matching a target mean and
-// coefficient of variation (std/mean), the two numbers trace studies
-// usually report.
-func LognormalFromMeanCV(mean, cv float64) (LognormalSize, error) {
-	if mean <= 0 || cv <= 0 {
-		return LognormalSize{}, fmt.Errorf("workload: lognormal mean %g cv %g", mean, cv)
-	}
-	sigma2 := math.Log(1 + cv*cv)
-	return LognormalSize{
-		Mu:    math.Log(mean) - sigma2/2,
-		Sigma: math.Sqrt(sigma2),
-	}, nil
-}
-
-// Sample draws one size.
-func (l LognormalSize) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
-}
-
-// Mean returns exp(mu + sigma^2/2).
-func (l LognormalSize) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// EmpiricalSize resamples from observed sizes.
-type EmpiricalSize struct {
-	samples []float64
-	mean    float64
-}
-
-// NewEmpiricalSize builds the sampler from positive observations.
-func NewEmpiricalSize(observed []float64) (*EmpiricalSize, error) {
-	if len(observed) == 0 {
-		return nil, errors.New("workload: no observed sizes")
-	}
-	var sum float64
-	for i, s := range observed {
-		if s <= 0 {
-			return nil, fmt.Errorf("workload: observation %d has size %g", i, s)
-		}
-		sum += s
-	}
-	cp := make([]float64, len(observed))
-	copy(cp, observed)
-	return &EmpiricalSize{samples: cp, mean: sum / float64(len(observed))}, nil
-}
-
-// Sample resamples one observation.
-func (e *EmpiricalSize) Sample(rng *rand.Rand) float64 {
-	return e.samples[rng.Intn(len(e.samples))]
-}
-
-// Mean returns the sample mean.
-func (e *EmpiricalSize) Mean() float64 { return e.mean }
 
 // --- Job sources ------------------------------------------------------------
 

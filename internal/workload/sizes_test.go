@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dias/internal/engine"
 )
@@ -52,101 +51,6 @@ func TestUniformCountPMFAndSampling(t *testing.T) {
 	}
 	if _, err := NewUniformCount(5, 4); err == nil {
 		t.Fatal("hi<lo accepted")
-	}
-}
-
-func TestEmpiricalCountPMFMatchesObservations(t *testing.T) {
-	e, err := NewEmpiricalCount([]int{2, 2, 5, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 200; i++ {
-		switch v := e.Sample(rng); v {
-		case 2, 5, 9: // observed values only
-		default:
-			t.Fatalf("sampled unobserved count %d", v)
-		}
-	}
-	pmf := e.PMF()
-	if err := pmf.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if pmf[1] != 0.5 || pmf[4] != 0.25 || pmf[8] != 0.25 {
-		t.Fatalf("pmf %v", pmf)
-	}
-	if e.Max() != 9 {
-		t.Fatalf("max %d", e.Max())
-	}
-	if _, err := NewEmpiricalCount(nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := NewEmpiricalCount([]int{0}); err == nil {
-		t.Fatal("zero count accepted")
-	}
-}
-
-func TestSizeDistMeans(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	check := func(name string, d SizeDist, relTol float64) {
-		t.Helper()
-		var sum float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			v := d.Sample(rng)
-			if v <= 0 {
-				t.Fatalf("%s: sample %g not positive", name, v)
-			}
-			sum += v
-		}
-		got := sum / n
-		if math.Abs(got-d.Mean())/d.Mean() > relTol {
-			t.Errorf("%s: sample mean %g vs Mean() %g", name, got, d.Mean())
-		}
-	}
-	check("fixed", FixedSize(100), 1e-12)
-	u, err := NewUniformSize(10, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("uniform", u, 0.02)
-	ln, err := LognormalFromMeanCV(500, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("lognormal", ln, 0.05)
-	emp, err := NewEmpiricalSize([]float64{1, 2, 3, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("empirical", emp, 0.05)
-}
-
-func TestLognormalFromMeanCVProperty(t *testing.T) {
-	// Property: the analytic mean of the fitted lognormal equals the target.
-	f := func(meanRaw, cvRaw uint16) bool {
-		mean := 1 + float64(meanRaw)
-		cv := 0.1 + float64(cvRaw%300)/100
-		ln, err := LognormalFromMeanCV(mean, cv)
-		if err != nil {
-			return false
-		}
-		return math.Abs(ln.Mean()-mean)/mean < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSizeDistValidation(t *testing.T) {
-	if _, err := NewUniformSize(0, 5); err == nil {
-		t.Fatal("lo=0 accepted")
-	}
-	if _, err := LognormalFromMeanCV(0, 1); err == nil {
-		t.Fatal("mean=0 accepted")
-	}
-	if _, err := NewEmpiricalSize([]float64{1, -2}); err == nil {
-		t.Fatal("negative sample accepted")
 	}
 }
 

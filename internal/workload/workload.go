@@ -143,13 +143,6 @@ type GraphConfig struct {
 	EdgesPerNode int
 }
 
-// DefaultGraphConfig is a laptop-scale stand-in for the Google web graph
-// (875k nodes / 5.1M edges in the paper): the same heavy-tailed degree
-// shape at ~1000x smaller size.
-func DefaultGraphConfig() GraphConfig {
-	return GraphConfig{Nodes: 900, EdgesPerNode: 5}
-}
-
 // SynthesizeGraph grows a Barabási–Albert preferential-attachment graph:
 // new vertices attach m edges to existing vertices with probability
 // proportional to degree, yielding the power-law degree distribution of

@@ -152,6 +152,33 @@ func TestStackFaultsAndAutoscale(t *testing.T) {
 	}
 }
 
+// TestStackClusterConfigUsedAsGiven checks that only the zero
+// cluster.Config selects the default testbed: a partly filled one is
+// validated as given instead of being replaced without an error.
+func TestStackClusterConfigUsedAsGiven(t *testing.T) {
+	policy := core.PolicyNP(2)
+	partial := cluster.Config{CoresPerNode: 4, SprintSpeedup: 3}
+	if _, err := dias.NewStack(dias.StackConfig{Cluster: partial, Policy: policy}); err == nil {
+		t.Fatal("a cluster config without Nodes was accepted")
+	}
+	custom := cluster.DefaultConfig()
+	custom.Nodes, custom.CoresPerNode, custom.SprintSpeedup = 3, 4, 3
+	stack, err := dias.NewStack(dias.StackConfig{Cluster: custom, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stack.Cluster.Config(); got != custom {
+		t.Fatalf("stack cluster config %+v, want %+v", got, custom)
+	}
+	stack, err = dias.NewStack(dias.StackConfig{Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stack.Cluster.Config(); got != cluster.DefaultConfig() {
+		t.Fatalf("zero cluster config built %+v, want the testbed", got)
+	}
+}
+
 // TestSprintPolicyNonFiniteRejected runs sprint policies through both
 // constructors that validate them, core.New and dias.NewStack. A NaN in
 // a timeout, the budget, the drain or the replenish rate used to pass
