@@ -238,48 +238,79 @@ func BenchmarkEngineTextJob(b *testing.B) {
 	})
 }
 
-// BenchmarkTriangleStages runs one warm θ = 0.1 triangle-count job over a
-// 300-node Barabási–Albert graph per iteration (100 partitions, 100
-// buckets, count-only: the shape of the benchmark of record's stack-graph
-// workload). Stage 0 is served from the template memo, so ns/op and
-// allocs/op are the dedup, adjacency, wedges and join stages plus shuffle
-// bucketing: the per-job allocation count of the graph data plane, tracked
-// per commit.
-func BenchmarkTriangleStages(b *testing.B) {
+// warmTriangleJob returns a function that runs one θ = 0.1 triangle-count
+// job over a 300-node Barabási–Albert graph (100 partitions, 100 buckets,
+// count-only: the shape of the benchmark of record's stack-graph
+// workload) on one engine, after running it once so the template memo and
+// the pooled scratch are warm, and the number of jobs completed so far.
+func warmTriangleJob(tb testing.TB) (run func(), completed *int) {
 	edges, err := workload.SynthesizeGraph(rand.New(rand.NewSource(1)), workload.GraphConfig{Nodes: 300, EdgesPerNode: 3})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	job := analytics.TriangleCountJob("tc", analytics.EdgeDataset(edges, 100), 100, 750<<20)
 	sim := simtime.New()
 	clu, err := cluster.New(sim, cluster.DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng, err := engine.New(sim, clu, nil, engine.DefaultCostModel(), 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	completed := 0
+	completed = new(int)
 	opts := engine.SubmitOptions{
 		DropRatios:    []float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
 		DiscardOutput: true,
-		OnComplete:    func(engine.JobResult) { completed++ },
+		OnComplete:    func(engine.JobResult) { *completed++ },
 	}
-	run := func() {
+	run = func() {
 		if _, err := eng.Submit(job, opts); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		sim.Run()
 	}
 	run()
+	return run, completed
+}
+
+// BenchmarkTriangleStages runs one warm triangle-count job per iteration
+// (see warmTriangleJob). Stage 0 is served from the template memo, so
+// ns/op and allocs/op are the dedup, adjacency, wedges and join stages
+// plus shuffle bucketing: the per-job allocation count of the graph data
+// plane, tracked per commit.
+func BenchmarkTriangleStages(b *testing.B) {
+	run, completed := warmTriangleJob(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
-	if completed != b.N+1 {
-		b.Fatalf("completed %d jobs, want %d", completed, b.N+1)
+	if *completed != b.N+1 {
+		b.Fatalf("completed %d jobs, want %d", *completed, b.N+1)
+	}
+}
+
+// TestTriangleJobAllocations gates BenchmarkTriangleStages's job: a warm
+// triangle-count job allocates at most 420 times (382 when the gate was
+// set, about four per task), so an allocation per record in any stage
+// fails it.
+func TestTriangleJobAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	run, completed := warmTriangleJob(t)
+	// The shuffle buckets and pooled scratch reach their working sizes
+	// over the first few jobs.
+	for range 10 {
+		run()
+	}
+	const ceiling = 420
+	if got := testing.AllocsPerRun(20, run); got > ceiling {
+		t.Errorf("one warm triangle-count job: %v allocations, ceiling %d", got, ceiling)
+	}
+	if *completed != 32 {
+		t.Fatalf("completed %d jobs, want 32", *completed)
 	}
 }
 

@@ -12,8 +12,8 @@
 package analytics
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -219,8 +219,26 @@ func (e Edge) Canonical() Edge {
 	return e
 }
 
+// maxEdgeKey is the longest "u,v" key: two 20-byte int64s and a comma.
+const maxEdgeKey = 41
+
+// appendEdgeKey appends e's "u,v" key.
+func appendEdgeKey(b []byte, e Edge) []byte {
+	b = strconv.AppendInt(b, e.U, 10)
+	b = append(b, ',')
+	return strconv.AppendInt(b, e.V, 10)
+}
+
 func (e Edge) key() string {
-	return strconv.FormatInt(e.U, 10) + "," + strconv.FormatInt(e.V, 10)
+	var buf [maxEdgeKey]byte
+	return string(appendEdgeKey(buf[:0], e))
+}
+
+// keyedBy reports whether key is e's "u,v" key, formatting it into a
+// stack buffer rather than a new string.
+func keyedBy(key string, e Edge) bool {
+	var buf [maxEdgeKey]byte
+	return string(appendEdgeKey(buf[:0], e)) == key
 }
 
 func parseEdgeKey(k string) (Edge, bool) {
@@ -236,15 +254,53 @@ func parseEdgeKey(k string) (Edge, bool) {
 	return Edge{U: u, V: v}, true
 }
 
-// EdgeDataset partitions an edge list into nParts input partitions.
+// edgeOf returns the edge a record value carries. The triangle stages
+// accept an Edge by value, as hand-built inputs hold it, or by pointer, as
+// EdgeDataset holds it.
+func edgeOf(v any) (Edge, bool) {
+	switch e := v.(type) {
+	case Edge:
+		return e, true
+	case *Edge:
+		if e != nil {
+			return *e, true
+		}
+	}
+	return Edge{}, false
+}
+
+// EdgeDataset partitions an edge list into nParts input partitions, edge i
+// going to partition i % nParts. Every edge is stored in canonical
+// orientation (U <= V) under its "u,v" key, so the canonicalize stage
+// returns a self-loop-free partition as it is and its memo holds no second
+// copy of the graph. A partition costs three allocations: its edges live
+// in one []Edge that the records point into, its keys are substrings of
+// one string, and its records fill one slice.
 func EdgeDataset(edges []Edge, nParts int) engine.Dataset {
 	if nParts < 1 {
 		nParts = 1
 	}
 	d := make(engine.Dataset, nParts)
-	for i, e := range edges {
-		p := i % nParts
-		d[p] = append(d[p], engine.Record{Key: e.key(), Value: e})
+	for p := range min(nParts, len(edges)) {
+		block := make([]Edge, 0, (len(edges)-p+nParts-1)/nParts)
+		size := 0
+		for i := p; i < len(edges); i += nParts {
+			c := edges[i].Canonical()
+			block = append(block, c)
+			size += decimalLen(c.U) + 1 + decimalLen(c.V)
+		}
+		// Grown to its final size the builder never moves, so every
+		// String() below is a view of the same backing array.
+		var keys strings.Builder
+		keys.Grow(size)
+		part := make(engine.Partition, len(block))
+		for j := range block {
+			var buf [maxEdgeKey]byte
+			start := keys.Len()
+			keys.Write(appendEdgeKey(buf[:0], block[j]))
+			part[j] = engine.Record{Key: keys.String()[start:], Value: &block[j]}
+		}
+		d[p] = part
 	}
 	return d
 }
@@ -254,6 +310,13 @@ const (
 	markerEdge  = "E"
 	markerWedge = "W"
 )
+
+// isMarker reports whether v is the marker m. A typed assertion is cheaper
+// than comparing interfaces and answers the same for every value.
+func isMarker(v any, m string) bool {
+	s, ok := v.(string)
+	return ok && s == m
+}
 
 // TriangleCountJob builds the paper's graph-analysis job as six ShuffleMap
 // stages plus one Result stage, mirroring the GraphX triangle-count plan
@@ -278,28 +341,48 @@ func TriangleCountJob(name string, edges engine.Dataset, buckets int, sizeBytes 
 	}
 }
 
-// stageCanonicalize re-keys every edge by its canonical (min,max) form.
+// allCanonicalAsIs reports whether stageCanonicalize keeps every record
+// of in as it is: each a non-loop edge in canonical orientation under its
+// own "u,v" key.
+func allCanonicalAsIs(in []engine.Record) bool {
+	for _, r := range in {
+		if e, ok := edgeOf(r.Value); !ok || e.U >= e.V || !keyedBy(r.Key, e) {
+			return false
+		}
+	}
+	return true
+}
+
+// stageCanonicalize re-keys every edge by its canonical (min,max) form and
+// drops self-loops and non-edges. A record already canonical under its own
+// key is kept as it is, and an input made only of such records — every
+// EdgeDataset partition of a self-loop-free graph — is returned itself, so
+// the stage memo aliases the template instead of copying it.
 func stageCanonicalize(in []engine.Record) []engine.Record {
+	if len(in) > 0 && allCanonicalAsIs(in) {
+		return in
+	}
 	out := make([]engine.Record, 0, len(in))
 	for _, r := range in {
-		e, ok := r.Value.(Edge)
-		if !ok {
-			continue
-		}
-		if e.U == e.V {
+		e, ok := edgeOf(r.Value)
+		switch {
+		case !ok || e.U == e.V:
 			continue // self-loops form no triangles
+		case e.U < e.V && keyedBy(r.Key, e):
+			out = append(out, r)
+		default:
+			c := e.Canonical()
+			out = append(out, engine.Record{Key: c.key(), Value: c})
 		}
-		c := e.Canonical()
-		out = append(out, engine.Record{Key: c.key(), Value: c})
 	}
 	return out
 }
 
 // The four hot stages below (dedup, adjacency, wedges, join) run ~100 tasks
-// of ~20 records each per job, so they group and de-duplicate by sorting
-// small slices rather than through maps, and they format each task's
-// decimal keys into one backing string (the engine's TaskFunc contract
-// lets returned records share key storage).
+// of ~20 records each per job, so they group and de-duplicate through
+// small sorts and pooled open-addressed hash indexes rather than maps, and
+// they format each task's decimal keys into one backing string (the
+// engine's TaskFunc contract lets returned records share key storage).
 
 // yieldToCollector lets the garbage collector's background mark worker
 // onto the processor; each of the four hot stages calls it on entry. The
@@ -314,22 +397,67 @@ func stageCanonicalize(in []engine.Record) []engine.Record {
 // against the ≥ 10 µs of a task.
 func yieldToCollector() { runtime.Gosched() }
 
-// triScratch is the sort and key scratch of one stageWedges or stageJoin
-// call. Every field is emptied of string pointers before the scratch goes
-// back to the pool, so a pooled scratch pins no task's records.
+// triScratch is the scratch of one stageWedges or stageJoin call. Every
+// string field is cleared before the scratch goes back to the pool, so a
+// pooled scratch pins no task's records.
 type triScratch struct {
-	pairs  []vertexNeighbour // stageWedges: (vertex key, neighbour) to group
-	digits []byte            // stageWedges: one vertex group's neighbours in decimal
-	ends   []int             // stageWedges: end offset of each neighbour in digits
-	edges  []string          // stageJoin: the bucket's edge keys, sorted
-	counts []float64         // stageJoin: wedges matched per edge key
+	table   []int32   // hash index over verts or edges: index+1, 0 when empty
+	verts   []string  // stageWedges: distinct vertex keys, first-seen order
+	vertex  []int32   // stageWedges: each neighbour record's index in verts
+	neigh   []int64   // stageWedges: each neighbour record's neighbour
+	grouped []int64   // stageWedges: the neighbours in one run per vertex
+	starts  []int32   // stageWedges: start of each vertex's run in grouped
+	order   []int32   // stageWedges: vertex indices in key order
+	digits  []byte    // stageWedges: one vertex's neighbours in decimal
+	ends    []int     // stageWedges: end offset of each neighbour in digits
+	edges   []string  // stageJoin: the bucket's edge keys, sorted
+	counts  []float64 // stageJoin: wedges matched per edge key
 }
 
 var triScratchPool = sync.Pool{New: func() any { return new(triScratch) }}
 
-type vertexNeighbour struct {
-	vertex    string
-	neighbour int64
+// hashKey is 64-bit FNV-1a followed by a multiplicative mix. The index
+// reads its top bits: every key of one shuffle bucket shares the engine's
+// 32-bit FNV-1a residue modulo the bucket count, and the low bits of
+// FNV-1a follow the same recurrence at either width, so they collide.
+func hashKey(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h * 0x9e3779b97f4a7c15
+}
+
+// resetIndex empties sc.table at the power-of-two size of at least 2n
+// slots and returns the shift that maps a hashKey onto it.
+func (sc *triScratch) resetIndex(n int) uint {
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	if size := 1 << bits; cap(sc.table) < size {
+		sc.table = make([]int32, size)
+	} else {
+		sc.table = sc.table[:size]
+		clear(sc.table)
+	}
+	return 64 - bits
+}
+
+// probe returns the slot of sc.table that holds key's index into keys, or
+// the empty slot where that index belongs.
+func (sc *triScratch) probe(shift uint, keys []string, key string) (slot uint64, found bool) {
+	mask := uint64(len(sc.table) - 1)
+	for i := hashKey(key) >> shift; ; i = (i + 1) & mask {
+		j := sc.table[i]
+		if j == 0 {
+			return i, false
+		}
+		if keys[j-1] == key {
+			return i, true
+		}
+	}
 }
 
 // decimalLen returns len(strconv.FormatInt(x, 10)).
@@ -344,10 +472,23 @@ func decimalLen(x int64) int {
 	return n
 }
 
-// writeInt appends x in decimal.
-func writeInt(b *strings.Builder, x int64) {
-	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], x, 10))
+// vertexBoxes holds int64(i) boxed as an interface for each vertex id i
+// in 0..1023: boxing an int64 of 256 or more allocates, and the triangle
+// stages emit one vertex id per adjacency record. Like countBoxes, the
+// boxes are shared because Go never writes through an interface.
+var vertexBoxes = func() (b [1024]any) {
+	for i := range b {
+		b[i] = int64(i)
+	}
+	return b
+}()
+
+// boxVertex returns x as a Record.Value, from vertexBoxes when it holds x.
+func boxVertex(x int64) any {
+	if x >= 0 && x < int64(len(vertexBoxes)) {
+		return vertexBoxes[x]
+	}
+	return x
 }
 
 func compareKeys(a, b engine.Record) int { return strings.Compare(a.Key, b.Key) }
@@ -359,7 +500,7 @@ func stageDedup(in []engine.Record) []engine.Record {
 	yieldToCollector()
 	out := make([]engine.Record, 0, len(in))
 	for _, r := range in {
-		if _, ok := r.Value.(Edge); ok {
+		if _, ok := edgeOf(r.Value); ok {
 			out = append(out, r)
 		}
 	}
@@ -378,36 +519,26 @@ func stageDedup(in []engine.Record) []engine.Record {
 
 // stageAdjacency emits each edge under both endpoint keys so the next
 // stage sees complete neighborhoods, plus one edge marker under the
-// canonical key for the later join. "u,v" is written once per edge and the
-// endpoint keys "u" and "v" are substrings of it.
+// canonical key for the later join. When a record's key is its edge's
+// "u,v" — as canonicalize and dedup leave it — the endpoint keys "u" and
+// "v" are substrings of that key; otherwise the key is formatted afresh.
 func stageAdjacency(in []engine.Record) []engine.Record {
 	yieldToCollector()
 	out := make([]engine.Record, 0, 3*len(in))
-	size := 0
 	for _, r := range in {
-		if e, ok := r.Value.(Edge); ok {
-			size += decimalLen(e.U) + 1 + decimalLen(e.V)
-		}
-	}
-	// Grown to its final size the builder never moves, so every String()
-	// below is a view of the same backing array.
-	var keys strings.Builder
-	keys.Grow(size)
-	for _, r := range in {
-		e, ok := r.Value.(Edge)
+		e, ok := edgeOf(r.Value)
 		if !ok {
 			continue
 		}
-		start := keys.Len()
-		writeInt(&keys, e.U)
-		comma := keys.Len()
-		keys.WriteByte(',')
-		writeInt(&keys, e.V)
-		block := keys.String()
+		key := r.Key
+		if !keyedBy(key, e) {
+			key = e.key()
+		}
+		comma := decimalLen(e.U)
 		out = append(out,
-			engine.Record{Key: block[start:comma], Value: e.V},
-			engine.Record{Key: block[comma+1:], Value: e.U},
-			engine.Record{Key: block[start:], Value: markerEdge},
+			engine.Record{Key: key[:comma], Value: boxVertex(e.V)},
+			engine.Record{Key: key[comma+1:], Value: boxVertex(e.U)},
+			engine.Record{Key: key, Value: markerEdge},
 		)
 	}
 	return out
@@ -416,63 +547,92 @@ func stageAdjacency(in []engine.Record) []engine.Record {
 // stageWedges groups neighbors per vertex and emits one wedge record per
 // neighbor pair, forwarding edge markers unchanged: markers first in input
 // order, then the wedges of each vertex in key order, each vertex's
-// distinct neighbours paired in ascending order.
+// distinct neighbours paired in ascending order. Vertex keys are interned
+// through a hash index and the neighbours counting-sorted into one run per
+// vertex, so only the few distinct vertex keys are sorted as strings.
 func stageWedges(in []engine.Record) []engine.Record {
 	yieldToCollector()
 	sc := triScratchPool.Get().(*triScratch)
-	pairs := sc.pairs[:0]
+	verts, vertex, neigh := sc.verts[:0], sc.vertex[:0], sc.neigh[:0]
 	markers := 0
+	shift := sc.resetIndex(len(in))
 	for _, r := range in {
 		switch v := r.Value.(type) {
 		case int64:
-			pairs = append(pairs, vertexNeighbour{r.Key, v})
+			slot, found := sc.probe(shift, verts, r.Key)
+			if !found {
+				verts = append(verts, r.Key)
+				sc.table[slot] = int32(len(verts))
+			}
+			vertex = append(vertex, sc.table[slot]-1)
+			neigh = append(neigh, v)
 		case string:
 			if v == markerEdge {
 				markers++
 			}
 		}
 	}
-	slices.SortFunc(pairs, func(a, b vertexNeighbour) int {
-		if c := strings.Compare(a.vertex, b.vertex); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.neighbour, b.neighbour)
-	})
-	pairs = slices.Compact(pairs) // zeroes the tail it drops
 
-	// A vertex with d distinct neighbours of l_1..l_d digits yields
-	// d(d-1)/2 wedges "a,b" whose keys take (d-1)·Σl + d(d-1)/2 bytes.
+	// Counting sort: starts[v] ends as the start of vertex v's run in
+	// grouped, and starts[len(verts)] is the end of the last run.
+	starts := append(sc.starts[:0], make([]int32, len(verts)+1)...)
+	for _, v := range vertex {
+		starts[v]++
+	}
+	for v := 1; v < len(verts); v++ {
+		starts[v] += starts[v-1]
+	}
+	starts[len(verts)] = int32(len(neigh))
+	grouped := append(sc.grouped[:0], neigh...)
+	for i, v := range vertex {
+		starts[v]--
+		grouped[starts[v]] = neigh[i]
+	}
+	order := sc.order[:0]
+	for v := range verts {
+		order = append(order, int32(v))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(verts[a], verts[b]) })
+
+	// Sort and de-duplicate each run; a vertex with d distinct neighbours
+	// of l_1..l_d digits yields d(d-1)/2 wedges "a,b" whose keys take
+	// (d-1)·Σl + d(d-1)/2 bytes. Each run's distinct length replaces its
+	// entry in vertex, which has served its purpose.
 	wedges, size := 0, 0
-	for g := 0; g < len(pairs); {
-		d, digits := 0, 0
-		for ; g+d < len(pairs) && pairs[g+d].vertex == pairs[g].vertex; d++ {
-			digits += decimalLen(pairs[g+d].neighbour)
+	for v := range verts {
+		run := grouped[starts[v]:starts[v+1]]
+		slices.Sort(run)
+		d := len(slices.Compact(run))
+		digits := 0
+		for _, n := range run[:d] {
+			digits += decimalLen(n)
 		}
+		vertex[v] = int32(d)
 		wedges += d * (d - 1) / 2
 		size += (d-1)*digits + d*(d-1)/2
-		g += d
 	}
 
 	var out []engine.Record
 	if markers+wedges > 0 {
 		out = make([]engine.Record, 0, markers+wedges)
 		for _, r := range in {
-			if r.Value == markerEdge {
+			if isMarker(r.Value, markerEdge) {
 				out = append(out, r)
 			}
 		}
 	}
-	var keys strings.Builder // never moves once grown; see stageAdjacency
+	var keys strings.Builder // never moves once grown; see EdgeDataset
 	keys.Grow(size)
-	for g := 0; g < len(pairs); {
-		digits, ends := sc.digits[:0], sc.ends[:0]
-		d := 0
-		for ; g+d < len(pairs) && pairs[g+d].vertex == pairs[g].vertex; d++ {
-			digits = strconv.AppendInt(digits, pairs[g+d].neighbour, 10)
+	digits, ends := sc.digits, sc.ends
+	for _, v := range order {
+		run := grouped[starts[v] : starts[v]+vertex[v]]
+		digits, ends = digits[:0], ends[:0]
+		for _, n := range run {
+			digits = strconv.AppendInt(digits, n, 10)
 			ends = append(ends, len(digits))
 		}
-		for i, from := 0, 0; i < d; from, i = ends[i], i+1 {
-			for j := i + 1; j < d; j++ {
+		for i, from := 0, 0; i < len(run); from, i = ends[i], i+1 {
+			for j := i + 1; j < len(run); j++ {
 				start := keys.Len()
 				keys.Write(digits[from:ends[i]])
 				keys.WriteByte(',')
@@ -480,24 +640,24 @@ func stageWedges(in []engine.Record) []engine.Record {
 				out = append(out, engine.Record{Key: keys.String()[start:], Value: markerWedge})
 			}
 		}
-		sc.digits, sc.ends = digits, ends
-		g += d
 	}
 
-	clear(pairs)
-	sc.pairs = pairs
+	clear(verts)
+	sc.verts, sc.vertex, sc.neigh, sc.grouped = verts, vertex, neigh, grouped
+	sc.starts, sc.order, sc.digits, sc.ends = starts, order, digits, ends
 	triScratchPool.Put(sc)
 	return out
 }
 
 // stageJoin counts, per canonical pair key, wedges that close into
 // triangles because the pair is also an edge; the output is sorted by key.
+// The sorted edge keys are hash-indexed, so each wedge costs one probe.
 func stageJoin(in []engine.Record) []engine.Record {
 	yieldToCollector()
 	sc := triScratchPool.Get().(*triScratch)
 	edges := sc.edges[:0]
 	for _, r := range in {
-		if r.Value == markerEdge {
+		if isMarker(r.Value, markerEdge) {
 			edges = append(edges, r.Key)
 		}
 	}
@@ -505,15 +665,23 @@ func stageJoin(in []engine.Record) []engine.Record {
 	edges = slices.Compact(edges) // zeroes the tail it drops
 	counts := append(sc.counts[:0], make([]float64, len(edges))...)
 	matched := 0
-	for _, r := range in {
-		if r.Value != markerWedge {
-			continue
+	if len(edges) > 0 {
+		shift := sc.resetIndex(len(edges))
+		for i, k := range edges {
+			slot, _ := sc.probe(shift, edges, k)
+			sc.table[slot] = int32(i + 1)
 		}
-		if i, ok := slices.BinarySearch(edges, r.Key); ok {
-			if counts[i] == 0 {
-				matched++
+		for _, r := range in {
+			if !isMarker(r.Value, markerWedge) {
+				continue
 			}
-			counts[i]++
+			if slot, found := sc.probe(shift, edges, r.Key); found {
+				i := sc.table[slot] - 1
+				if counts[i] == 0 {
+					matched++
+				}
+				counts[i]++
+			}
 		}
 	}
 	var out []engine.Record
@@ -531,12 +699,27 @@ func stageJoin(in []engine.Record) []engine.Record {
 	return out
 }
 
+// partialRecords holds, for each whole sum i in 0..1023, the one-record
+// output of stagePartialCount: immutable and shared by every call, as the
+// TaskFunc contract allows, so a bucket's partial count costs nothing.
+var partialRecords = func() (p [1024][]engine.Record) {
+	for i := range p {
+		p[i] = []engine.Record{{Key: "partial", Value: boxCount(float64(i))}}
+	}
+	return p
+}()
+
 // stagePartialCount sums matched wedges within its bucket.
 func stagePartialCount(in []engine.Record) []engine.Record {
 	var sum float64
 	for _, r := range in {
 		if v, ok := r.Value.(float64); ok {
 			sum += v
+		}
+	}
+	if sum >= 0 && sum < float64(len(partialRecords)) && !math.Signbit(sum) {
+		if i := int(sum); float64(i) == sum {
+			return partialRecords[i]
 		}
 	}
 	return []engine.Record{{Key: "partial", Value: boxCount(sum)}}

@@ -608,10 +608,11 @@ var sinkValue any
 
 // TestTriangleStageAllocations pins what each stage allocates per call:
 // its output, one key block, and nothing that grows with the record
-// count. Vertex ids stay below 256 here because boxing a larger int64 as
-// a Record.Value costs one allocation the Record API cannot avoid; the
-// join's float64 counts are whole and small, so they share the boxes of
-// countBoxes and cost nothing per record.
+// count. Vertex ids span [0, 1000), past the runtime's 256 pre-boxed
+// integers, because the stages box ids from vertexBoxes; the join's
+// float64 counts are whole and small, so they share the boxes of
+// countBoxes and cost nothing per record. A whole partial count returns a
+// shared record, and canonicalize returns an EdgeDataset partition itself.
 func TestTriangleStageAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -619,28 +620,210 @@ func TestTriangleStageAllocations(t *testing.T) {
 	for _, edges := range []int{8, 64, 512} {
 		rng := rand.New(rand.NewSource(5))
 		var in []engine.Record
+		var list []Edge
 		for i := 0; i < edges; i++ {
-			in = append(in, engine.Record{Value: Edge{U: int64(rng.Intn(200)), V: int64(rng.Intn(200))}})
+			e := Edge{U: int64(rng.Intn(1000)), V: int64(rng.Intn(1000))}
+			in = append(in, engine.Record{Value: e})
+			if e.U != e.V {
+				list = append(list, e)
+			}
 		}
 		canonical := stageCanonicalize(in)
 		deduped := stageDedup(canonical)
 		adjacent := stageAdjacency(deduped)
 		wedged := stageWedges(adjacent)
+		joined := stageJoin(wedged)
 		for _, st := range []struct {
 			name    string
 			fn      engine.TaskFunc
 			in      []engine.Record
 			ceiling float64
 		}{
-			{"dedup", stageDedup, canonical, 2},
-			{"adjacency", stageAdjacency, deduped, 3},
-			{"wedges", stageWedges, adjacent, 4},
-			{"join", stageJoin, wedged, 3},
+			{"canonicalize", stageCanonicalize, EdgeDataset(list, 1)[0], 0},
+			{"dedup", stageDedup, canonical, 1},
+			{"adjacency", stageAdjacency, deduped, 1},
+			{"wedges", stageWedges, adjacent, 2},
+			{"join", stageJoin, wedged, 1},
+			{"partial-count", stagePartialCount, joined, 0},
 		} {
 			st.fn(st.in) // warm the scratch pool
 			if got := testing.AllocsPerRun(20, func() { st.fn(st.in) }); got > st.ceiling {
 				t.Errorf("%s over %d records: %v allocations per call, ceiling %v", st.name, len(st.in), got, st.ceiling)
 			}
 		}
+	}
+}
+
+// refCanonicalize is the record-at-a-time rule stageCanonicalize follows:
+// edges, by value or by pointer, that are canonical under their own key
+// are kept as they are, other edges are re-keyed by their canonical form,
+// and self-loops and non-edges are dropped.
+func refCanonicalize(in []engine.Record) []engine.Record {
+	out := make([]engine.Record, 0, len(in))
+	for _, r := range in {
+		var e Edge
+		switch v := r.Value.(type) {
+		case Edge:
+			e = v
+		case *Edge:
+			if v == nil {
+				continue
+			}
+			e = *v
+		default:
+			continue
+		}
+		switch c := e.Canonical(); {
+		case e.U == e.V:
+		case e == c && r.Key == e.key():
+			out = append(out, r)
+		default:
+			out = append(out, engine.Record{Key: c.key(), Value: c})
+		}
+	}
+	return out
+}
+
+// baGraph is a small Barabási–Albert graph: a clique on m+1 vertices,
+// then each new vertex attached to m distinct earlier ones drawn in
+// proportion to their degree, every such edge written (new, old), so
+// U > V as in the synthetic graphs the figures use.
+func baGraph(rng *rand.Rand, nodes, m int) []Edge {
+	var edges []Edge
+	var endpoints []int64
+	for u := 0; u <= m; u++ {
+		for v := u + 1; v <= m; v++ {
+			edges = append(edges, Edge{int64(u), int64(v)})
+			endpoints = append(endpoints, int64(u), int64(v))
+		}
+	}
+	for v := m + 1; v < nodes; v++ {
+		var targets []int64
+		for len(targets) < m {
+			if t := endpoints[rng.Intn(len(endpoints))]; !slices.Contains(targets, t) {
+				targets = append(targets, t)
+			}
+		}
+		for _, t := range targets {
+			edges = append(edges, Edge{int64(v), t})
+			endpoints = append(endpoints, int64(v), t)
+		}
+	}
+	return edges
+}
+
+// TestEdgeDatasetCanonical pins EdgeDataset's layout: edge i in partition
+// i % nParts in input order, in canonical orientation under its "u,v"
+// key, and no partition beyond the edges.
+func TestEdgeDatasetCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	edges := baGraph(rng, 60, 3)
+	edges = append(edges, Edge{5, 5}, Edge{-3, 7}, Edge{math.MaxInt64, math.MinInt64})
+	for _, nParts := range []int{0, 1, 4, 7, len(edges) + 3} {
+		d := EdgeDataset(edges, nParts)
+		if want := max(nParts, 1); len(d) != want {
+			t.Fatalf("nParts %d: %d partitions, want %d", nParts, len(d), want)
+		}
+		next := make([]int, len(d))
+		for i, e := range edges {
+			p := i % len(d)
+			r := d[p][next[p]]
+			next[p]++
+			c := e.Canonical()
+			if got, ok := r.Value.(*Edge); !ok || *got != c || r.Key != c.key() {
+				t.Fatalf("nParts %d, edge %d %v: record %q %#v, want %q %v", nParts, i, e, r.Key, r.Value, c.key(), c)
+			}
+		}
+		for p, part := range d {
+			if len(part) != next[p] {
+				t.Fatalf("nParts %d: partition %d holds %d records, want %d", nParts, p, len(part), next[p])
+			}
+			if len(part) == 0 && part != nil {
+				t.Fatalf("nParts %d: empty partition %d is not nil", nParts, p)
+			}
+		}
+	}
+}
+
+// TestCanonicalizeAliasesEdgeDataset: over every partition of an
+// EdgeDataset built from a self-loop-free edge list, stageCanonicalize
+// returns its input's own backing array, so the stage memo holds no
+// second copy of the template.
+func TestCanonicalizeAliasesEdgeDataset(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, nParts := range []int{1, 8, 100} {
+		for p, in := range EdgeDataset(baGraph(rng, 300, 3), nParts) {
+			out := stageCanonicalize(in)
+			if len(out) != len(in) || &out[0] != &in[0] {
+				t.Fatalf("nParts %d, partition %d: output is not the input itself", nParts, p)
+			}
+		}
+	}
+}
+
+// TestCanonicalizeMatchesReference is the differential oracle of
+// stageCanonicalize's aliasing and copying paths: on seeded random inputs
+// — canonical and reversed edges, self-loops, records whose key is not
+// their edge's, *Edge values and foreign values — it returns exactly what
+// refCanonicalize returns and leaves its input untouched.
+func TestCanonicalizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	record := func(rng *rand.Rand) engine.Record {
+		r := edgeRecord(rng)
+		e := r.Value.(Edge)
+		if rng.Intn(2) == 0 && r.Key == e.key() {
+			e = e.Canonical() // mostly canonical, as EdgeDataset stores them
+			r = engine.Record{Key: e.key(), Value: e}
+		}
+		if rng.Intn(3) == 0 {
+			r.Value = &e
+		}
+		return r
+	}
+	inputs := stageInputs(rng, record)
+	// A nil *Edge, and canonical edges one of which is not under its own
+	// key: each input must take the copying path as a whole.
+	inputs = append(inputs,
+		[]engine.Record{{Key: "1,2", Value: (*Edge)(nil)}},
+		[]engine.Record{{Key: "1,2", Value: Edge{1, 2}}, {Key: "1,3", Value: &Edge{1, 2}}},
+		[]engine.Record{{Key: "01,2", Value: Edge{1, 2}}, {Key: "2,3", Value: Edge{2, 3}}},
+	)
+	for _, edges := range [][]Edge{baGraph(rng, 40, 2), {{1, 2}, {2, 1}}, {{3, 3}}} {
+		for _, part := range EdgeDataset(edges, 3) {
+			inputs = append(inputs, part)
+		}
+	}
+	aliased := 0
+	for i, in := range inputs {
+		before := slices.Clone(in)
+		got, want := stageCanonicalize(in), refCanonicalize(in)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("input %d (%d records): got %v\nwant %v", i, len(in), got, want)
+		}
+		if !reflect.DeepEqual(in, before) {
+			t.Fatalf("input %d: the stage changed its input", i)
+		}
+		if len(got) > 0 && &got[0] == &in[0] {
+			aliased++
+		}
+	}
+	if aliased < 3 {
+		t.Fatalf("only %d inputs took the aliasing path", aliased)
+	}
+}
+
+// TestPartialCountSharedRecords: a whole partial count below 1024 is one
+// of the shared records, with the value a fresh box would hold; any other
+// sum is boxed afresh with its exact bits.
+func TestPartialCountSharedRecords(t *testing.T) {
+	for _, want := range []float64{0, 1, 2, 3.5, 1023, 1024, 1e9} {
+		in := []engine.Record{{Key: "k", Value: want / 2}, {Key: "k", Value: "W"}, {Key: "k", Value: want / 2}}
+		got := stagePartialCount(in)
+		if len(got) != 1 || got[0].Key != "partial" || got[0].Value != any(want) {
+			t.Fatalf("sum %v: got %v", want, got)
+		}
+	}
+	if a, b := stagePartialCount(nil), stagePartialCount([]engine.Record{{Value: 0.0}}); &a[0] != &b[0] {
+		t.Fatal("two zero sums did not share one record")
 	}
 }

@@ -66,7 +66,9 @@
 // template's Stages array, so every Job that shares the array (shallow
 // clones, workload.SubJob truncations) on every engine and goroutine
 // computes each partition once, from the first submission on; nothing is
-// retained per engine or per process. Simulated task durations are priced
-// by the cost model from input sizes, so memoization changes no timing,
-// only removes redundant host-CPU work.
+// retained per engine or per process. The engine never writes into a
+// memoized output, so a Compute that returns its own input makes the memo
+// entry an alias of the template's partition rather than a copy.
+// Simulated task durations are priced by the cost model from input sizes,
+// so memoization changes no timing, only removes redundant host-CPU work.
 package engine

@@ -57,9 +57,13 @@ const (
 // submitted, and any engine on any goroutine may serve the output from
 // another's call), it aliases shuffle outputs as downstream inputs without
 // defensive copying, and it does not call Compute at all for a stage whose
-// output nobody reads. Returned records may share one backing string for
-// their keys (a task that formats its keys can build them in one block);
-// the engine treats keys as opaque values either way.
+// output nobody reads. The engine never writes into a returned slice: it
+// only reads memo entries and copies records into buckets and the result.
+// A TaskFunc may therefore return its own input, as the identity does, or
+// the same immutable slice from several calls. Returned records may share
+// one backing string for their keys (a task that formats its keys can
+// build them in one block); the engine treats keys as opaque values either
+// way.
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.

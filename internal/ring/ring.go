@@ -72,14 +72,6 @@ func (d *Deque[T]) PopFront() T {
 	return x
 }
 
-// At returns the i-th element from the front (0 <= i < Len).
-func (d *Deque[T]) At(i int) T {
-	if i < 0 || i >= d.n {
-		panic("ring: index out of range")
-	}
-	return d.buf[(d.head+i)%len(d.buf)]
-}
-
 // Clear empties the deque, zeroing occupied slots but keeping the backing
 // array for reuse.
 func (d *Deque[T]) Clear() {

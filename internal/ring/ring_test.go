@@ -26,12 +26,12 @@ func TestPushFront(t *testing.T) {
 	d.PushFront(1)
 	d.PushFront(0)
 	for i := 0; i < 3; i++ {
-		if got := d.At(i); got != i {
-			t.Fatalf("At(%d) = %d", i, got)
+		if got := d.Front(); got != i {
+			t.Fatalf("Front = %d, want %d", got, i)
 		}
-	}
-	if d.Front() != 0 {
-		t.Fatal("Front != 0")
+		if got := d.PopFront(); got != i {
+			t.Fatalf("PopFront = %d, want %d", got, i)
+		}
 	}
 }
 
@@ -75,14 +75,19 @@ func TestAgainstSlice(t *testing.T) {
 			}
 		case 3:
 			if len(ref) > 0 {
-				i := rng.Intn(len(ref))
-				if got := d.At(i); got != ref[i] {
-					t.Fatalf("op %d: At(%d) = %d, want %d", op, i, got, ref[i])
+				if got := d.Front(); got != ref[0] {
+					t.Fatalf("op %d: Front = %d, want %d", op, got, ref[0])
 				}
 			}
 		}
 		if d.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, want %d", op, d.Len(), len(ref))
+		}
+	}
+	// Draining from the front yields every element in the reference order.
+	for i, want := range ref {
+		if got := d.PopFront(); got != want {
+			t.Fatalf("drain %d: PopFront = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -91,7 +96,6 @@ func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"PopFront": func() { new(Deque[int]).PopFront() },
 		"Front":    func() { new(Deque[int]).Front() },
-		"At":       func() { new(Deque[int]).At(0) },
 	} {
 		func() {
 			defer func() {
