@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race examples cover bench bench-smoke benchmark-smoke bench-baseline bench-check determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
+.PHONY: build test test-short test-race examples deadcode cover bench bench-smoke benchmark-smoke bench-baseline bench-check determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
 
 # The reduced figure set and scale the smoke/baseline/gate pipeline runs.
 # Changing it requires regenerating the committed baseline (bench-baseline).
@@ -41,6 +41,16 @@ examples:
 			cat "$$tmp/run/$$name/out.txt"; echo "FAIL examples/$$name"; exit 1; \
 		fi; \
 	done
+
+# The reachability gate (ci/deadcode.sh): links every program — cmd/*,
+# examples/*, ci/facaderoot (which calls every export of package dias) and
+# the benchmark module — with the linker's dependency dump, and fails on
+# any function or method under internal/ that none of them reaches and
+# ci/unused-allowlist.txt does not name with a reason, or on a stale
+# entry there. CI's fast lane runs it after examples (~12 s warm on a
+# 2-core box).
+deadcode:
+	GO=$(GO) ./ci/deadcode.sh
 
 # Per-package coverage over the short suite: coverage.out (the profile)
 # plus coverage.txt (the per-function/per-package summary). CI's fast

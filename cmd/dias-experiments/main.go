@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -186,8 +187,14 @@ type exportPaths struct {
 
 func (e exportPaths) armed() bool { return e.trace != "" || e.events != "" || e.timeline != "" }
 
-// write exports the registry to every requested destination.
-func (e exportPaths) write(reg *telemetry.Registry) error {
+// write exports the registry to every requested destination and logs
+// each file written to log. The trace line also counts the events the
+// collectors' per-span and global caps shed, when there are any.
+func (e exportPaths) write(reg *telemetry.Registry, log io.Writer) error {
+	shed := 0
+	for _, name := range reg.Names() {
+		shed += reg.Get(name).Dropped()
+	}
 	type export struct {
 		path  string
 		label string
@@ -212,7 +219,11 @@ func (e exportPaths) write(reg *telemetry.Registry) error {
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("writing %s: %w", x.label, err)
 		}
-		fmt.Fprintf(os.Stderr, "dias-experiments: wrote %s %s\n", x.label, x.path)
+		note := ""
+		if x.label == "trace" && shed > 0 {
+			note = fmt.Sprintf(" (%d events shed by the span and event caps)", shed)
+		}
+		fmt.Fprintf(log, "dias-experiments: wrote %s %s%s\n", x.label, x.path, note)
 	}
 	return nil
 }
@@ -389,7 +400,7 @@ func run(fig string, scale experiments.Scale, replicas int, benchOut string, exp
 		return err
 	}
 	if reg != nil {
-		if err := exports.write(reg); err != nil {
+		if err := exports.write(reg, os.Stderr); err != nil {
 			return err
 		}
 	}

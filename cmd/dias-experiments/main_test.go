@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dias/internal/experiments"
+	"dias/internal/simtime"
+	"dias/internal/telemetry"
 )
 
 // quickTestScale is a tiny scale for CLI plumbing tests that never runs a
@@ -82,5 +85,39 @@ func TestProfilesCoverTheDriverLoop(t *testing.T) {
 	bad := profilePaths{cpu: prof.cpu, mem: filepath.Join(dir, "no", "such", "dir", "mem.prof")}
 	if err := run("6", quickTestScale(), 1, "", exportPaths{}, bad); err == nil {
 		t.Fatal("unwritable -memprofile accepted")
+	}
+}
+
+// TestExportLogCountsShedEvents: the "wrote trace" line counts the events
+// the collectors' caps shed, summed over every collector of the registry,
+// and reads as before when nothing was shed. The other lines never change.
+func TestExportLogCountsShedEvents(t *testing.T) {
+	dir := t.TempDir()
+	paths := exportPaths{trace: filepath.Join(dir, "trace.json"), events: filepath.Join(dir, "events.jsonl")}
+	reg := telemetry.NewRegistry(telemetry.Config{MaxEventsPerJob: 2})
+	export := func() string {
+		t.Helper()
+		var log bytes.Buffer
+		if err := paths.write(reg, &log); err != nil {
+			t.Fatal(err)
+		}
+		return log.String()
+	}
+	eventsLine := "dias-experiments: wrote events " + paths.events + "\n"
+	if got, want := export(), "dias-experiments: wrote trace "+paths.trace+"\n"+eventsLine; got != want {
+		t.Fatalf("nothing shed: log\n%s\nwant\n%s", got, want)
+	}
+	// Per collector: the submit and one retry fit the span, 3 retries are
+	// shed.
+	for _, name := range []string{"a", "b/c"} {
+		tr := reg.Collector(name).Member(0)
+		id := tr.JobSubmitted(0, "j", 0)
+		for i := range 4 {
+			tr.TaskRetried(simtime.Time(i), id, 0, i, 1)
+		}
+	}
+	want := "dias-experiments: wrote trace " + paths.trace + " (6 events shed by the span and event caps)\n" + eventsLine
+	if got := export(); got != want {
+		t.Fatalf("6 events shed: log\n%s\nwant\n%s", got, want)
 	}
 }

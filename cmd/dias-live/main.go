@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -21,13 +22,16 @@ import (
 func main() {
 	np := flag.Bool("np", false, "non-preemptive (no evictions)")
 	flag.Parse()
-	if err := run(!*np); err != nil {
+	if err := run(os.Stdout, !*np, 100*time.Millisecond); err != nil {
 		fmt.Fprintln(os.Stderr, "dias-live:", err)
 		os.Exit(1)
 	}
 }
 
-func run(preemptive bool) error {
+// run drives the demo and reports to out. Every duration is a multiple of
+// unit: the low-priority job sleeps 20 units, the high-priority ones 2
+// units each, and they arrive 3 units after it.
+func run(out io.Writer, preemptive bool, unit time.Duration) error {
 	runner, err := live.NewRunner(live.Config{
 		Classes:    2,
 		Preemptive: preemptive,
@@ -36,7 +40,7 @@ func run(preemptive bool) error {
 			if rec.Err != nil {
 				status = rec.Err.Error()
 			}
-			fmt.Printf("%-10s class=%d evictions=%d latency=%v status=%s\n",
+			fmt.Fprintf(out, "%-10s class=%d evictions=%d latency=%v status=%s\n",
 				rec.Name, rec.Class, rec.Evictions,
 				rec.FinishedAt.Sub(rec.SubmittedAt).Round(time.Millisecond), status)
 		},
@@ -57,18 +61,19 @@ func run(preemptive bool) error {
 	if !preemptive {
 		mode = "non-preemptive (DiAS mode: no evictions)"
 	}
-	fmt.Println("dias-live:", mode)
+	fmt.Fprintln(out, "dias-live:", mode)
 
-	sleep := func(name string, class int, dur string) live.Job {
+	sleep := func(name string, class int, units time.Duration) live.Job {
+		dur := fmt.Sprintf("%g", (units * unit).Seconds())
 		return live.Job{Name: name, Class: class, Path: "/bin/sh", Args: []string{"-c", "sleep " + dur}}
 	}
 	// A long low-priority job, then a burst of high-priority ones.
-	if err := runner.Submit(sleep("low-batch", 0, "2")); err != nil {
+	if err := runner.Submit(sleep("low-batch", 0, 20)); err != nil {
 		return err
 	}
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(3 * unit)
 	for i := 0; i < 3; i++ {
-		if err := runner.Submit(sleep(fmt.Sprintf("high-%d", i), 1, "0.2")); err != nil {
+		if err := runner.Submit(sleep(fmt.Sprintf("high-%d", i), 1, 2)); err != nil {
 			return err
 		}
 	}
@@ -83,7 +88,7 @@ func run(preemptive bool) error {
 	}()
 	select {
 	case <-done:
-		fmt.Println("all jobs drained")
+		fmt.Fprintln(out, "all jobs drained")
 		return nil
 	case sig := <-sigCh:
 		runner.Stop()

@@ -1,21 +1,44 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"dias/internal/core/live"
 )
 
-// TestRunDrainsCleanly smoke-tests the demo's full shutdown path: submit,
-// drain, Stop — no goroutine or child-process leak can keep run from
-// returning. Both modes exercise the dispatcher/monitor relay end to end.
+// TestRunDrainsCleanly smoke-tests the demo's full shutdown path in both
+// modes — submit, drain, Stop: no goroutine or child-process leak can keep
+// run from returning — on sleeps of tens of milliseconds. The preemptive
+// run must evict the low-priority job for the high-priority burst, and the
+// non-preemptive one must not.
 func TestRunDrainsCleanly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns multi-second sleep processes")
-	}
 	for _, preemptive := range []bool{true, false} {
-		if err := run(preemptive); err != nil {
+		var out bytes.Buffer
+		if err := run(&out, preemptive, 10*time.Millisecond); err != nil {
 			t.Fatalf("run(preemptive=%v): %v", preemptive, err)
+		}
+		evictions := -1
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "low-batch ") {
+				if _, err := fmt.Sscanf(line, "low-batch class=0 evictions=%d", &evictions); err != nil {
+					t.Fatalf("run(preemptive=%v): unreadable line %q: %v", preemptive, line, err)
+				}
+			}
+		}
+		switch {
+		case evictions < 0:
+			t.Fatalf("run(preemptive=%v) reported no low-batch completion:\n%s", preemptive, out.String())
+		case preemptive && evictions < 1:
+			t.Errorf("preemptive run: low-batch evictions=%d, want at least 1:\n%s", evictions, out.String())
+		case !preemptive && evictions != 0:
+			t.Errorf("non-preemptive run: low-batch evictions=%d, want 0:\n%s", evictions, out.String())
+		}
+		if !strings.HasSuffix(out.String(), "all jobs drained\n") {
+			t.Errorf("run(preemptive=%v) did not report the drain:\n%s", preemptive, out.String())
 		}
 	}
 }

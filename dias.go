@@ -278,8 +278,8 @@ type FederationConfig struct {
 }
 
 // NewFederation builds a ready-to-use multi-cluster deployment. Submit
-// work with Federation.SubmitAt/SubmitStream and drain it with Run, just
-// like a single Stack.
+// work with Federation.SubmitStream and drain it with Run, just like a
+// single Stack.
 func NewFederation(cfg FederationConfig) (*federation.Federation, error) {
 	if len(cfg.Clusters) == 0 {
 		cfg.Clusters = []cluster.Config{cluster.DefaultConfig(), cluster.DefaultConfig()}

@@ -86,8 +86,8 @@ func run() error {
 	// place — gauge ticks are never simulation events.
 	stack.Run()
 
-	fmt.Printf("traced %d jobs (%d spans sampled), %d events, %d gauge samples\n",
-		col.SeenJobs(), col.SampledJobs(), len(col.Events()), col.Timeline().Len())
+	fmt.Printf("traced %d jobs (%d spans sampled), %d events (%d shed by the caps), %d gauge samples\n",
+		col.SeenJobs(), col.SampledJobs(), len(col.Events()), col.Dropped(), col.Timeline().Len())
 
 	// Export. The Chrome trace lays runs out as processes with lifecycle
 	// / engine / cluster lanes plus per-member counter tracks; Perfetto

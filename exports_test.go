@@ -14,42 +14,52 @@ import (
 	"testing"
 )
 
-// unusedExportAllowlist names the top-level exports of internal packages
-// that no non-test Go file references on purpose, keyed "pkg.Name" with
-// the import path's last element as pkg.
-var unusedExportAllowlist = map[string]string{
-	"matrix.Inverse":    "test oracle: the solve-based PH moments are checked against the explicit inverse",
-	"phdist.Convolve":   "test oracle: ConvolveAll is checked bit for bit against the pairwise Convolve fold",
-	"queueing.Simulate": "test oracle: the M/G/1 priority formulas are checked against a discrete-event run",
+// allowlistPath is the list of unreached code kept on purpose, shared
+// with the linker-backed reachability gate (ci/deadcode.sh).
+const allowlistPath = "ci/unused-allowlist.txt"
 
-	"experiments.QuickScale":  "test-only constructor: the reduced scale tests and root benchmarks run figures at",
-	"experiments.DriverNames": "test-only: tests walk every registered figure driver by name",
-	"phdist.MustNew":          "test-only constructor for known-valid representations",
-	"trace.Synthesize":        "test fixture: trace and workload stream tests generate their input with it",
-	"simtime.Millisecond":     "unit constant tests build durations with",
-	"simtime.Second":          "unit constant tests build durations with",
-	"matrix.Sub":              "test helper: matrix tests check identities with it",
-	"matrix.MulVec":           "test helper: matrix tests check a·x = b with it",
-
-	// Tested primitives that lost their last caller, kept with their tests
-	// until one change removes both.
-	"matrix.Exp":              "no caller: PH models solve instead of exponentiating",
-	"matrix.StationaryVector": "no caller: no CTMC stationary distribution is computed outside tests",
-	"stats.FitLinear":         "no caller: the overhead model interpolates between two profiled points",
-	"stats.MAPE":              "no caller outside tests, which score accuracy with it",
+// readAllowlist returns the allowlist's keys that this test judges:
+// "pkg.Name" keys naming a top-level export, with the import path's last
+// element as pkg. Entries naming methods or unexported functions are the
+// reachability gate's to judge. Every entry needs a reason.
+func readAllowlist(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(allowlistPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]bool{}
+	for i, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		key := fields[0]
+		if len(fields) < 2 {
+			t.Errorf("%s:%d: %s has no reason", allowlistPath, i+1, key)
+		}
+		pkg, name, ok := strings.Cut(key, ".")
+		if !ok || pkg == "" || strings.Contains(name, ".") || !ast.IsExported(name) {
+			continue
+		}
+		entries[key] = true
+	}
+	return entries
 }
 
 // TestEveryInternalExportHasACaller fails when a top-level exported func,
 // type, var or const of a package under internal/ is referenced by no
 // non-test Go file of the repository — benchmark/ and examples/ included —
-// and is not on unusedExportAllowlist. A reference is a bare identifier
-// inside the declaring package (outside the declaration itself) or a
-// pkg.Name selector in a file that imports the package. Methods are out of
-// scope: a method can be reached through an interface, which hides its
-// callers from a syntactic search. Allowlist entries that are referenced
-// after all, or no longer exist, fail the test too, so the list stays
-// exact.
+// and is not on the allowlist. A reference is a bare identifier inside the
+// declaring package (outside the declaration itself) or a pkg.Name
+// selector in a file that imports the package. Methods, and code whose
+// only callers are dead themselves, are out of its reach: the linker-backed
+// gate (ci/deadcode.sh) judges those. Allowlist entries that are
+// referenced after all, or no longer exist, fail the test too, so the list
+// stays exact.
 func TestEveryInternalExportHasACaller(t *testing.T) {
+	allowlist := readAllowlist(t)
 	modPath := modulePath(t)
 	fset := token.NewFileSet()
 	type pkgFiles struct {
@@ -152,7 +162,7 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		for name := range names {
 			key := path.Base(importPath) + "." + name
 			declaredKeys[key] = true
-			_, allowed := unusedExportAllowlist[key]
+			allowed := allowlist[key]
 			switch {
 			case !referenced[importPath+"."+name] && !allowed:
 				unused = append(unused, key)
@@ -163,9 +173,9 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 	}
 	sort.Strings(unused)
 	for _, key := range unused {
-		t.Errorf("%s has no non-test caller: delete it, or add it to unusedExportAllowlist with a reason", key)
+		t.Errorf("%s has no non-test caller: delete it, or add it to %s with a reason", key, allowlistPath)
 	}
-	for key := range unusedExportAllowlist {
+	for key := range allowlist {
 		if !declaredKeys[key] {
 			t.Errorf("allowlisted %s is not declared any more: drop the entry", key)
 		}

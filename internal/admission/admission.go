@@ -340,9 +340,3 @@ func (s *SLOBudget) Admit(_ simtime.Time, job JobInfo, st State) Decision {
 func (s *SLOBudget) Observe(_ int, execSec, _ float64) {
 	s.hist.Add(execSec)
 }
-
-// PredictedWaitSec returns the current wait prediction for a class-k
-// arrival facing the given backlog — exposed for tests and diagnostics.
-func (s *SLOBudget) PredictedWaitSec(backlog int) float64 {
-	return float64(backlog) * s.hist.Quantile(s.cfg.Quantile)
-}

@@ -195,9 +195,6 @@ func TestSLOBudgetLearnsAndSheds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Observe(0, 10, 12) // 10s service times
 	}
-	if w := s.PredictedWaitSec(3); w < 25 || w > 35 {
-		t.Fatalf("predicted wait for backlog 3 = %g, want ~30", w)
-	}
 	// Backlog 2 predicts ~20s < 25s budget; backlog 3 predicts ~30s > it.
 	if d := s.Admit(0, job, fakeState{backlog: []int{2, 0}}); d != Accept {
 		t.Errorf("within budget: %v", d)

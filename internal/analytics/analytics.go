@@ -241,19 +241,6 @@ func keyedBy(key string, e Edge) bool {
 	return string(appendEdgeKey(buf[:0], e)) == key
 }
 
-func parseEdgeKey(k string) (Edge, bool) {
-	i := strings.IndexByte(k, ',')
-	if i < 0 {
-		return Edge{}, false
-	}
-	u, err1 := strconv.ParseInt(k[:i], 10, 64)
-	v, err2 := strconv.ParseInt(k[i+1:], 10, 64)
-	if err1 != nil || err2 != nil {
-		return Edge{}, false
-	}
-	return Edge{U: u, V: v}, true
-}
-
 // edgeOf returns the edge a record value carries. The triangle stages
 // accept an Edge by value, as hand-built inputs hold it, or by pointer, as
 // EdgeDataset holds it.

@@ -94,8 +94,7 @@ type Cluster struct {
 	busyCores int
 	// down[n] marks node n as failed; its slots are unusable and it draws
 	// no power.
-	down      []bool
-	downNodes int
+	down []bool
 	// offline[n] marks node n as decommissioned by an elastic-capacity
 	// controller. Unlike a failure, decommissioning drains gracefully: busy
 	// slots keep running (and drawing power) but never rejoin the idle
@@ -156,9 +155,6 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // Slots returns the total number of computing slots (paper: C).
 func (c *Cluster) Slots() int { return len(c.slots) }
-
-// FreeSlots returns the number of currently idle slots.
-func (c *Cluster) FreeSlots() int { return len(c.free) }
 
 // Acquire reserves an idle slot. It returns false when all are busy.
 func (c *Cluster) Acquire() (*Slot, bool) {
@@ -235,7 +231,6 @@ func (c *Cluster) FailNode(node int) error {
 		c.poweredNodes-- // was powered (commissioned, or still draining)
 	}
 	c.down[node] = true
-	c.downNodes++
 	kept := c.free[:0]
 	for _, s := range c.free {
 		if s.Node != node {
@@ -259,7 +254,6 @@ func (c *Cluster) RepairNode(node int) error {
 	}
 	c.accrue()
 	c.down[node] = false
-	c.downNodes--
 	if c.offline[node] {
 		return nil
 	}
@@ -354,9 +348,6 @@ func (c *Cluster) NodeDown(node int) bool {
 	return node >= 0 && node < c.cfg.Nodes && c.down[node]
 }
 
-// DownNodes returns the number of currently failed nodes.
-func (c *Cluster) DownNodes() int { return c.downNodes }
-
 // Speed returns the current task speed multiplier (1 at base frequency,
 // Config.SprintSpeedup while sprinting).
 func (c *Cluster) Speed() float64 {
@@ -364,14 +355,6 @@ func (c *Cluster) Speed() float64 {
 		return c.cfg.SprintSpeedup
 	}
 	return 1
-}
-
-// FrequencyMHz returns the current CPU frequency.
-func (c *Cluster) FrequencyMHz() float64 {
-	if c.sprinting {
-		return c.cfg.SprintFreqMHz
-	}
-	return c.cfg.BaseFreqMHz
 }
 
 // Sprinting reports whether the cluster is currently sprinting.

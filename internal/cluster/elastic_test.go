@@ -25,7 +25,7 @@ func TestDecommissionIdleNode(t *testing.T) {
 	if err := c.Decommission(2); err != nil {
 		t.Fatalf("Decommission: %v", err)
 	}
-	if got := c.FreeSlots(); got != 4 {
+	if got := len(c.free); got != 4 {
 		t.Fatalf("free slots after decommission = %d, want 4", got)
 	}
 	if got := c.CommissionedNodes(); got != 2 {
@@ -43,7 +43,7 @@ func TestDecommissionIdleNode(t *testing.T) {
 	if err := c.Commission(2); err != nil {
 		t.Fatalf("Commission: %v", err)
 	}
-	if got := c.FreeSlots(); got != 6 {
+	if got := len(c.free); got != 6 {
 		t.Fatalf("free slots after commission = %d, want 6", got)
 	}
 	if got := c.PoweredNodes(); got != 3 {
@@ -89,7 +89,7 @@ func TestDecommissionDrainsGracefully(t *testing.T) {
 			}
 		}
 	}
-	if got := c.FreeSlots(); got != 0 {
+	if got := len(c.free); got != 0 {
 		t.Fatalf("drained slots rejoined the pool: free=%d", got)
 	}
 	// Node 0's slots still cycle normally.
@@ -98,7 +98,7 @@ func TestDecommissionDrainsGracefully(t *testing.T) {
 			c.Release(s)
 		}
 	}
-	if got := c.FreeSlots(); got != 2 {
+	if got := len(c.free); got != 2 {
 		t.Fatalf("free slots = %d, want 2", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestDecommissionFailedNodeInterplay(t *testing.T) {
 	if err := c.RepairNode(1); err != nil {
 		t.Fatalf("RepairNode: %v", err)
 	}
-	if got, want := c.FreeSlots(), 1; got != want {
+	if got, want := len(c.free), 1; got != want {
 		t.Fatalf("free slots after repair of offline node = %d, want %d", got, want)
 	}
 	if got := c.PoweredNodes(); got != 1 {
@@ -127,7 +127,7 @@ func TestDecommissionFailedNodeInterplay(t *testing.T) {
 	if err := c.Commission(1); err != nil {
 		t.Fatalf("Commission: %v", err)
 	}
-	if got, want := c.FreeSlots(), 2; got != want {
+	if got, want := len(c.free), 2; got != want {
 		t.Fatalf("free slots after commission = %d, want %d", got, want)
 	}
 	if got := c.PoweredNodes(); got != 2 {

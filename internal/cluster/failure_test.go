@@ -24,7 +24,7 @@ func TestFailNodeRemovesIdleSlots(t *testing.T) {
 	if err := c.FailNode(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FreeSlots(); got != 4 {
+	if got := len(c.free); got != 4 {
 		t.Fatalf("free %d after failing 1 of 3 nodes, want 4", got)
 	}
 	for i := 0; i < 4; i++ {
@@ -58,14 +58,14 @@ func TestReleaseOnDownNodeStaysOut(t *testing.T) {
 		target = s1
 	}
 	c.Release(target)
-	if c.FreeSlots() != 0 {
-		t.Fatalf("free %d, want 0: released slot belongs to a down node", c.FreeSlots())
+	if len(c.free) != 0 {
+		t.Fatalf("free %d, want 0: released slot belongs to a down node", len(c.free))
 	}
 	if err := c.RepairNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if c.FreeSlots() != 1 {
-		t.Fatalf("free %d after repair, want 1", c.FreeSlots())
+	if len(c.free) != 1 {
+		t.Fatalf("free %d after repair, want 1", len(c.free))
 	}
 }
 
@@ -92,12 +92,12 @@ func TestRepairRestoresOnlyIdleSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The busy slot must not be duplicated into the free list.
-	total := c.FreeSlots() + c.BusySlots()
+	total := len(c.free) + c.BusySlots()
 	if total != c.Slots() {
 		t.Fatalf("free+busy = %d, want %d", total, c.Slots())
 	}
 	c.Release(onNode0)
-	if c.FreeSlots()+c.BusySlots() != c.Slots() {
+	if len(c.free)+c.BusySlots() != c.Slots() {
 		t.Fatal("accounting broken after release")
 	}
 }
@@ -134,13 +134,13 @@ func TestDownNodeDrawsNoPower(t *testing.T) {
 
 func TestNodeDownReporting(t *testing.T) {
 	_, c := newFailTestCluster(t, 2, 1)
-	if c.NodeDown(0) || c.DownNodes() != 0 {
+	if c.NodeDown(0) || c.NodeDown(1) {
 		t.Fatal("fresh cluster reports down nodes")
 	}
 	if err := c.FailNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if !c.NodeDown(0) || c.DownNodes() != 1 {
+	if !c.NodeDown(0) || c.NodeDown(1) {
 		t.Fatal("failure not reported")
 	}
 	if c.NodeDown(-1) || c.NodeDown(99) {

@@ -339,9 +339,9 @@ func TestPolicyDiASConstructor(t *testing.T) {
 	if len(cfg.DropRatios[0]) != 1 || cfg.DropRatios[0][0] != 0.2 || cfg.DropRatios[1] != nil {
 		t.Fatalf("drop ratios %+v", cfg.DropRatios)
 	}
-	// Sprinting() reports false when idle.
+	// A fresh scheduler is not sprinting.
 	r := newRig(t, 2, 1, cfg)
-	if r.sch.Sprinting() {
+	if r.sch.sprinting {
 		t.Fatal("fresh scheduler reports sprinting")
 	}
 }

@@ -82,9 +82,6 @@ func TestAdmissionConservation(t *testing.T) {
 	if got := r.sch.RejectedJobs(); got != rejected {
 		t.Errorf("RejectedJobs() = %d, want %d", got, rejected)
 	}
-	if got := r.sch.RejectedJobsInClass(0); got != rejected {
-		t.Errorf("RejectedJobsInClass(0) = %d, want %d", got, rejected)
-	}
 }
 
 // TestNilAdmissionMatchesAlwaysAdmit backs the facade's compatibility

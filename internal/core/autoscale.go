@@ -151,14 +151,6 @@ type AutoscalerConfig struct {
 	HorizonSec float64
 }
 
-// ScaleEvent records one applied scaling action.
-type ScaleEvent struct {
-	AtSec      float64
-	FromNodes  int
-	ToNodes    int
-	QueuedJobs int
-}
-
 // Autoscaler drives elastic capacity on one DiAS stack: every IntervalSec
 // of virtual time it snapshots load signals, asks the policy for a target
 // node count and commissions/decommissions nodes to meet it. Construct it
@@ -176,7 +168,6 @@ type Autoscaler struct {
 	lastAction  simtime.Time
 	acted       bool
 
-	events    []ScaleEvent
 	scaleOuts int
 	scaleIns  int
 
@@ -288,7 +279,7 @@ func (a *Autoscaler) tick() {
 		target = a.cfg.MaxNodes
 	}
 	if target != sig.CommissionedNodes && a.cooledDown(now) {
-		a.apply(sig.CommissionedNodes, target, sig.QueuedJobs)
+		a.apply(sig.CommissionedNodes, target)
 	}
 	if next := now.Add(simtime.Duration(a.cfg.IntervalSec)); next.Seconds() <= a.cfg.HorizonSec {
 		a.sim.At(next, a.tickFn)
@@ -301,7 +292,7 @@ func (a *Autoscaler) cooledDown(now simtime.Time) bool {
 
 // apply commissions (lowest offline index first) or decommissions
 // (highest commissioned index first) nodes to move from -> to.
-func (a *Autoscaler) apply(from, to, queued int) {
+func (a *Autoscaler) apply(from, to int) {
 	provisioned := a.clu.Config().Nodes
 	have := from
 	if to > have {
@@ -327,16 +318,8 @@ func (a *Autoscaler) apply(from, to, queued int) {
 		}
 		a.scaleIns++
 	}
-	now := a.sim.Now()
-	a.lastAction, a.acted = now, true
-	a.events = append(a.events, ScaleEvent{
-		AtSec: now.Seconds(), FromNodes: from, ToNodes: to, QueuedJobs: queued,
-	})
+	a.lastAction, a.acted = a.sim.Now(), true
 }
-
-// Events returns the applied scaling actions in order. The slice is
-// shared; callers must not mutate it.
-func (a *Autoscaler) Events() []ScaleEvent { return a.events }
 
 // ScaleOuts and ScaleIns count applied actions in each direction.
 func (a *Autoscaler) ScaleOuts() int { return a.scaleOuts }

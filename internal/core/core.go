@@ -282,8 +282,8 @@ type Scheduler struct {
 	// admLearner caches the admission policy's Learner side (nil when the
 	// policy does not learn), so completions avoid a type assertion each.
 	admLearner admission.Learner
-	// rejected counts admission-shed jobs per class.
-	rejected []int
+	// rejected counts admission-shed jobs of the configured classes.
+	rejected int
 
 	records []JobRecord
 
@@ -308,12 +308,11 @@ func New(sim *simtime.Simulation, clu *cluster.Cluster, eng *engine.Engine, cfg 
 		return nil, err
 	}
 	s := &Scheduler{
-		sim:      sim,
-		clu:      clu,
-		eng:      eng,
-		cfg:      cfg,
-		buffers:  make([]ring.Deque[*entry], cfg.Classes),
-		rejected: make([]int, cfg.Classes),
+		sim:     sim,
+		clu:     clu,
+		eng:     eng,
+		cfg:     cfg,
+		buffers: make([]ring.Deque[*entry], cfg.Classes),
 	}
 	if l, ok := cfg.Admission.(admission.Learner); ok {
 		s.admLearner = l
@@ -400,8 +399,8 @@ func (s *Scheduler) Offer(class int, job *engine.Job) (admission.Decision, error
 // yields exactly one record. The federation dispatcher calls this when a
 // deferred arrival finds no member willing to take it.
 func (s *Scheduler) Reject(class int, job *engine.Job) {
-	if class >= 0 && class < len(s.rejected) {
-		s.rejected[class]++
+	if class >= 0 && class < s.cfg.Classes {
+		s.rejected++
 	}
 	if s.cfg.Tracer != nil {
 		name, policy := "", ""
@@ -709,26 +708,8 @@ func (s *Scheduler) Backlog(class int) int {
 	return n
 }
 
-// Classes returns the number of priority classes the scheduler serves.
-func (s *Scheduler) Classes() int { return s.cfg.Classes }
-
 // RejectedJobs returns the number of admission-shed jobs so far.
-func (s *Scheduler) RejectedJobs() int {
-	var n int
-	for _, r := range s.rejected {
-		n += r
-	}
-	return n
-}
-
-// RejectedJobsInClass returns the admission-shed count of one class;
-// out-of-range classes report zero.
-func (s *Scheduler) RejectedJobsInClass(class int) int {
-	if class < 0 || class >= len(s.rejected) {
-		return 0
-	}
-	return s.rejected[class]
-}
+func (s *Scheduler) RejectedJobs() int { return s.rejected }
 
 // Busy reports whether a job is currently in the engine.
 func (s *Scheduler) Busy() bool { return s.current != nil }
@@ -742,7 +723,3 @@ func (s *Scheduler) SprintBudgetJoules() float64 {
 	s.updateBudget()
 	return s.budget
 }
-
-// Sprinting reports whether the sprinter currently has the cluster at high
-// frequency.
-func (s *Scheduler) Sprinting() bool { return s.sprinting }

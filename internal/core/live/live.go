@@ -86,9 +86,6 @@ type Runner struct {
 	// jobs tracks outstanding (submitted, not completed) jobs so Wait can
 	// block until the system drains.
 	jobs sync.WaitGroup
-
-	mu      sync.Mutex
-	records []Record
 }
 
 // NewRunner builds and starts a runner; callers must Stop it.
@@ -139,15 +136,6 @@ func (r *Runner) Stop() {
 	}
 	close(r.stopCh)
 	<-r.stopped
-}
-
-// Records returns a copy of the completion records so far.
-func (r *Runner) Records() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Record, len(r.records))
-	copy(out, r.records)
-	return out
 }
 
 // dispatcher is the single goroutine owning scheduler state, exactly the
@@ -240,9 +228,6 @@ func (r *Runner) complete(q *queued, err error) {
 		Evictions:   q.evictions,
 		Err:         err,
 	}
-	r.mu.Lock()
-	r.records = append(r.records, rec)
-	r.mu.Unlock()
 	if r.cfg.OnComplete != nil {
 		r.cfg.OnComplete(rec)
 	}

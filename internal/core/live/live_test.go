@@ -1,9 +1,29 @@
 package live
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
+
+// recorder collects completion records through Config.OnComplete, which
+// runs on the runner's goroutines.
+type recorder struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+func (rc *recorder) add(rec Record) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.recs = append(rc.recs, rec)
+}
+
+func (rc *recorder) records() []Record {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return append([]Record(nil), rc.recs...)
+}
 
 func sleepJob(name string, class int, dur string) Job {
 	return Job{Name: name, Class: class, Path: "/bin/sh", Args: []string{"-c", "sleep " + dur}}
@@ -27,7 +47,8 @@ func TestRunnerValidation(t *testing.T) {
 }
 
 func TestRunsJobsFCFS(t *testing.T) {
-	r, err := NewRunner(Config{Classes: 1})
+	var rc recorder
+	r, err := NewRunner(Config{Classes: 1, OnComplete: rc.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +59,7 @@ func TestRunsJobsFCFS(t *testing.T) {
 		}
 	}
 	r.Wait()
-	recs := r.Records()
+	recs := rc.records()
 	if len(recs) != 3 {
 		t.Fatalf("%d records", len(recs))
 	}
@@ -55,7 +76,8 @@ func TestRunsJobsFCFS(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	// Non-preemptive: while low runs, submit low2 then high; high must
 	// complete before low2.
-	r, err := NewRunner(Config{Classes: 2})
+	var rc recorder
+	r, err := NewRunner(Config{Classes: 2, OnComplete: rc.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +93,7 @@ func TestPriorityOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Wait()
-	recs := r.Records()
+	recs := rc.records()
 	if len(recs) != 3 {
 		t.Fatalf("%d records", len(recs))
 	}
@@ -84,7 +106,8 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestPreemptiveEviction(t *testing.T) {
-	r, err := NewRunner(Config{Classes: 2, Preemptive: true})
+	var rc recorder
+	r, err := NewRunner(Config{Classes: 2, Preemptive: true, OnComplete: rc.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +121,7 @@ func TestPreemptiveEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Wait()
-	recs := r.Records()
+	recs := rc.records()
 	if len(recs) != 2 {
 		t.Fatalf("%d records", len(recs))
 	}
@@ -138,7 +161,8 @@ func TestCompletionCallback(t *testing.T) {
 }
 
 func TestFailedCommandRecorded(t *testing.T) {
-	r, err := NewRunner(Config{Classes: 1})
+	var rc recorder
+	r, err := NewRunner(Config{Classes: 1, OnComplete: rc.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +171,15 @@ func TestFailedCommandRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Wait()
-	recs := r.Records()
+	recs := rc.records()
 	if len(recs) != 1 || recs[0].Err == nil {
 		t.Fatalf("records = %+v", recs)
 	}
 }
 
 func TestStartFailureRecorded(t *testing.T) {
-	r, err := NewRunner(Config{Classes: 1})
+	var rc recorder
+	r, err := NewRunner(Config{Classes: 1, OnComplete: rc.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +188,7 @@ func TestStartFailureRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Wait()
-	recs := r.Records()
+	recs := rc.records()
 	if len(recs) != 1 || recs[0].Err == nil {
 		t.Fatalf("records = %+v", recs)
 	}

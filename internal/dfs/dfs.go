@@ -74,16 +74,11 @@ func DefaultConfig() Config {
 	}
 }
 
-type file struct {
-	blocks []Block
-	size   int64
-}
-
 // FS is a simulated distributed file system. It is single-threaded like
 // the simulation driving it.
 type FS struct {
 	cfg     Config
-	files   map[string]*file
+	files   map[string][]Block // path -> the file's blocks, in order
 	nextID  BlockID
 	placeAt int // round-robin cursor for replica placement
 }
@@ -107,12 +102,9 @@ func New(cfg Config) (*FS, error) {
 	}
 	return &FS{
 		cfg:   cfg,
-		files: make(map[string]*file),
+		files: make(map[string][]Block),
 	}, nil
 }
-
-// Config returns the deployment configuration.
-func (fs *FS) Config() Config { return fs.cfg }
 
 // create registers a file of the given logical size, splitting it into
 // blocks. Local files get Replication replicas placed round-robin across
@@ -124,7 +116,7 @@ func (fs *FS) create(kind, path string, size int64, remote bool) error {
 	if _, ok := fs.files[path]; ok {
 		return fmt.Errorf("dfs: %s %q: file exists", kind, path)
 	}
-	f := &file{size: size}
+	var blocks []Block
 	for off := int64(0); off < size; off += fs.cfg.BlockSize {
 		bs := fs.cfg.BlockSize
 		if rem := size - off; rem < bs {
@@ -140,9 +132,9 @@ func (fs *FS) create(kind, path string, size int64, remote bool) error {
 			fs.placeAt = (fs.placeAt + 1) % fs.cfg.DataNodes
 			sort.Ints(b.Replicas)
 		}
-		f.blocks = append(f.blocks, b)
+		blocks = append(blocks, b)
 	}
-	fs.files[path] = f
+	fs.files[path] = blocks
 	return nil
 }
 
@@ -164,25 +156,16 @@ func (fs *FS) CreateRemote(path string, size int64) error {
 	return fs.create("create remote", path, size, true)
 }
 
-// Size returns the logical size of a file.
-func (fs *FS) Size(path string) (int64, error) {
-	f, ok := fs.files[path]
-	if !ok {
-		return 0, fmt.Errorf("size %q: %w", path, ErrNotFound)
-	}
-	return f.size, nil
-}
-
 // Blocks returns the block list of a file, in order. The slice is the
 // file's own: blocks never change once the file is created, so callers
 // share it without a copy and must treat it, and every Block's Replicas,
 // as read-only. Its capacity is clipped, so an append copies.
 func (fs *FS) Blocks(path string) ([]Block, error) {
-	f, ok := fs.files[path]
+	blocks, ok := fs.files[path]
 	if !ok {
 		return nil, fmt.Errorf("blocks %q: %w", path, ErrNotFound)
 	}
-	return f.blocks[:len(f.blocks):len(f.blocks)], nil
+	return blocks[:len(blocks):len(blocks)], nil
 }
 
 // IsLocal reports whether reader (a datanode index; compute nodes are

@@ -58,10 +58,6 @@ func TestCreateSplitsIntoBlocks(t *testing.T) {
 			t.Fatalf("block %d has %d replicas", b.ID, len(b.Replicas))
 		}
 	}
-	size, err := fs.Size("/data/a")
-	if err != nil || size != 250 {
-		t.Fatalf("Size = %d, %v", size, err)
-	}
 }
 
 func TestCreateErrors(t *testing.T) {
@@ -77,9 +73,6 @@ func TestCreateErrors(t *testing.T) {
 	}
 	if _, err := fs.Blocks("/missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Blocks missing = %v", err)
-	}
-	if _, err := fs.Size("/missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Size missing = %v", err)
 	}
 }
 

@@ -487,7 +487,6 @@ type Engine struct {
 	abortScratch []*task
 
 	wastedSlotSeconds float64
-	completedJobs     int
 	evictions         int
 
 	tasksRetried           int
@@ -827,12 +826,6 @@ func removeRunning(t *task) {
 // Cluster returns the compute substrate this engine schedules onto
 // (read-mostly: fault and capacity controllers size their plans from it).
 func (e *Engine) Cluster() *cluster.Cluster { return e.clu }
-
-// ActiveJobs returns the number of jobs currently executing.
-func (e *Engine) ActiveJobs() int { return len(e.execs) }
-
-// CompletedJobs returns the number of successfully completed jobs.
-func (e *Engine) CompletedJobs() int { return e.completedJobs }
 
 // Evictions returns the number of Kill calls that evicted live jobs.
 func (e *Engine) Evictions() int { return e.evictions }
@@ -1331,7 +1324,6 @@ func (e *Engine) completeJob(ex *execution) {
 	ex.done = true
 	delete(e.execs, ex.id)
 	e.removeFromOrder(ex)
-	e.completedJobs++
 	res := JobResult{
 		JobID:         ex.id,
 		Name:          ex.job.Name,

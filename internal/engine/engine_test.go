@@ -211,7 +211,8 @@ func TestDropRatioValidation(t *testing.T) {
 func TestKillAccountsWaste(t *testing.T) {
 	rig := newRig(t, 2, flatCost(10))
 	job := wordCountJob(makeInput(4, 1), 2)
-	id, err := rig.eng.Submit(job, SubmitOptions{})
+	completed := false
+	id, err := rig.eng.Submit(job, SubmitOptions{OnComplete: func(JobResult) { completed = true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,15 +231,15 @@ func TestKillAccountsWaste(t *testing.T) {
 	if math.Abs(rig.eng.WastedSlotSeconds()-10) > 1e-9 {
 		t.Fatalf("wasted = %g, want 10", rig.eng.WastedSlotSeconds())
 	}
-	if rig.clu.FreeSlots() != 2 {
-		t.Fatalf("free slots = %d after kill, want 2", rig.clu.FreeSlots())
+	if rig.clu.BusySlots() != 0 {
+		t.Fatalf("busy slots = %d after kill, want 0", rig.clu.BusySlots())
 	}
 	if rig.eng.Evictions() != 1 {
 		t.Fatalf("evictions = %d", rig.eng.Evictions())
 	}
 	// The job never completes.
 	rig.sim.Run()
-	if rig.eng.CompletedJobs() != 0 {
+	if completed {
 		t.Fatal("killed job completed")
 	}
 	// Killing again fails.
@@ -252,7 +253,8 @@ func TestKillDuringSetup(t *testing.T) {
 	cost.SetupBaseSec = 100
 	rig := newRig(t, 2, cost)
 	job := wordCountJob(makeInput(2, 1), 1)
-	id, err := rig.eng.Submit(job, SubmitOptions{})
+	completed := false
+	id, err := rig.eng.Submit(job, SubmitOptions{OnComplete: func(JobResult) { completed = true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +263,10 @@ func TestKillDuringSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.sim.Run()
-	if rig.eng.CompletedJobs() != 0 {
+	if completed {
 		t.Fatal("job killed during setup still completed")
 	}
-	if rig.clu.FreeSlots() != 2 {
+	if rig.clu.BusySlots() != 0 {
 		t.Fatal("slots leaked")
 	}
 }

@@ -87,10 +87,12 @@ func TestWarmDiASJobAllocatesOnlyItsStages(t *testing.T) {
 	}
 }
 
-// TestWarmFederatedTextJobAllocatesTwo: a dfs-backed text job routed to a
-// federation member allocates at most two objects — its Stages and the
-// SubmitAt arrival closure.
-func TestWarmFederatedTextJobAllocatesTwo(t *testing.T) {
+// TestWarmFederatedTextJobAllocatesOnlyItsStages: a dfs-backed text job
+// routed to a federation member allocates at most one object. One
+// SubmitStream call injects every run's jobs up front, so the arrival RNGs
+// and the feed-forward callback are set up before the count starts, and
+// each run drains the next jobsPerRun arrivals.
+func TestWarmFederatedTextJobAllocatesOnlyItsStages(t *testing.T) {
 	data := dfs.DefaultConfig()
 	fed, err := federation.New(federation.Config{
 		Members: []federation.MemberSpec{{}, {}},
@@ -113,14 +115,39 @@ func TestWarmFederatedTextJobAllocatesTwo(t *testing.T) {
 	if err := fed.RegisterInput(job, 0); err != nil {
 		t.Fatal(err)
 	}
+	// AllocsPerRun calls its function runs+1 times. Arrivals alternate
+	// classes, gapSec apart, so each job has drained before the next one
+	// arrives and the sprint budget partly refills in between.
+	const runs, gapSec = 20, 60
+	arrivals := make([]workload.Arrival, (runs+1)*jobsPerRun)
+	for i := range arrivals {
+		arrivals[i] = workload.Arrival{At: float64(i+1) * gapSec, Class: i % 2}
+	}
+	proc, err := workload.NewReplay(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.SubmitStream(proc, workload.FixedJobs{job, job}, len(arrivals), 1); err != nil {
+		t.Fatal(err)
+	}
 	sim := fed.Sim()
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := range jobsPerRun {
-			fed.SubmitAt(sim.Now().Add(30).Seconds(), i%2, job)
-			fed.Run()
-		}
+	allocs := testing.AllocsPerRun(runs, func() {
+		sim.RunUntil(sim.Now().Add(jobsPerRun * gapSec))
 	})
-	if allocs > 2*jobsPerRun {
-		t.Errorf("a warm federated text job allocates %.1f objects, want at most 2", allocs/jobsPerRun)
+	if allocs > jobsPerRun {
+		t.Errorf("a warm federated text job allocates %.1f objects, want at most 1", allocs/jobsPerRun)
+	}
+	fed.Run() // the last arrival lands on the last run's horizon
+	var records int
+	for _, m := range fed.Members() {
+		for _, rec := range m.Scheduler.Records() {
+			records++
+			if rec.FinishedAt-rec.ArrivedAt >= gapSec {
+				t.Fatalf("a job took %g s, longer than the %d s between arrivals", rec.FinishedAt-rec.ArrivedAt, gapSec)
+			}
+		}
+	}
+	if records != len(arrivals) {
+		t.Fatalf("%d records for %d arrivals", records, len(arrivals))
 	}
 }

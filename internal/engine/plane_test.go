@@ -265,7 +265,7 @@ type planeOutcome struct {
 	End      simtime.Time
 
 	BusySlotSec, EnergyJ, WastedSlotSec, FailureLostSec float64
-	Retried, Completed, Evictions                       int
+	Retried, Evictions                                  int
 }
 
 // runPlane submits the job six times back to back on one engine — so the
@@ -296,9 +296,15 @@ func runPlane(t *testing.T, pj planeJob, sc planeScenario, discard bool) *planeO
 	out.End = r.sim.Now()
 	out.BusySlotSec, out.EnergyJ = r.clu.BusySlotSeconds(), r.clu.EnergyJoules()
 	out.WastedSlotSec, out.FailureLostSec = r.eng.WastedSlotSeconds(), r.eng.FailureLostSlotSeconds()
-	out.Retried, out.Completed, out.Evictions = r.eng.TasksRetried(), r.eng.CompletedJobs(), r.eng.Evictions()
-	if r.eng.ActiveJobs() != 0 || r.clu.FreeSlots() != r.clu.Slots() {
-		t.Errorf("run left %d active jobs and %d of %d slots free", r.eng.ActiveJobs(), r.clu.FreeSlots(), r.clu.Slots())
+	out.Retried, out.Evictions = r.eng.TasksRetried(), r.eng.Evictions()
+	down := 0
+	for n := range r.clu.Config().Nodes {
+		if r.clu.NodeDown(n) {
+			down++
+		}
+	}
+	if ended := len(out.Results) + len(out.Attempts); ended != 6 || r.clu.BusySlots() != 0 || down != 0 {
+		t.Errorf("run ended %d of 6 submissions and left %d slots busy and %d nodes down", ended, r.clu.BusySlots(), down)
 	}
 	return out
 }

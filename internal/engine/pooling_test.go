@@ -205,8 +205,8 @@ func TestKillRecyclesExecution(t *testing.T) {
 	if !completed {
 		t.Fatal("recycled execution did not complete the follow-up job")
 	}
-	if r.eng.ActiveJobs() != 0 {
-		t.Fatalf("%d jobs still active", r.eng.ActiveJobs())
+	if len(r.eng.execs) != 0 {
+		t.Fatalf("%d jobs still active", len(r.eng.execs))
 	}
 }
 
@@ -366,8 +366,8 @@ func TestReleasedBucketsPinNothing(t *testing.T) {
 			if held := heldRecords(sb); held != 0 {
 				t.Errorf("released bucket set still holds %d records", held)
 			}
-			if r.eng.ActiveJobs() != 0 || len(r.eng.execFree) != 1 {
-				t.Fatalf("%d active jobs, %d pooled executions; want 0 and 1", r.eng.ActiveJobs(), len(r.eng.execFree))
+			if len(r.eng.execs) != 0 || len(r.eng.execFree) != 1 {
+				t.Fatalf("%d active jobs, %d pooled executions; want 0 and 1", len(r.eng.execs), len(r.eng.execFree))
 			}
 			if r.eng.execFree[0].shuffle != nil {
 				t.Error("the pooled execution kept its bucket set")

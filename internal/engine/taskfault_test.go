@@ -69,8 +69,8 @@ func TestInjectedFailureRetriesAndCompletes(t *testing.T) {
 	if got := rig.eng.TasksRetried(); got != 1 {
 		t.Fatalf("TasksRetried = %d, want 1", got)
 	}
-	if rig.clu.FreeSlots() != 2 {
-		t.Fatalf("slots leaked: free = %d", rig.clu.FreeSlots())
+	if rig.clu.BusySlots() != 0 {
+		t.Fatalf("slots leaked: busy = %d", rig.clu.BusySlots())
 	}
 }
 
@@ -101,11 +101,11 @@ func TestRetryExhaustionFailsJob(t *testing.T) {
 	if got := rig.eng.FailedJobs(); got != 1 {
 		t.Fatalf("FailedJobs = %d, want 1", got)
 	}
-	if rig.eng.ActiveJobs() != 0 {
-		t.Fatalf("failed job still live: %d active", rig.eng.ActiveJobs())
+	if len(rig.eng.execs) != 0 {
+		t.Fatalf("failed job still live: %d active", len(rig.eng.execs))
 	}
-	if rig.clu.FreeSlots() != 2 {
-		t.Fatalf("slots leaked: free = %d", rig.clu.FreeSlots())
+	if rig.clu.BusySlots() != 0 {
+		t.Fatalf("slots leaked: busy = %d", rig.clu.BusySlots())
 	}
 	// All machine time of the failed job is attributed to failures: the
 	// healthy partition's 10 s plus 3 x 5 s doomed attempts.

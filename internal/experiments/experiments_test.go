@@ -120,14 +120,6 @@ func TestFigure6AccuracyCurve(t *testing.T) {
 	if first := res.Rows[0].MAPEPct; first < 1 || first > 30 {
 		t.Fatalf("MAPE at 0.1 = %.1f%%, outside plausible band\n%s", first, res)
 	}
-	// The fitted curve interpolates and clamps.
-	curve := res.Curve()
-	if curve(0) != 0 {
-		t.Fatal("curve(0) != 0")
-	}
-	if curve(0.15) <= 0 || curve(2) != res.Rows[len(res.Rows)-1].MAPEPct {
-		t.Fatal("curve interpolation broken")
-	}
 }
 
 func TestFigure7PaperShape(t *testing.T) {

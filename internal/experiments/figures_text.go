@@ -384,25 +384,6 @@ func (f *Figure6Result) String() string {
 	return b.String()
 }
 
-// Curve returns the result as an AccuracyCurve for the deflator, linearly
-// interpolating between measured points.
-func (f *Figure6Result) Curve() core.AccuracyCurve {
-	rows := f.Rows
-	return func(theta float64) float64 {
-		if theta <= 0 || len(rows) == 0 {
-			return 0
-		}
-		prevT, prevE := 0.0, 0.0
-		for _, r := range rows {
-			if theta <= r.Theta {
-				return stats.Interpolate(prevT, prevE, r.Theta, r.MAPEPct, theta)
-			}
-			prevT, prevE = r.Theta, r.MAPEPct
-		}
-		return prevE
-	}
-}
-
 // Figure6 measures accuracy loss across drop ratios, averaged over several
 // synthetic topic datasets (the paper averages across StackExchange sites).
 func Figure6(scale Scale) (*Figure6Result, error) {

@@ -172,7 +172,6 @@ type Injector struct {
 	taskRng  *rand.Rand
 
 	nodeFailures int
-	nodeRepairs  int
 	downSeconds  float64
 
 	taskFailuresInjected int
@@ -309,7 +308,6 @@ func (inj *Injector) repair(cn *churnCycle) {
 		if err := inj.eng.RepairNode(cn.node); err != nil {
 			panic(fmt.Sprintf("faults: repairing node %d: %v", cn.node, err))
 		}
-		inj.nodeRepairs++
 	}
 	if cn.rearm {
 		inj.scheduleFailure(cn)
@@ -342,9 +340,6 @@ func (inj *Injector) TaskStarted(_ string, _, _, _ int) engine.TaskFault {
 
 // NodeFailures returns the number of node crashes injected so far.
 func (inj *Injector) NodeFailures() int { return inj.nodeFailures }
-
-// NodeRepairs returns the number of completed repairs.
-func (inj *Injector) NodeRepairs() int { return inj.nodeRepairs }
 
 // DownSeconds returns the total scheduled node downtime.
 func (inj *Injector) DownSeconds() float64 { return inj.downSeconds }

@@ -74,7 +74,7 @@ func TestFederationSpill(t *testing.T) {
 		if i >= 8 {
 			at = float64(i) * 5
 		}
-		fed.SubmitAt(at, 0, churnJob("j", 2))
+		submitAt(t, fed, at, 0, churnJob("j", 2))
 	}
 	fed.Run()
 	if records != n {
@@ -120,7 +120,7 @@ func TestFederationAllDeferRejectsOnce(t *testing.T) {
 	}
 	const n = 9
 	for i := 0; i < n; i++ {
-		fed.SubmitAt(float64(i), 0, churnJob("j", 1))
+		submitAt(t, fed, float64(i), 0, churnJob("j", 1))
 	}
 	fed.Run()
 	if records != n || rejected != n {
@@ -176,7 +176,7 @@ func TestFederationAdmissionConservation(t *testing.T) {
 	}
 	const n = 30
 	for i := 0; i < n; i++ {
-		fed.SubmitAt(float64(i), 0, churnJob("j", 1))
+		submitAt(t, fed, float64(i), 0, churnJob("j", 1))
 	}
 	fed.Run()
 	if records != n {

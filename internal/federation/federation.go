@@ -293,11 +293,6 @@ func New(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// Index returns the federation's load index: the per-member backlog
-// counters the policies read. The index is shared and read-only for
-// callers.
-func (f *Federation) Index() *LoadIndex { return f.index }
-
 // dataConfig fills the zero fields of a per-member dfs config with the
 // dfs defaults, field by field, so e.g. Config.Data =
 // &dfs.Config{WANBytesPerSec: 10e6} customizes only the inter-cluster
@@ -498,7 +493,6 @@ func (f *Federation) SetMemberDown(i int, down bool) error {
 		return fmt.Errorf("federation: member %s already down=%v", m.Name, down)
 	}
 	m.down = down
-	f.index.setAvailable(i, !down)
 	if f.cfg.Telemetry != nil {
 		f.cfg.Telemetry.MemberState(f.sim.Now(), i, down)
 	}
@@ -562,13 +556,6 @@ func (f *Federation) ScheduleOutage(member int, atSec, durationSec float64) erro
 	return nil
 }
 
-// SubmitAt schedules a job arrival at virtual time t seconds; the routing
-// policy picks its destination when the arrival fires, seeing member state
-// as of that instant.
-func (f *Federation) SubmitAt(t float64, class int, job *engine.Job) {
-	f.sim.At(simtime.Time(t), func() { f.dispatch(class, job) })
-}
-
 // SubmitStream schedules n arrivals drawn from any arrival process with
 // jobs built by the source, exactly like dias.Stack.SubmitStream but
 // routed across the federation. Arrivals are injected feed-forward
@@ -600,10 +587,6 @@ func (f *Federation) Run() {
 	}
 	f.sim.Run()
 }
-
-// Stop aborts a Run in progress at the next event boundary, with the
-// simulation-context semantics of simtime.Simulation.Stop.
-func (f *Federation) Stop() { f.sim.Stop() }
 
 // Routed returns how many arrivals each member received so far.
 func (f *Federation) Routed() []int {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dias"
@@ -104,7 +105,7 @@ func TestRoundRobinConservation(t *testing.T) {
 	job := churnJob("rr", 4)
 	const n = 10
 	for i := 0; i < n; i++ {
-		fed.SubmitAt(float64(i), i%2, job)
+		submitAt(t, fed, float64(i), i%2, job)
 	}
 	fed.Run()
 	routed := fed.Routed()
@@ -284,15 +285,25 @@ func TestDataLocalSpillsUnderBacklog(t *testing.T) {
 func TestPartialConfigsAreNotSilentlyDefaulted(t *testing.T) {
 	data := dfs.Config{WANBytesPerSec: 10e6}
 	fed := twoMemberFed(t, federation.NewRoundRobin(), &data)
-	got := fed.Members()[0].FS.Config()
-	if got.WANBytesPerSec != 10e6 {
-		t.Fatalf("WAN bandwidth overridden to %g", got.WANBytesPerSec)
+	fs := fed.Members()[0].FS
+	if got := fs.ReadTime(dfs.Block{Size: 10e6, Remote: true}, 0); got != 1 {
+		t.Fatalf("a 10 MB WAN read takes %g s, want 1: WAN bandwidth overridden", got.Seconds())
 	}
-	if got.DataNodes != dfs.DefaultConfig().DataNodes {
-		t.Fatalf("unset DataNodes = %d, want default", got.DataNodes)
+	// Unset DataNodes and Replication keep their defaults: a block lands
+	// on Replication distinct nodes among DataNodes.
+	def := dfs.DefaultConfig()
+	if err := fs.Create("/probe", 1); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := fs.Blocks("/probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replicas := blocks[0].Replicas; len(replicas) != def.Replication || slices.Max(replicas) >= def.DataNodes {
+		t.Fatalf("replicas %v, want %d of the %d default data nodes", replicas, def.Replication, def.DataNodes)
 	}
 	partial := cluster.Config{SprintSpeedup: 2.0} // no Nodes: incomplete
-	_, err := federation.New(federation.Config{
+	_, err = federation.New(federation.Config{
 		Members: []federation.MemberSpec{{Cluster: partial}},
 		Policy:  core.PolicyNP(1),
 		Routing: federation.NewRoundRobin(),
@@ -333,7 +344,7 @@ func TestWANPenaltySlowsRemoteRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			fed.SubmitAt(float64(i)*1000, 0, job)
+			submitAt(t, fed, float64(i)*1000, 0, job)
 		}
 		fed.Run()
 		if n != 5 {
@@ -458,7 +469,7 @@ func TestFacadeNewFederation(t *testing.T) {
 	}
 	job := churnJob("facade", 4)
 	for i := 0; i < 6; i++ {
-		fed.SubmitAt(float64(i)*10, i%2, job)
+		submitAt(t, fed, float64(i)*10, i%2, job)
 	}
 	fed.Run()
 	var done int
@@ -595,5 +606,20 @@ func TestFederationScenarioIsReproducible(t *testing.T) {
 				t.Fatal("gauge timeline diverges between two runs at one seed")
 			}
 		})
+	}
+}
+
+// submitAt routes one arrival of job at virtual time at. It is a
+// one-arrival stream, scheduled when submitAt is called.
+func submitAt(t *testing.T, fed *federation.Federation, at float64, class int, job *engine.Job) {
+	t.Helper()
+	proc, err := workload.NewReplay([]workload.Arrival{{At: at, Class: class}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make(workload.FixedJobs, class+1)
+	jobs[class] = job
+	if err := fed.SubmitStream(proc, jobs, 1, 0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,35 +28,31 @@ func indexJob(partitions int) *engine.Job {
 	}
 }
 
+// submitAt schedules an arrival at virtual time at for the dispatcher to
+// route when it fires.
+func submitAt(f *Federation, at float64, class int, job *engine.Job) {
+	f.Sim().At(simtime.Time(at), func() { f.dispatch(class, job) })
+}
+
 // verifyIndexAgainstRecompute compares every index field against a
 // brute-force recomputation from the scheduler getters the index stands
 // in for.
 func verifyIndexAgainstRecompute(t *testing.T, f *Federation, at simtime.Time) {
 	t.Helper()
-	li := f.Index()
-	classes := li.Classes()
-	down := 0
+	li := f.index
+	classes := li.classes
 	for i, m := range f.Members() {
 		busy := 0
 		if m.Scheduler.Busy() {
 			busy = 1
 		}
-		if got, want := li.Busy(i), m.Scheduler.Busy(); got != want {
+		if got, want := li.busyJob[i] != 0, m.Scheduler.Busy(); got != want {
 			t.Fatalf("t=%v member %d: index busy %v, scheduler %v", at, i, got, want)
 		}
 		if got, want := li.TotalQueued(i), m.Scheduler.QueuedJobs()+busy; got != want {
 			t.Fatalf("t=%v member %d: index total queued %d, recomputed %d", at, i, got, want)
 		}
-		if got, want := li.Available(i), m.Available(); got != want {
-			t.Fatalf("t=%v member %d: index available %v, member %v", at, i, got, want)
-		}
-		if !m.Available() {
-			down++
-		}
 		for c := 0; c < classes; c++ {
-			if got, want := li.QueuedInClass(i, c), m.Scheduler.QueuedJobsInClass(c); got != want {
-				t.Fatalf("t=%v member %d class %d: index queued %d, scheduler %d", at, i, c, got, want)
-			}
 			backlog := busy
 			for k := classes - 1; k >= c; k-- {
 				backlog += m.Scheduler.QueuedJobsInClass(k)
@@ -65,9 +61,6 @@ func verifyIndexAgainstRecompute(t *testing.T, f *Federation, at simtime.Time) {
 				t.Fatalf("t=%v member %d class %d: index backlog %d, recomputed %d", at, i, c, got, backlog)
 			}
 		}
-	}
-	if got := li.DownMembers(); got != down {
-		t.Fatalf("t=%v: index counts %d members down, %d are", at, got, down)
 	}
 }
 
@@ -175,7 +168,7 @@ func verifyRoutingAgainstOracle(t *testing.T, f *Federation, at simtime.Time) {
 	if len(avail) > 0 && len(avail) < len(full) {
 		views = append(views, namedView{"available", avail})
 	}
-	classes := f.Index().Classes()
+	classes := f.index.classes
 	for _, v := range views {
 		name, view := v.name, v.members
 		for _, p := range oraclePolicies() {
@@ -273,7 +266,7 @@ func TestLoadIndexMatchesRecompute(t *testing.T) {
 				}
 				for j := 0; j < jobs; j++ {
 					at := rng.Float64() * horizon
-					f.SubmitAt(at, rng.Intn(classes), job)
+					submitAt(f, at, rng.Intn(classes), job)
 					checkAt(at)
 				}
 				// Cluster-level outages: up to two non-overlapping windows per
@@ -356,8 +349,8 @@ func TestLoadIndexMatchesRecompute(t *testing.T) {
 				// Terminal state: everything drained, index agrees one last time.
 				verify()
 				for i := range f.Members() {
-					if li := f.Index(); li.TotalQueued(i) != 0 || li.Busy(i) {
-						t.Fatalf("member %d not drained: queued %d busy %v", i, li.TotalQueued(i), li.Busy(i))
+					if li := f.index; li.TotalQueued(i) != 0 {
+						t.Fatalf("member %d not drained: queued %d", i, li.TotalQueued(i))
 					}
 				}
 			})
@@ -424,9 +417,8 @@ func TestRoutingDuringOutageMatchesScan(t *testing.T) {
 	if err := f.SetMemberDown(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if li := f.Index(); li.DownMembers() != 0 || !li.Available(0) {
-		t.Fatalf("index availability not restored: down=%d available0=%v",
-			li.DownMembers(), li.Available(0))
+	if !f.Members()[0].Available() {
+		t.Fatal("member 0 still unavailable after the outage ended")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"dias/internal/cluster"
 	"dias/internal/core"
 	"dias/internal/faults"
 	"dias/internal/federation"
@@ -19,7 +20,7 @@ func TestOutageStopsRoutingToDownMember(t *testing.T) {
 	// 10 arrivals during the outage window must all land on member b,
 	// despite round-robin normally alternating.
 	for i := 0; i < 10; i++ {
-		fed.SubmitAt(120+float64(i), 0, churnJob(fmt.Sprintf("j%d", i), 2))
+		submitAt(t, fed, 120+float64(i), 0, churnJob(fmt.Sprintf("j%d", i), 2))
 	}
 	fed.Sim().RunUntil(250)
 	routed := fed.Routed()
@@ -33,7 +34,7 @@ func TestOutageStopsRoutingToDownMember(t *testing.T) {
 	if !fed.Members()[0].Available() {
 		t.Fatal("member a should have recovered")
 	}
-	if down := fed.Members()[0].Cluster.DownNodes(); down != 0 {
+	if down := downNodes(fed.Members()[0].Cluster); down != 0 {
 		t.Fatalf("member a still has %d down nodes after recovery", down)
 	}
 }
@@ -59,7 +60,7 @@ func TestOutageRequeuesInFlightWorkAndConserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		fed2.SubmitAt(float64(i), 0, churnJob(fmt.Sprintf("p%d", i), 4))
+		submitAt(t, fed2, float64(i), 0, churnJob(fmt.Sprintf("p%d", i), 4))
 	}
 	fed2.Sim().At(simtime.Time(20), func() {
 		if err := fed2.SetMemberDown(0, true); err != nil {
@@ -132,9 +133,9 @@ func TestDataLocalHomeRemappedDuringOutage(t *testing.T) {
 	if err := fed.ScheduleOutage(0, 10, 100); err != nil {
 		t.Fatal(err)
 	}
-	fed.SubmitAt(5, 0, job)   // before the outage: pinned home
-	fed.SubmitAt(50, 0, job)  // during: must go to member b
-	fed.SubmitAt(200, 0, job) // after recovery: home again
+	submitAt(t, fed, 5, 0, job)   // before the outage: pinned home
+	submitAt(t, fed, 50, 0, job)  // during: must go to member b
+	submitAt(t, fed, 200, 0, job) // after recovery: home again
 	fed.Run()
 	routed := fed.Routed()
 	if routed[0] != 2 || routed[1] != 1 {
@@ -176,7 +177,7 @@ func TestOutageComposesWithNodeChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		fed.SubmitAt(float64(i)*25, 0, churnJob(fmt.Sprintf("c%d", i), 3))
+		submitAt(t, fed, float64(i)*25, 0, churnJob(fmt.Sprintf("c%d", i), 3))
 	}
 	fed.Run()
 	if len(done) != 12 {
@@ -192,7 +193,18 @@ func TestOutageComposesWithNodeChurn(t *testing.T) {
 	if !fed.Members()[0].Available() {
 		t.Fatal("member a should be routable after the outages")
 	}
-	if down := fed.Members()[0].Cluster.DownNodes(); down != 0 {
+	if down := downNodes(fed.Members()[0].Cluster); down != 0 {
 		t.Fatalf("%d nodes stuck down after drain", down)
 	}
+}
+
+// downNodes counts the cluster's failed nodes.
+func downNodes(c *cluster.Cluster) int {
+	down := 0
+	for n := range c.Config().Nodes {
+		if c.NodeDown(n) {
+			down++
+		}
+	}
+	return down
 }

@@ -94,9 +94,6 @@ func (a *FederationAccumulator) Add(cluster int, rec core.JobRecord) {
 	a.perCluster[cluster].Add(rec)
 }
 
-// Count returns the number of records seen so far (including warmup).
-func (a *FederationAccumulator) Count() int { return a.seen }
-
 // OverallClasses finalizes and returns the federation-wide per-class
 // statistics.
 func (a *FederationAccumulator) OverallClasses() []ClassStats { return a.overall.Classes() }
@@ -105,9 +102,6 @@ func (a *FederationAccumulator) OverallClasses() []ClassStats { return a.overall
 func (a *FederationAccumulator) ClusterClasses(i int) []ClassStats {
 	return a.perCluster[i].Classes()
 }
-
-// Clusters returns the member count the accumulator was sized for.
-func (a *FederationAccumulator) Clusters() int { return len(a.perCluster) }
 
 // FormatFederationTable renders a federation scenario: the overall rollup
 // line plus one line per member cluster.

@@ -17,9 +17,6 @@ func TestFederationAccumulatorPartitionsRecords(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Add(i%2, fedRecord(i%2, float64(10+i)))
 	}
-	if a.Count() != 20 {
-		t.Fatalf("Count = %d", a.Count())
-	}
 	overall := a.OverallClasses()
 	var overallJobs, clusterJobs int
 	for _, cs := range overall {
@@ -28,7 +25,7 @@ func TestFederationAccumulatorPartitionsRecords(t *testing.T) {
 	if overallJobs != 18 {
 		t.Fatalf("overall kept %d jobs, want 18 (2 warmup skipped)", overallJobs)
 	}
-	for i := 0; i < a.Clusters(); i++ {
+	for i := 0; i < 2; i++ {
 		for _, cs := range a.ClusterClasses(i) {
 			clusterJobs += cs.Jobs
 		}

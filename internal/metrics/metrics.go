@@ -248,9 +248,6 @@ func (a *Accumulator) Add(r core.JobRecord) {
 	a.drops[k].Add(r.EffectiveDropRatio)
 }
 
-// Count returns the number of records folded in so far.
-func (a *Accumulator) Count() int { return a.seen }
-
 // Classes finalizes and returns the per-class statistics. The means are
 // computed in insertion order before the percentile sort, so the result is
 // bit-identical to Aggregate over the same record sequence. The finalized

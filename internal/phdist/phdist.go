@@ -90,16 +90,6 @@ func MustNew(alpha []float64, a *matrix.Matrix) *PH {
 // Order returns the number of transient phases.
 func (p *PH) Order() int { return len(p.alpha) }
 
-// Alpha returns a copy of the initial probability vector.
-func (p *PH) Alpha() []float64 {
-	out := make([]float64, len(p.alpha))
-	copy(out, p.alpha)
-	return out
-}
-
-// Generator returns a copy of the transient sub-generator A.
-func (p *PH) Generator() *matrix.Matrix { return p.a.Clone() }
-
 // ExitVector returns a = -A·1, the absorption rates per phase.
 func (p *PH) ExitVector() []float64 {
 	n := p.Order()
@@ -149,92 +139,6 @@ func (p *PH) Moment(k int) (float64, error) {
 
 // Mean returns E[X].
 func (p *PH) Mean() (float64, error) { return p.Moment(1) }
-
-// SCV returns the squared coefficient of variation Var[X]/E[X]².
-func (p *PH) SCV() (float64, error) {
-	ms, err := p.Moments(2)
-	if err != nil {
-		return 0, err
-	}
-	if ms[0] == 0 {
-		return 0, errors.New("phdist: SCV of zero-mean distribution")
-	}
-	return ms[1]/(ms[0]*ms[0]) - 1, nil
-}
-
-// CDF returns P(X <= t), computed by uniformization of exp(At): with
-// θ >= max|A_ii| and P = I + A/θ, exp(At)·1 = Σ_k Poisson(θt,k)·Pᵏ·1.
-func (p *PH) CDF(t float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	atom := 1 - sum(p.alpha)
-	if t == 0 {
-		return clampProb(atom)
-	}
-	n := p.Order()
-	theta := 0.0
-	for i := 0; i < n; i++ {
-		if d := -p.a.At(i, i); d > theta {
-			theta = d
-		}
-	}
-	if theta == 0 {
-		return clampProb(atom)
-	}
-	// P = I + A/θ is a sub-stochastic matrix.
-	pm := matrix.Add(matrix.Identity(n), matrix.Scale(1/theta, p.a))
-	v := p.Alpha() // row vector, updated as v·Pᵏ
-	lambda := theta * t
-	// Poisson weights computed iteratively; survival = Σ_k w_k · (v_k·1).
-	logW := -lambda // log weight at k=0
-	var survival float64
-	const tol = 1e-12
-	maxK := int(lambda + 10*math.Sqrt(lambda+1) + 50)
-	var cumW float64
-	for k := 0; ; k++ {
-		w := math.Exp(logW)
-		survival += w * sum(v)
-		cumW += w
-		if 1-cumW < tol || k > maxK {
-			break
-		}
-		v = matrix.VecMul(v, pm)
-		logW += math.Log(lambda) - math.Log(float64(k+1))
-	}
-	return clampProb(1 - survival)
-}
-
-// Quantile returns the smallest t with CDF(t) >= q, found by bisection.
-func (p *PH) Quantile(q float64) (float64, error) {
-	if q < 0 || q >= 1 {
-		return 0, fmt.Errorf("phdist: Quantile(%g) out of [0,1)", q)
-	}
-	if q <= p.CDF(0) {
-		return 0, nil
-	}
-	mean, err := p.Mean()
-	if err != nil {
-		return 0, err
-	}
-	hi := mean
-	for p.CDF(hi) < q {
-		hi *= 2
-		if hi > mean*1e9 {
-			return 0, fmt.Errorf("phdist: quantile %g unreachable", q)
-		}
-	}
-	lo := 0.0
-	for i := 0; i < 80 && hi-lo > 1e-12*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if p.CDF(mid) < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, nil
-}
 
 // Sample draws one value by simulating the absorbing chain.
 func (p *PH) Sample(rng *rand.Rand) float64 {
@@ -356,7 +260,11 @@ func Convolve(x, y *PH) *PH {
 	alpha := make([]float64, n)
 	copy(alpha, x.alpha)
 	// Atom at zero in X starts Y immediately.
-	if atom := 1 - sum(x.alpha); atom > 1e-12 {
+	var mass float64
+	for _, v := range x.alpha {
+		mass += v
+	}
+	if atom := 1 - mass; atom > 1e-12 {
 		for j := 0; j < ny; j++ {
 			alpha[nx+j] = atom * y.alpha[j]
 		}
@@ -387,7 +295,7 @@ func ConvolveAll(ps ...*PH) (*PH, error) {
 	a := matrix.Zeros(n, n)
 	alpha := make([]float64, n)
 	rowSum := make([]float64, n)
-	var mass float64 // Σ alpha so far, summed in order as sum() does
+	var mass float64 // Σ alpha so far, summed in order as Convolve does
 	off := 0
 	for _, p := range ps {
 		// The chain so far exits into p's initial phases…
@@ -454,14 +362,6 @@ func Mixture(ws []float64, ps []*PH) (*PH, error) {
 	return newOwned(alpha, a)
 }
 
-// ScaleTime returns the distribution of c·X (c>0): generator divided by c.
-func (p *PH) ScaleTime(c float64) (*PH, error) {
-	if c <= 0 {
-		return nil, fmt.Errorf("phdist: ScaleTime(%g)", c)
-	}
-	return newOwned(p.Alpha(), matrix.Scale(1/c, p.a))
-}
-
 // FitMeanSCV returns a small PH matching a mean and squared coefficient of
 // variation: exponential at scv≈1, an Erlang-like (possibly fractional via
 // mixture) fit for scv<1, and a balanced two-phase hyperexponential for
@@ -516,22 +416,4 @@ func FitMeanSCV(mean, scv float64) (*PH, error) {
 		r2 := 2 * p2 / mean
 		return HyperExponential([]float64{p1, p2}, []float64{r1, r2})
 	}
-}
-
-func sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-func clampProb(p float64) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }

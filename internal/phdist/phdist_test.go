@@ -18,13 +18,14 @@ func mustMean(t *testing.T, p *PH) float64 {
 	return m
 }
 
+// mustSCV returns the squared coefficient of variation Var[X]/E[X]².
 func mustSCV(t *testing.T, p *PH) float64 {
 	t.Helper()
-	s, err := p.SCV()
+	ms, err := p.Moments(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return ms[1]/(ms[0]*ms[0]) - 1
 }
 
 func TestExponentialMoments(t *testing.T) {
@@ -60,32 +61,51 @@ func TestErlangMoments(t *testing.T) {
 	}
 }
 
+// empiricalCDF draws n samples of p and returns the fraction at or below
+// each x.
+func empiricalCDF(p *PH, seed int64, n int, xs []float64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	below := make([]float64, len(xs))
+	for range n {
+		v := p.Sample(rng)
+		for i, x := range xs {
+			if v <= x {
+				below[i]++
+			}
+		}
+	}
+	for i := range below {
+		below[i] /= float64(n)
+	}
+	return below
+}
+
+// TestExponentialCDF: samples of Exponential(λ) follow F(t) = 1 - e^{-λt}
+// within the 20,000-draw sampling error.
 func TestExponentialCDF(t *testing.T) {
 	p, err := Exponential(1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []float64{0, 0.1, 0.5, 1, 2, 5} {
-		want := 1 - math.Exp(-1.5*x)
-		if got := p.CDF(x); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("CDF(%g) = %g, want %g", x, got, want)
+	xs := []float64{0.1, 0.5, 1, 2, 5}
+	for i, got := range empiricalCDF(p, 3, 20000, xs) {
+		if want := 1 - math.Exp(-1.5*xs[i]); math.Abs(got-want) > 0.015 {
+			t.Fatalf("empirical CDF(%g) = %g, want %g", xs[i], got, want)
 		}
-	}
-	if got := p.CDF(-1); got != 0 {
-		t.Fatalf("CDF(-1) = %g", got)
 	}
 }
 
+// TestErlangCDF: samples of Erlang(2, λ) follow F(t) = 1 - e^{-λt}(1+λt)
+// within the 20,000-draw sampling error.
 func TestErlangCDF(t *testing.T) {
-	// Erlang(2, λ): F(t) = 1 - e^{-λt}(1+λt).
 	p, err := Erlang(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []float64{0.1, 0.5, 1, 2} {
-		want := 1 - math.Exp(-3*x)*(1+3*x)
-		if got := p.CDF(x); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("CDF(%g) = %g, want %g", x, got, want)
+	xs := []float64{0.1, 0.5, 1, 2}
+	for i, got := range empiricalCDF(p, 5, 20000, xs) {
+		if want := 1 - math.Exp(-3*xs[i])*(1+3*xs[i]); math.Abs(got-want) > 0.015 {
+			t.Fatalf("empirical CDF(%g) = %g, want %g", xs[i], got, want)
 		}
 	}
 }
@@ -137,8 +157,15 @@ func TestAtomAtZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.CDF(0); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("CDF(0) = %g, want 0.3", got)
+	rng := rand.New(rand.NewSource(1))
+	zeros := 0
+	for range 10000 {
+		if p.Sample(rng) == 0 {
+			zeros++
+		}
+	}
+	if got := float64(zeros) / 10000; math.Abs(got-0.3) > 0.02 {
+		t.Fatalf("P(X=0) sampled as %g, want 0.3", got)
 	}
 	if m := mustMean(t, p); math.Abs(m-0.7) > 1e-12 {
 		t.Fatalf("mean = %g, want 0.7", m)
@@ -165,9 +192,17 @@ func TestConvolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tt := range []float64{0.3, 1, 3} {
-		if got, want := z.CDF(tt), e2.CDF(tt); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("CDF(%g) = %g, want %g", tt, got, want)
+	got, err := z.Moments(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e2.Moments(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		if math.Abs(got[k]-want[k]) > 1e-9*want[k] {
+			t.Fatalf("moment %d = %g, want %g", k+1, got[k], want[k])
 		}
 	}
 }
@@ -338,47 +373,6 @@ func TestMixture(t *testing.T) {
 	}
 }
 
-func TestScaleTime(t *testing.T) {
-	p, err := Erlang(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := p.ScaleTime(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := mustMean(t, q); math.Abs(m-6) > 1e-12 { // 1.5 * 4
-		t.Fatalf("mean = %g, want 6", m)
-	}
-	// SCV is scale-invariant.
-	if s0, s1 := mustSCV(t, p), mustSCV(t, q); math.Abs(s0-s1) > 1e-12 {
-		t.Fatalf("scv changed under scaling: %g vs %g", s0, s1)
-	}
-	if _, err := p.ScaleTime(0); err == nil {
-		t.Fatal("expected error for nonpositive scale")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	p, err := Exponential(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.95} {
-		want := -math.Log(1-q) / 2
-		got, err := p.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("Quantile(%g) = %g, want %g", q, got, want)
-		}
-	}
-	if _, err := p.Quantile(1); err == nil {
-		t.Fatal("expected error for q=1")
-	}
-}
-
 func TestSampleMatchesMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p, err := Erlang(3, 1.5)
@@ -454,23 +448,6 @@ func TestFitNearDeterministic(t *testing.T) {
 	}
 }
 
-func TestAccessorsCopy(t *testing.T) {
-	p, err := Exponential(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p.Alpha()
-	a[0] = 99
-	if p.Alpha()[0] != 1 {
-		t.Fatal("Alpha aliases internal state")
-	}
-	g := p.Generator()
-	g.Set(0, 0, 99)
-	if p.Generator().At(0, 0) != -1 {
-		t.Fatal("Generator aliases internal state")
-	}
-}
-
 // Property: convolution means add; mixture means are convex combinations.
 func TestPropertyClosureMeans(t *testing.T) {
 	f := func(seed int64) bool {
@@ -503,42 +480,6 @@ func TestPropertyClosureMeans(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: CDF is monotone nondecreasing and bounded in [0,1].
-func TestPropertyCDFMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mean := 0.5 + rng.Float64()*4
-		scv := 0.2 + rng.Float64()*3
-		p, err := FitMeanSCV(mean, scv)
-		if err != nil {
-			return false
-		}
-		prev := -1.0
-		for x := 0.0; x <= mean*5; x += mean / 4 {
-			c := p.CDF(x)
-			if c < prev-1e-9 || c < 0 || c > 1 {
-				return false
-			}
-			prev = c
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkCDFErlang8(b *testing.B) {
-	p, err := Erlang(8, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.CDF(3.7)
 	}
 }
 

@@ -71,13 +71,3 @@ func (d *Deque[T]) PopFront() T {
 	d.n--
 	return x
 }
-
-// Clear empties the deque, zeroing occupied slots but keeping the backing
-// array for reuse.
-func (d *Deque[T]) Clear() {
-	var zero T
-	for i := 0; i < d.n; i++ {
-		d.buf[(d.head+i)%len(d.buf)] = zero
-	}
-	d.head, d.n = 0, 0
-}

@@ -35,20 +35,6 @@ func TestPushFront(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	var d Deque[*int]
-	x := 1
-	d.PushBack(&x)
-	d.Clear()
-	if d.Len() != 0 {
-		t.Fatal("Clear left elements")
-	}
-	d.PushBack(&x)
-	if d.Len() != 1 || d.Front() != &x {
-		t.Fatal("deque unusable after Clear")
-	}
-}
-
 // TestAgainstSlice cross-checks the deque against a reference slice
 // implementation under random front/back operations.
 func TestAgainstSlice(t *testing.T) {

@@ -20,7 +20,6 @@ type kernel interface {
 	RescheduleAfter(id EventID, d Duration) bool
 	Pending() int
 	NextEventTime() (Time, bool)
-	Stop()
 	Run()
 	RunUntil(t Time)
 }
@@ -29,7 +28,6 @@ type kernel interface {
 type timer interface {
 	Reset(d Duration, fn func())
 	Stop() bool
-	Active() bool
 }
 
 // refKernel is the obviously-correct reference for the heap kernel: the
@@ -41,7 +39,6 @@ type refKernel struct {
 	pending []refEvent
 	nextSeq uint64
 	nextID  EventID
-	stopped bool
 }
 
 type refEvent struct {
@@ -122,8 +119,6 @@ func (r *refKernel) NextEventTime() (Time, bool) {
 	return r.pending[0].at, true
 }
 
-func (r *refKernel) Stop() { r.stopped = true }
-
 func (r *refKernel) step() {
 	ev := r.pending[0]
 	r.pending = slices.Delete(r.pending, 0, 1)
@@ -132,18 +127,16 @@ func (r *refKernel) step() {
 }
 
 func (r *refKernel) Run() {
-	r.stopped = false
-	for !r.stopped && len(r.pending) > 0 {
+	for len(r.pending) > 0 {
 		r.step()
 	}
 }
 
 func (r *refKernel) RunUntil(t Time) {
-	r.stopped = false
-	for !r.stopped && len(r.pending) > 0 && r.pending[0].at <= t {
+	for len(r.pending) > 0 && r.pending[0].at <= t {
 		r.step()
 	}
-	if !r.stopped && t > r.now {
+	if t > r.now {
 		r.now = t
 	}
 }
@@ -182,12 +175,10 @@ func (t *refTimer) Stop() bool {
 	return t.k.Cancel(t.id)
 }
 
-func (t *refTimer) Active() bool { return t.set }
-
 // driveKernel runs one seeded random program against k and returns its
 // observable transcript: every firing with the clock, Pending and
 // NextEventTime seen from inside the callback, every Cancel/Reschedule/
-// Timer.Stop verdict, and the state after each RunUntil, Run and Stop.
+// Timer.Stop verdict, and the state after each RunUntil and Run.
 // Times are quantised to 0.5 s so coincident instants are common, and
 // callbacks issue further operations, so both the (at, seq) tiebreak and
 // in-callback mutation are exercised. The program's choices depend only
@@ -207,7 +198,7 @@ func driveKernel(k kernel, timers []timer, seed int64) []string {
 		}
 		return rng.Intn(len(ids)), true
 	}
-	var op func(inCallback bool)
+	var op func()
 	callback := func() func() {
 		labels++
 		label := labels
@@ -215,11 +206,11 @@ func driveKernel(k kernel, timers []timer, seed int64) []string {
 			next, ok := k.NextEventTime()
 			logf("fire %d now=%v pending=%d next=%v/%v", label, k.Now(), k.Pending(), next, ok)
 			for n := rng.Intn(3); n > 0; n-- {
-				op(true)
+				op()
 			}
 		}
 	}
-	op = func(inCallback bool) {
+	op = func() {
 		// Past a budget, stop creating events so every program drains.
 		grow := labels < 400
 		switch c := rng.Intn(10); {
@@ -246,20 +237,17 @@ func driveKernel(k kernel, timers []timer, seed int64) []string {
 		case c == 5 && grow:
 			ti := rng.Intn(len(timers))
 			timers[ti].Reset(quantum(), callback())
-			logf("timer %d reset active=%v", ti, timers[ti].Active())
+			logf("timer %d reset", ti)
 		case c == 6:
 			ti := rng.Intn(len(timers))
 			logf("timer %d stop -> %v", ti, timers[ti].Stop())
-		case c == 7 && inCallback && rng.Intn(4) == 0:
-			k.Stop()
-			logf("stop")
 		}
 		next, ok := k.NextEventTime()
 		logf("  now=%v pending=%d next=%v/%v", k.Now(), k.Pending(), next, ok)
 	}
 	for round := 0; round < 12; round++ {
 		for n := rng.Intn(8); n > 0; n-- {
-			op(false)
+			op()
 		}
 		// RunUntil boundaries on the same grid land on event instants.
 		until := k.Now().Add(quantum())
@@ -267,17 +255,15 @@ func driveKernel(k kernel, timers []timer, seed int64) []string {
 		next, ok := k.NextEventTime()
 		logf("run-until %v: now=%v pending=%d next=%v/%v", until, k.Now(), k.Pending(), next, ok)
 	}
-	for k.Pending() > 0 {
-		k.Run()
-		next, ok := k.NextEventTime()
-		logf("run: now=%v pending=%d next=%v/%v", k.Now(), k.Pending(), next, ok)
-	}
+	k.Run()
+	next, ok := k.NextEventTime()
+	logf("run: now=%v pending=%d next=%v/%v", k.Now(), k.Pending(), next, ok)
 	return log
 }
 
 // TestKernelMatchesSortedReference is the heap kernel's differential
 // oracle: over seeded random programs of At, After, Cancel, Reschedule,
-// RescheduleAfter, Timer.Reset/Stop and Stop — issued from the top level
+// RescheduleAfter and Timer.Reset/Stop — issued from the top level
 // and from inside callbacks, at coincident instants, across RunUntil
 // boundaries — the heap and the sorted-slice reference must fire the same
 // events in the same order and agree on Now, Pending and NextEventTime at

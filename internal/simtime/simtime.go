@@ -12,12 +12,6 @@ type Time float64
 // Duration is a span of virtual time, in seconds.
 type Duration float64
 
-// Common durations.
-const (
-	Millisecond Duration = 1e-3
-	Second      Duration = 1
-)
-
 // Add returns the instant d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -93,7 +87,6 @@ type Simulation struct {
 	heap    []heapEntry // keyed entries ordered as a heapArity-ary min-heap
 	free    []int32     // recycled arena slots
 	nextSeq uint64
-	stopped bool
 }
 
 // New returns an empty simulation with the clock at zero.
@@ -285,10 +278,6 @@ func (s *Simulation) RescheduleAfter(id EventID, d Duration) bool {
 // Pending returns the number of events waiting to fire.
 func (s *Simulation) Pending() int { return len(s.heap) }
 
-// Stop makes the currently executing Run return after the current event's
-// callback finishes. Pending events stay queued.
-func (s *Simulation) Stop() { s.stopped = true }
-
 // step fires the earliest pending event. It reports false when the queue is
 // empty.
 func (s *Simulation) step() bool {
@@ -307,21 +296,19 @@ func (s *Simulation) step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires events until the queue drains.
 func (s *Simulation) Run() {
-	s.stopped = false
-	for !s.stopped && s.step() {
+	for s.step() {
 	}
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to t.
 // Events scheduled after t stay pending.
 func (s *Simulation) RunUntil(t Time) {
-	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= t {
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.step()
 	}
-	if !s.stopped && t > s.now {
+	if t > s.now {
 		s.now = t
 	}
 }
@@ -385,9 +372,6 @@ func (t *Timer) Stop() bool {
 	t.fn = nil
 	return t.sim.Cancel(t.id)
 }
-
-// Active reports whether the timer has a pending firing.
-func (t *Timer) Active() bool { return t.set }
 
 // IsFinite reports whether t is a usable instant (not NaN or ±Inf).
 // Simulation entry points use it to validate externally supplied times.

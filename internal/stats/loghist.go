@@ -124,9 +124,3 @@ func (h *LogHistogram) Quantile(p float64) float64 {
 
 // Percentile returns the p-th percentile (p in [0,100]).
 func (h *LogHistogram) Percentile(p float64) float64 { return h.Quantile(p / 100) }
-
-// BucketRelWidth returns the relative width of one bucket, g-1: the
-// worst-case relative error bound of Quantile inside [lo, hi).
-func (h *LogHistogram) BucketRelWidth() float64 {
-	return math.Exp(1/h.invLogG) - 1
-}

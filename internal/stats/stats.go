@@ -1,41 +1,25 @@
 // Package stats provides the statistics toolkit shared by the DiAS
-// experiments: streaming moments, percentiles, histograms, mean absolute
-// percentage error, and ordinary least squares regression (used to
-// interpolate profiled overhead times, §4.3 of the paper).
+// experiments: streaming moments, percentiles, log-bucketed histograms,
+// relative change, and the two-point interpolation of profiled overhead
+// times (§4.3 of the paper).
 package stats
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
 
-// ErrNoData is returned by estimators that need at least one observation.
-var ErrNoData = errors.New("stats: no data")
-
 // Stream accumulates observations with Welford's algorithm, giving
-// numerically stable running mean and variance plus min/max.
+// numerically stable running mean and variance.
 // The zero value is ready to use.
 type Stream struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
 }
 
 // Add records one observation.
 func (s *Stream) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
@@ -60,15 +44,6 @@ func (s *Stream) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Stream) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Min returns the smallest observation, or 0 with no data.
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no data.
-func (s *Stream) Max() float64 { return s.max }
-
-// Sum returns the total of all observations.
-func (s *Stream) Sum() float64 { return s.mean * float64(s.n) }
-
 // Sample retains every observation for quantile queries.
 // The zero value is ready to use.
 type Sample struct {
@@ -91,15 +66,6 @@ func (s *Sample) Reserve(n int) {
 	}
 }
 
-// AddAll records a batch of observations.
-func (s *Sample) AddAll(xs []float64) {
-	s.xs = append(s.xs, xs...)
-	s.sorted = false
-}
-
-// Count returns the number of observations.
-func (s *Sample) Count() int { return len(s.xs) }
-
 // Mean returns the sample mean, or 0 with no data.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -110,21 +76,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// StdDev returns the sample standard deviation, or 0 with <2 observations.
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var m2 float64
-	for _, x := range s.xs {
-		d := x - m
-		m2 += d * d
-	}
-	return math.Sqrt(m2 / float64(n-1))
 }
 
 func (s *Sample) sort() {
@@ -163,37 +114,6 @@ func (s *Sample) Quantile(p float64) float64 {
 // Percentile returns the p-th percentile (p in [0,100]).
 func (s *Sample) Percentile(p float64) float64 { return s.Quantile(p / 100) }
 
-// Values returns a copy of the observations in insertion-independent
-// (sorted) order.
-func (s *Sample) Values() []float64 {
-	s.sort()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// MAPE returns the mean absolute percentage error of predictions against
-// actuals, in percent. Pairs with a zero actual are skipped; if every pair
-// is skipped or the inputs are empty it returns ErrNoData.
-func MAPE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, fmt.Errorf("stats: MAPE length mismatch %d vs %d", len(actual), len(predicted))
-	}
-	var sum float64
-	var n int
-	for i := range actual {
-		if actual[i] == 0 {
-			continue
-		}
-		sum += math.Abs((predicted[i] - actual[i]) / actual[i])
-		n++
-	}
-	if n == 0 {
-		return 0, ErrNoData
-	}
-	return 100 * sum / float64(n), nil
-}
-
 // RelativeChange returns (b-a)/a in percent: the "Difference [%]" axis the
 // paper's figures report against the preemptive baseline. A negative result
 // means b improved (decreased) relative to a.
@@ -203,51 +123,6 @@ func RelativeChange(a, b float64) float64 {
 	}
 	return 100 * (b - a) / a
 }
-
-// Linear is a fitted line y = Intercept + Slope*x.
-type Linear struct {
-	Intercept, Slope float64
-	R2               float64 // coefficient of determination
-}
-
-// FitLinear computes the ordinary least squares fit of y on x.
-// It needs at least two points with distinct x values.
-func FitLinear(x, y []float64) (Linear, error) {
-	if len(x) != len(y) {
-		return Linear{}, fmt.Errorf("stats: FitLinear length mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return Linear{}, ErrNoData
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return Linear{}, errors.New("stats: FitLinear degenerate x values")
-	}
-	slope := sxy / sxx
-	l := Linear{Intercept: my - slope*mx, Slope: slope}
-	if syy > 0 {
-		l.R2 = sxy * sxy / (sxx * syy)
-	} else {
-		l.R2 = 1 // y constant and perfectly fit
-	}
-	return l, nil
-}
-
-// At evaluates the fitted line at x.
-func (l Linear) At(x float64) float64 { return l.Intercept + l.Slope*x }
 
 // Interpolate returns the linear interpolation of y between two anchor
 // points (x0,y0) and (x1,y1) at x, clamping outside the interval. This is

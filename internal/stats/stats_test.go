@@ -25,12 +25,6 @@ func TestStreamBasics(t *testing.T) {
 	if got := s.Variance(); math.Abs(got-32.0/7) > 1e-12 {
 		t.Fatalf("Variance = %g, want %g", got, 32.0/7)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %g/%g", s.Min(), s.Max())
-	}
-	if got := s.Sum(); math.Abs(got-40) > 1e-9 {
-		t.Fatalf("Sum = %g, want 40", got)
-	}
 }
 
 func TestStreamSingle(t *testing.T) {
@@ -39,8 +33,8 @@ func TestStreamSingle(t *testing.T) {
 	if s.Variance() != 0 || s.StdDev() != 0 {
 		t.Fatal("variance with one sample should be 0")
 	}
-	if s.Min() != 3 || s.Max() != 3 {
-		t.Fatal("min/max with one sample")
+	if s.Count() != 1 || s.Mean() != 3 {
+		t.Fatalf("Count/Mean = %d/%g with one sample 3", s.Count(), s.Mean())
 	}
 }
 
@@ -77,7 +71,9 @@ func TestStreamVarianceNeverNegative(t *testing.T) {
 
 func TestSampleQuantile(t *testing.T) {
 	var s Sample
-	s.AddAll([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	for x := 1.0; x <= 10; x++ {
+		s.Add(x)
+	}
 	cases := []struct{ p, want float64 }{
 		{0, 1}, {1, 10}, {0.5, 5.5}, {0.25, 3.25}, {0.95, 9.55},
 	}
@@ -93,7 +89,7 @@ func TestSampleQuantile(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.StdDev() != 0 {
+	if s.Quantile(0.5) != 0 || s.Mean() != 0 {
 		t.Fatal("empty sample should return zeros")
 	}
 }
@@ -108,68 +104,12 @@ func TestSampleInterleavedAddAndQuery(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	got, err := MAPE([]float64{100, 200}, []float64{110, 180})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-10) > 1e-12 {
-		t.Fatalf("MAPE = %g, want 10", got)
-	}
-	if _, err := MAPE([]float64{0, 0}, []float64{1, 1}); err == nil {
-		t.Fatal("expected ErrNoData for all-zero actuals")
-	}
-	if _, err := MAPE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected error for mismatched lengths")
-	}
-}
-
 func TestRelativeChange(t *testing.T) {
 	if got := RelativeChange(100, 80); math.Abs(got+20) > 1e-12 {
 		t.Fatalf("RelativeChange = %g, want -20", got)
 	}
 	if got := RelativeChange(0, 5); got != 0 {
 		t.Fatalf("RelativeChange with zero base = %g, want 0", got)
-	}
-}
-
-func TestFitLinearExact(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 1 + 2x
-	l, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l.Intercept-1) > 1e-12 || math.Abs(l.Slope-2) > 1e-12 {
-		t.Fatalf("fit = %+v", l)
-	}
-	if math.Abs(l.R2-1) > 1e-12 {
-		t.Fatalf("R2 = %g, want 1", l.R2)
-	}
-	if got := l.At(10); math.Abs(got-21) > 1e-12 {
-		t.Fatalf("At(10) = %g", got)
-	}
-}
-
-func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("expected error with one point")
-	}
-	if _, err := FitLinear([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected error with degenerate x")
-	}
-	if _, err := FitLinear([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("expected error with mismatched lengths")
-	}
-}
-
-func TestFitLinearConstantY(t *testing.T) {
-	l, err := FitLinear([]float64{1, 2, 3}, []float64{4, 4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Slope != 0 || l.Intercept != 4 || l.R2 != 1 {
-		t.Fatalf("fit = %+v", l)
 	}
 }
 

@@ -58,6 +58,7 @@ func ExampleSynthesize() {
 	sr, _ := trace.NewStreamReader(&a)
 	homes := map[int]bool{}
 	var last trace.Rec
+	n := 0
 	for {
 		rec, err := sr.Next()
 		if err == io.EOF {
@@ -65,8 +66,9 @@ func ExampleSynthesize() {
 		}
 		homes[rec.Home] = true
 		last = rec
+		n++
 	}
-	fmt.Printf("%d records span %.0fs across %d homes\n", sr.Count(), last.At, len(homes))
+	fmt.Printf("%d records span %.0fs across %d homes\n", n, last.At, len(homes))
 	// Output:
 	// wrote 500 records, deterministic: true
 	// 500 records span 46s across 4 homes

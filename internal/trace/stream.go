@@ -112,7 +112,6 @@ func (sw *StreamWriter) Flush() error { return sw.w.Flush() }
 type StreamReader struct {
 	sc     *bufio.Scanner
 	line   int
-	count  int
 	last   float64
 	headed bool
 }
@@ -129,13 +128,6 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	sc.Buffer(make([]byte, 0, 256), 1<<20)
 	return &StreamReader{sc: sc}, nil
 }
-
-// Line returns the 1-based line number of the most recently read line,
-// for error context.
-func (sr *StreamReader) Line() int { return sr.line }
-
-// Count returns the number of records returned so far.
-func (sr *StreamReader) Count() int { return sr.count }
 
 // Next returns the next record, or io.EOF after the last one. Blank
 // lines and #-comments are skipped. Any malformed line is an error
@@ -167,7 +159,6 @@ func (sr *StreamReader) Next() (Rec, error) {
 		if err != nil {
 			return Rec{}, err
 		}
-		sr.count++
 		return rec, nil
 	}
 }

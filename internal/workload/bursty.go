@@ -48,12 +48,6 @@ func NewGamma(rates []float64, cv float64) (*Gamma, error) {
 	}, nil
 }
 
-// TotalRate returns the aggregate mean arrival rate.
-func (g *Gamma) TotalRate() float64 { return g.total }
-
-// CV returns the configured inter-arrival coefficient of variation.
-func (g *Gamma) CV() float64 { return g.cv }
-
 // Next draws a gamma gap and marks the arrival's class.
 func (g *Gamma) Next(rng *rand.Rand) (gap float64, class int) {
 	gap = gammaSample(rng, g.shape) * g.scale
@@ -156,12 +150,6 @@ func NewMMPP(rates []float64, burst float64, meanSojournSec [2]float64) (*MMPP, 
 		switchRate: [2]float64{1 / meanSojournSec[0], 1 / meanSojournSec[1]},
 	}, nil
 }
-
-// TotalRate returns the stationary mean arrival rate.
-func (m *MMPP) TotalRate() float64 { return m.total }
-
-// StateRates returns the calm and burst arrival rates.
-func (m *MMPP) StateRates() [2]float64 { return m.lambda }
 
 // Next advances the modulating chain by competing exponentials: in
 // state s the next event fires at rate λ_s + switch_s and is an arrival

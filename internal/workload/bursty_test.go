@@ -41,8 +41,8 @@ func TestGammaMeanRateAndCV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.TotalRate() != 10 || g.CV() != cv {
-			t.Fatalf("cv %g: TotalRate=%g CV=%g", cv, g.TotalRate(), g.CV())
+		if g.total != 10 || g.cv != cv {
+			t.Fatalf("cv %g: total rate %g, CV %g", cv, g.total, g.cv)
 		}
 		for _, seed := range []int64{1, 2, 3} {
 			mean, gotCV, frac0 := gapStats(t, g, seed, 200000)
@@ -93,11 +93,10 @@ func TestMMPPMeanRateAndBurstiness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TotalRate() != 10 {
-		t.Fatalf("TotalRate = %g", m.TotalRate())
+	if m.total != 10 {
+		t.Fatalf("total rate = %g", m.total)
 	}
-	sr := m.StateRates()
-	lo, hi := sr[0], sr[1]
+	lo, hi := m.lambda[0], m.lambda[1]
 	if lo >= 10 || hi != 40 {
 		t.Fatalf("state rates %g/%g: calm must be below the mean, burst 4x it", lo, hi)
 	}

@@ -45,9 +45,6 @@ func (d *DiurnalMix) rateAt(t float64) float64 {
 	return d.total * (1 + d.amplitude*math.Sin(2*math.Pi*t/d.periodSec))
 }
 
-// MeanRate returns the time-average total arrival rate.
-func (d *DiurnalMix) MeanRate() float64 { return d.total }
-
 // PeakRate returns the maximum instantaneous total rate.
 func (d *DiurnalMix) PeakRate() float64 { return d.total * (1 + d.amplitude) }
 

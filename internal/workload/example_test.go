@@ -3,6 +3,7 @@ package workload_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -40,19 +41,23 @@ func ExampleGamma() {
 	// burstiness: largest gamma gap is 6x the largest poisson gap
 }
 
-// ExampleMMPP shows the two-state chain in action: the calm state
-// arrives slowly, the burst state 4x faster than the mean, and the
-// stationary mixture preserves the configured total rate.
+// ExampleMMPP shows the two-state chain in action: bursts at 4x the
+// mean rate clump the arrivals (a gap CV above Poisson's 1), while the
+// stationary mixture of calm and burst keeps the configured total rate.
 func ExampleMMPP() {
-	m, _ := workload.NewMMPP([]float64{9, 1}, 4, [2]float64{300, 60})
-	sr := m.StateRates()
-	fmt.Printf("mean rate %.0f jobs/s: calm %.0f jobs/s, burst %.0f jobs/s\n",
-		m.TotalRate(), sr[0], sr[1])
-	// pi0*calm + pi1*burst = mean, with pi1 = 60/(300+60).
-	fmt.Printf("stationary check: %.0f*5/6 + %.0f*1/6 = %.0f\n", sr[0], sr[1], sr[0]*5/6+sr[1]/6)
+	m, _ := workload.NewMMPP([]float64{9, 1}, 4, [2]float64{3, 0.6})
+	rng := rand.New(rand.NewSource(1))
+	const n = 500000
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		gap, _ := m.Next(rng)
+		sum += gap
+		sumSq += gap * gap
+	}
+	mean := sum / n
+	fmt.Printf("mean rate %.0f jobs/s, gap CV %.1f\n", 1/mean, math.Sqrt(sumSq/n-mean*mean)/mean)
 	// Output:
-	// mean rate 10 jobs/s: calm 4 jobs/s, burst 40 jobs/s
-	// stationary check: 4*5/6 + 40*1/6 = 10
+	// mean rate 10 jobs/s, gap CV 1.7
 }
 
 // ExampleEmpiricalStream replays a streamed trace file as an arrival
@@ -71,13 +76,13 @@ func ExampleEmpiricalStream() {
 	es, _ := workload.NewEmpiricalStream(bytes.NewReader(buf.Bytes()))
 	for i := 0; i < 4; i++ {
 		gap, class := es.Next(nil) // deterministic: the RNG is ignored
-		fmt.Printf("arrival %d: +%gs class %d (home %d)\n", i, gap, class, es.Last().Home)
+		fmt.Printf("arrival %d: +%gs class %d\n", i, gap, class)
 	}
 	// Output:
-	// arrival 0: +5s class 0 (home 0)
-	// arrival 1: +3s class 1 (home 1)
-	// arrival 2: +5s class 0 (home 0)
-	// arrival 3: +3s class 1 (home 1)
+	// arrival 0: +5s class 0
+	// arrival 1: +3s class 1
+	// arrival 2: +5s class 0
+	// arrival 3: +3s class 1
 }
 
 // ExampleEmpiricalStream_synthesized drives the streaming replayer from

@@ -6,23 +6,20 @@ import (
 	"math/rand"
 
 	"dias/internal/engine"
-	"dias/internal/model"
 )
 
 // The §4 models treat the number of map/reduce tasks of a priority-k job as
 // a random variable with PMF pm(t). This file provides task-count samplers
-// whose exact PMFs plug into model.TaskCountPMF, and job sources that build
-// per-arrival job variants.
+// that draw such counts, and job sources that build per-arrival job
+// variants.
 
 // --- Task-count samplers ---------------------------------------------------
 
-// TaskCountDist draws integer task counts and exposes its exact PMF, tying
-// the generated workload to the model's pm(t)/pr(u) inputs.
+// TaskCountDist draws integer task counts: the per-arrival realisation of
+// the model's pm(t)/pr(u) inputs.
 type TaskCountDist interface {
 	// Sample draws one task count (>= 1).
 	Sample(rng *rand.Rand) int
-	// PMF returns the exact distribution (entry i = P(i+1 tasks)).
-	PMF() model.TaskCountPMF
 	// Max returns the largest possible count (N^k in Table 1).
 	Max() int
 }
@@ -32,9 +29,6 @@ type FixedCount int
 
 // Sample returns n.
 func (f FixedCount) Sample(_ *rand.Rand) int { return int(f) }
-
-// PMF is the degenerate distribution at n.
-func (f FixedCount) PMF() model.TaskCountPMF { return model.FixedTasks(int(f)) }
 
 // Max returns n.
 func (f FixedCount) Max() int { return int(f) }
@@ -55,16 +49,6 @@ func NewUniformCount(lo, hi int) (UniformCount, error) {
 // Sample draws one count.
 func (u UniformCount) Sample(rng *rand.Rand) int {
 	return u.Lo + rng.Intn(u.Hi-u.Lo+1)
-}
-
-// PMF spreads mass evenly over [Lo, Hi].
-func (u UniformCount) PMF() model.TaskCountPMF {
-	p := make(model.TaskCountPMF, u.Hi)
-	w := 1 / float64(u.Hi-u.Lo+1)
-	for t := u.Lo; t <= u.Hi; t++ {
-		p[t-1] = w
-	}
-	return p
 }
 
 // Max returns Hi.
@@ -153,11 +137,3 @@ func (v *VariableJobs) Job(rng *rand.Rand, class int) (*engine.Job, error) {
 
 // Classes returns the number of classes.
 func (v *VariableJobs) Classes() int { return len(v.templates) }
-
-// PMF exposes the class's exact task-count distribution for the model.
-func (v *VariableJobs) PMF(class int) (model.TaskCountPMF, error) {
-	if class < 0 || class >= len(v.counts) {
-		return nil, fmt.Errorf("workload: class %d out of range %d", class, len(v.counts))
-	}
-	return v.counts[class].PMF(), nil
-}

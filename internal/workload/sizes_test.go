@@ -13,23 +13,17 @@ func TestFixedCount(t *testing.T) {
 	if c.Sample(nil) != 7 || c.Max() != 7 {
 		t.Fatal("fixed count broken")
 	}
-	pmf := c.PMF()
-	if err := pmf.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if pmf.Max() != 7 {
-		t.Fatalf("pmf max %d", pmf.Max())
-	}
 }
 
+// TestUniformCountPMFAndSampling: draws stay in [Lo, Hi] and their
+// frequencies match the uniform PMF, 1/(Hi-Lo+1) per count.
 func TestUniformCountPMFAndSampling(t *testing.T) {
 	u, err := NewUniformCount(3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pmf := u.PMF()
-	if err := pmf.Validate(); err != nil {
-		t.Fatal(err)
+	if u.Max() != 6 {
+		t.Fatalf("Max = %d, want 6", u.Max())
 	}
 	rng := rand.New(rand.NewSource(2))
 	seen := map[int]int{}
@@ -159,15 +153,8 @@ func TestVariableJobsSamplesWithinTemplate(t *testing.T) {
 	if len(seen) < 5 {
 		t.Errorf("only %d distinct sizes in 200 draws", len(seen))
 	}
-	pmf, err := src.PMF(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pmf.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.PMF(1); err == nil {
-		t.Fatal("out-of-range PMF class accepted")
+	if _, err := src.Job(rng, 1); err == nil {
+		t.Fatal("out-of-range class accepted")
 	}
 }
 

@@ -27,7 +27,6 @@ type EmpiricalStream struct {
 	src    io.Reader
 	seeker io.Seeker
 	sr     *trace.StreamReader
-	last   trace.Rec
 	prevAt float64
 	count  int
 	// first holds the record the constructor read until the first draw
@@ -91,15 +90,6 @@ func (e *EmpiricalStream) Next(_ *rand.Rand) (gap float64, class int) {
 	}
 	gap = rec.At - e.prevAt
 	e.prevAt = rec.At
-	e.last = rec
 	e.count++
 	return gap, rec.Class
 }
-
-// Last returns the most recently replayed record, exposing the size and
-// home-cluster fields the (gap, class) interface cannot carry.
-func (e *EmpiricalStream) Last() trace.Rec { return e.last }
-
-// Count returns how many arrivals have been replayed so far, across
-// cycles.
-func (e *EmpiricalStream) Count() int { return e.count }

@@ -221,16 +221,6 @@ func NewPoissonMix(rates []float64) (*PoissonMix, error) {
 	return &PoissonMix{rates: cp, total: total}, nil
 }
 
-// TotalRate returns the aggregate arrival rate.
-func (p *PoissonMix) TotalRate() float64 { return p.total }
-
-// Rates returns a copy of the per-class rates.
-func (p *PoissonMix) Rates() []float64 {
-	out := make([]float64, len(p.rates))
-	copy(out, p.rates)
-	return out
-}
-
 // Next draws the gap to the next arrival and its class.
 func (p *PoissonMix) Next(rng *rand.Rand) (gap float64, class int) {
 	gap = rng.ExpFloat64() / p.total

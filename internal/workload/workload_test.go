@@ -283,8 +283,8 @@ func TestPoissonMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pm.TotalRate() != 10 {
-		t.Fatalf("total = %g", pm.TotalRate())
+	if pm.total != 10 {
+		t.Fatalf("total = %g", pm.total)
 	}
 	rng := rand.New(rand.NewSource(5))
 	const n = 50000

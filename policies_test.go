@@ -261,14 +261,20 @@ func TestFederationFacadeAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := stackJobs(t)
 	const n = 40
-	for i := 0; i < n; i++ {
-		at := 0.0
+	arrivals := make([]workload.Arrival, n)
+	for i := range arrivals {
+		arrivals[i] = workload.Arrival{Class: i % 2}
 		if i >= 12 {
-			at = float64(i) * 10
+			arrivals[i].At = float64(i) * 10
 		}
-		fed.SubmitAt(at, i%2, jobs[i%2])
+	}
+	burst, err := workload.NewReplay(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.SubmitStream(burst, workload.FixedJobs(stackJobs(t)), n, 4); err != nil {
+		t.Fatal(err)
 	}
 	fed.Run()
 	var records, rejected int

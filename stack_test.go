@@ -86,8 +86,10 @@ func TestStackInjectFailures(t *testing.T) {
 	if got := len(stack.Records()); got != 40 {
 		t.Fatalf("%d records, want 40: failures must not lose jobs", got)
 	}
-	if stack.Cluster.DownNodes() != 0 {
-		t.Fatal("nodes left down after drain")
+	for n := range stack.Cluster.Config().Nodes {
+		if stack.Cluster.NodeDown(n) {
+			t.Fatalf("node %d left down after drain", n)
+		}
 	}
 	// Bad config surfaces.
 	if _, err := dias.NewStack(dias.StackConfig{
