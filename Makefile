@@ -3,10 +3,11 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race examples deadcode cover bench bench-smoke benchmark-smoke bench-baseline bench-check determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
+.PHONY: build test test-short test-race examples deadcode cover bench bench-smoke benchmark-smoke determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
 
-# The reduced figure set and scale the smoke/baseline/gate pipeline runs.
-# Changing it requires regenerating the committed baseline (bench-baseline).
+# The reduced figure set and scale of the smoke report. TestBenchReportPinned
+# (cmd/dias-experiments) pins the report's simulated fields at these
+# arguments: change both together.
 BENCH_SMOKE_ARGS = -fig 7,federation-scaleout,faults,elasticity,scale -jobs 60 -replicas 2
 
 build:
@@ -92,21 +93,6 @@ benchmark-smoke:
 	bash benchmark/run.sh --workload stack-graph --smoke
 	bash benchmark/run.sh --workload stack-spine --smoke
 	bash benchmark/run.sh --workload stack-evict --smoke
-
-# Regenerate the committed bench-regression baseline (run on the machine
-# class CI uses when the wall-clock gate matters; figure means are
-# machine-independent). Commit the result.
-bench-baseline:
-	$(GO) run ./cmd/dias-experiments $(BENCH_SMOKE_ARGS) -bench-out docs/bench-baseline.json > /dev/null
-
-# The CI bench-regression gate: fresh BENCH_results.json (from bench-smoke)
-# vs the committed baseline. Thresholds in docs/BENCHMARKING.md. CI passes
-# BENCH_CHECK_FLAGS="-min-wall-sec 2" so only figures heavy enough to be
-# wall-stable are wall-gated across machine classes; figure means are
-# machine-independent and always gated.
-BENCH_CHECK_FLAGS ?=
-bench-check:
-	$(GO) run ./cmd/bench-check -baseline docs/bench-baseline.json -candidate BENCH_results.json $(BENCH_CHECK_FLAGS)
 
 # Capture CPU and heap profiles from the figure-set benchmark (the
 # profiles land in cpu.prof/mem.prof, gitignored). Inspect with

@@ -208,8 +208,10 @@ func (s *Stack) SubmitAt(t float64, class int, job *engine.Job) {
 
 // SubmitStream schedules n arrivals drawn from any arrival process
 // (Poisson mix, Gamma/MMPP bursty streams, trace replay) with jobs built
-// by the source (fixed templates or per-arrival variants). The seed drives
-// both the arrival and the job-variant RNGs.
+// by the source (fixed templates or per-arrival variants), the first one
+// gap after the stack's current virtual time, so a stack that has already
+// run takes a second stream after the first. The seed drives both the
+// arrival and the job-variant RNGs.
 //
 // Arrivals are injected feed-forward: only the next arrival is pending
 // at any instant, and each arrival event builds its job and schedules

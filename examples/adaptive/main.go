@@ -60,9 +60,9 @@ func steppedStream(seed int64, n int) ([]workload.Arrival, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr := calm.Stream(rng, n/2)
+	arr := workload.StreamOf(calm, rng, n/2)
 	offset := arr[len(arr)-1].At
-	for _, a := range hot.Stream(rng, n-n/2) {
+	for _, a := range workload.StreamOf(hot, rng, n-n/2) {
 		arr = append(arr, workload.Arrival{At: offset + a.At, Class: a.Class})
 	}
 	return arr, nil

@@ -60,7 +60,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for _, a := range mix.Stream(rng, 60) {
+	for _, a := range workload.StreamOf(mix, rng, 60) {
 		stack.SubmitAt(a.At, a.Class, jobs[a.Class])
 	}
 	stack.Run()

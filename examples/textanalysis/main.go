@@ -72,7 +72,7 @@ func loadedRun(low, high *engine.Job, theta float64, seed int64) (lowMean, highM
 		return 0, 0, err
 	}
 	jobs := []*engine.Job{low, high}
-	for _, a := range mix.Stream(rng, 120) {
+	for _, a := range workload.StreamOf(mix, rng, 120) {
 		stack.SubmitAt(a.At, a.Class, jobs[a.Class])
 	}
 	stack.Run()

@@ -37,7 +37,7 @@ func runPolicy(policy core.Config, job *engine.Job) (metrics.ScenarioResult, err
 	if err != nil {
 		return metrics.ScenarioResult{}, err
 	}
-	for _, a := range mix.Stream(rng, 100) {
+	for _, a := range workload.StreamOf(mix, rng, 100) {
 		stack.SubmitAt(a.At, a.Class, job)
 	}
 	stack.Run()

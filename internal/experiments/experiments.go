@@ -299,30 +299,43 @@ func (o collectorOwners) claim(reg *telemetry.Registry, name string) error {
 	return nil
 }
 
-// runScenarios executes independent scenarios concurrently on the scale's
-// worker pool, returning results in input order. Scenarios share only
-// immutable state (job templates, policy configs, cost models), so the
-// concurrent results are bit-identical to a serial loop.
-func runScenarios(scs []scenario) ([]metrics.ScenarioResult, error) {
+// gridRun is one independent run of a figure's grid: a scenario on one
+// stack or a fedScenario on one federation.
+type gridRun[R any] interface {
+	id() (name string, scale Scale)
+	run() (R, error)
+}
+
+func (sc scenario) id() (string, Scale)    { return sc.name, sc.scale }
+func (sc fedScenario) id() (string, Scale) { return sc.name, sc.scale }
+
+// runScenarios executes independent runs concurrently on the scale's
+// worker pool, returning results in input order. Runs share only
+// immutable state (job templates, policy configs, cost models) and each
+// owns its whole stack or federation and RNGs, so the concurrent results
+// are bit-identical to a serial loop.
+func runScenarios[R any, S gridRun[R]](scs []S) ([]R, error) {
 	if len(scs) == 0 {
 		return nil, nil
 	}
 	owners := make(collectorOwners)
-	tasks := make([]runner.Task[metrics.ScenarioResult], len(scs))
+	tasks := make([]runner.Task[R], len(scs))
 	for i := range scs {
 		sc := scs[i]
-		if err := owners.claim(sc.scale.Telemetry, sc.name); err != nil {
+		name, scale := sc.id()
+		if err := owners.claim(scale.Telemetry, name); err != nil {
 			return nil, err
 		}
-		tasks[i] = func(context.Context) (metrics.ScenarioResult, error) {
+		tasks[i] = func(context.Context) (R, error) {
 			res, err := sc.run()
 			if err != nil {
-				return metrics.ScenarioResult{}, fmt.Errorf("%s: %w", sc.name, err)
+				return res, fmt.Errorf("%s: %w", name, err)
 			}
 			return res, nil
 		}
 	}
-	return runner.Map(context.Background(), scs[0].scale.pool(), tasks)
+	_, scale := scs[0].id()
+	return runner.Map(context.Background(), scale.pool(), tasks)
 }
 
 // profileSolo measures the solo execution time of a job under given drop

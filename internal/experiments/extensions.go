@@ -279,7 +279,7 @@ func ExtensionAdaptive(scale Scale) (*AdaptiveResult, error) {
 		return nil, err
 	}
 	nCalm := scale.Jobs * 6 / 10
-	arrivals := calmPM.Stream(rng, nCalm)
+	arrivals := workload.StreamOf(calmPM, rng, nCalm)
 	hotRates, err := workload.MixFromRatio(mix.ratio, calmRate*110.0/60.0)
 	if err != nil {
 		return nil, err
@@ -292,7 +292,7 @@ func ExtensionAdaptive(scale Scale) (*AdaptiveResult, error) {
 	if len(arrivals) > 0 {
 		offset = arrivals[len(arrivals)-1].At
 	}
-	for _, a := range hotPM.Stream(rng, scale.Jobs-nCalm) {
+	for _, a := range workload.StreamOf(hotPM, rng, scale.Jobs-nCalm) {
 		arrivals = append(arrivals, workload.Arrival{At: offset + a.At, Class: a.Class})
 	}
 	// Target: keep low-priority mean response within 3x its solo

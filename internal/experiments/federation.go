@@ -11,7 +11,6 @@ package experiments
 // WAN input fetches that DataLocal avoids.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"dias/internal/engine"
 	"dias/internal/federation"
 	"dias/internal/metrics"
-	"dias/internal/runner"
 	"dias/internal/telemetry"
 	"dias/internal/workload"
 )
@@ -235,31 +233,6 @@ func (sc fedScenario) run() (metrics.FederationScenarioResult, error) {
 	return res, nil
 }
 
-// runFedScenarios fans independent federation runs across the scale's
-// worker pool, returning results in input order (bit-identical at any
-// worker count: every run owns its whole federation and RNGs).
-func runFedScenarios(scs []fedScenario) ([]metrics.FederationScenarioResult, error) {
-	if len(scs) == 0 {
-		return nil, nil
-	}
-	owners := make(collectorOwners)
-	tasks := make([]runner.Task[metrics.FederationScenarioResult], len(scs))
-	for i := range scs {
-		sc := scs[i]
-		if err := owners.claim(sc.scale.Telemetry, sc.name); err != nil {
-			return nil, err
-		}
-		tasks[i] = func(context.Context) (metrics.FederationScenarioResult, error) {
-			res, err := sc.run()
-			if err != nil {
-				return metrics.FederationScenarioResult{}, fmt.Errorf("%s: %w", sc.name, err)
-			}
-			return res, nil
-		}
-	}
-	return runner.Map(context.Background(), scs[0].scale.pool(), tasks)
-}
-
 // FederationFigure is the output shape of the federation experiments: one
 // rollup per (policy, layout) cell.
 type FederationFigure struct {
@@ -378,7 +351,7 @@ func FederationScaleOut(scale Scale) (*FederationFigure, error) {
 			})
 		}
 	}
-	rows, err := runFedScenarios(scs)
+	rows, err := runScenarios(scs)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +396,7 @@ func FederationHeterogeneous(scale Scale) (*FederationFigure, error) {
 			scale:    scale,
 		})
 	}
-	rows, err := runFedScenarios(scs)
+	rows, err := runScenarios(scs)
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +450,7 @@ func FederationOutage(scale Scale) (*FederationFigure, error) {
 			outages:  outages,
 		})
 	}
-	rows, err := runFedScenarios(scs)
+	rows, err := runScenarios(scs)
 	if err != nil {
 		return nil, err
 	}

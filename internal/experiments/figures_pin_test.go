@@ -39,9 +39,10 @@ var pinScale = Scale{Jobs: 40, WarmupFraction: 0.1, Seed: 1}
 // TestFigureTextPinned renders every registered driver, including those
 // "-fig all" skips, and compares each text's digest against the table.
 // The build constraint holds it to amd64, where the Go compiler never fuses
-// an explicit multiply-add at any GOAMD64 level (CI also runs it under
-// GOAMD64=v3); other architectures may fuse them, which moves the last
-// bits of the floating-point results the figures print.
+// an explicit multiply-add at any GOAMD64 level (CI also runs it with the
+// FMA path of math.Exp switched off, GODEBUG=cpu.fma=off); other
+// architectures may fuse them, which moves the last bits of the
+// floating-point results the figures print.
 func TestFigureTextPinned(t *testing.T) {
 	for _, d := range Drivers() {
 		out, err := d.Run(d.Scaled(pinScale))

@@ -156,7 +156,7 @@ func Overload(scale Scale) (*OverloadFigure, error) {
 			admit:    cell.admit,
 		})
 	}
-	fedRows, err := runFedScenarios(fscs)
+	fedRows, err := runScenarios(fscs)
 	if err != nil {
 		return nil, err
 	}

@@ -181,7 +181,7 @@ func ScaleThroughput(scale Scale) (*ScaleFigure, error) {
 			}
 		}
 	}
-	rows, err := runFedScenarios(scs)
+	rows, err := runScenarios(scs)
 	if err != nil {
 		return nil, err
 	}

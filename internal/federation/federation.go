@@ -558,7 +558,8 @@ func (f *Federation) ScheduleOutage(member int, atSec, durationSec float64) erro
 
 // SubmitStream schedules n arrivals drawn from any arrival process with
 // jobs built by the source, exactly like dias.Stack.SubmitStream but
-// routed across the federation. Arrivals are injected feed-forward
+// routed across the federation; the first arrival comes one gap after
+// the current virtual time. Arrivals are injected feed-forward
 // (workload.Inject): only the next arrival is ever pending, so
 // submission memory is O(1) at any n — the path that pushes 1M+ jobs
 // through an 8-cluster federation with bounded RSS. Job-source failures

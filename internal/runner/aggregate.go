@@ -76,8 +76,8 @@ type Summary struct {
 	EnergyJoules     Estimate       `json:"energy_joules"`
 	MakespanSec      Estimate       `json:"makespan_sec"`
 	// Failure and elasticity columns (zero for healthy fixed-size runs);
-	// carried into BENCH_results.json so the bench-regression gate covers
-	// them.
+	// carried into BENCH_results.json, whose simulated fields the
+	// smoke-report pin covers.
 	FailureWastePct  Estimate `json:"failure_waste_pct"`
 	FailedJobs       Estimate `json:"failed_jobs"`
 	TasksRetried     Estimate `json:"tasks_retried"`
@@ -85,7 +85,7 @@ type Summary struct {
 	// Streaming-scale columns, left out of the JSON when the driver does
 	// not measure them (most scenarios; readers take absent as zero).
 	// SimJobsPerWallSec is machine-dependent — reported for trending, never
-	// gated; PeakInFlightJobs is deterministic and gated like any other
+	// pinned; PeakInFlightJobs is deterministic and pinned like any other
 	// column.
 	SimJobsPerWallSec Estimate `json:"sim_jobs_per_wall_sec,omitzero"`
 	PeakInFlightJobs  Estimate `json:"peak_in_flight_jobs,omitzero"`

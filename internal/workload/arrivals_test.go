@@ -2,27 +2,9 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestStreamOfMatchesPoissonStream(t *testing.T) {
-	pm, err := NewPoissonMix([]float64{0.9, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := pm.Stream(rand.New(rand.NewSource(5)), 50)
-	b := StreamOf(pm, rand.New(rand.NewSource(5)), 50)
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("arrival %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
 
 func TestReplayPreservesGapsAndCycles(t *testing.T) {
 	seq := []Arrival{{At: 1, Class: 0}, {At: 3, Class: 1}, {At: 3.5, Class: 0}}

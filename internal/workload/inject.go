@@ -9,7 +9,8 @@ import (
 )
 
 // Inject feeds n arrivals of an arrival process into a simulation
-// feed-forward: only the *next* arrival is ever scheduled, and each
+// feed-forward, counting the process's gaps from the simulation's current
+// instant: only the *next* arrival is ever scheduled, and each
 // arrival event builds its job, hands it to submit, draws the following
 // gap and schedules itself again. Pending-arrival memory is O(1)
 // regardless of n — this is what lets SubmitStream push a million jobs
@@ -40,7 +41,7 @@ func Inject(sim *simtime.Simulation, proc Process, source JobSource, n int,
 	}
 	// One arrival is pending at a time, so one callback bound here serves
 	// all n of them, with the pending arrival's class beside it.
-	var t float64
+	t := sim.Now().Seconds()
 	var class int
 	left := n
 	var arrive func()

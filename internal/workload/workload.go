@@ -227,18 +227,6 @@ func (p *PoissonMix) Next(rng *rand.Rand) (gap float64, class int) {
 	return gap, markClass(rng, p.rates, p.total)
 }
 
-// Stream materialises the first n arrivals of the process.
-func (p *PoissonMix) Stream(rng *rand.Rand, n int) []Arrival {
-	out := make([]Arrival, 0, n)
-	var t float64
-	for i := 0; i < n; i++ {
-		gap, k := p.Next(rng)
-		t += gap
-		out = append(out, Arrival{At: t, Class: k})
-	}
-	return out
-}
-
 // MixFromRatio converts a priority ratio (e.g. 9:1 low:high as []float64{9,1},
 // index = class) and a total rate into per-class rates. The total and
 // every weight must be finite; the total and the weights' sum positive.

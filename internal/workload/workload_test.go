@@ -332,7 +332,7 @@ func TestStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
-	arr := pm.Stream(rng, 100)
+	arr := StreamOf(pm, rng, 100)
 	if len(arr) != 100 {
 		t.Fatalf("%d arrivals", len(arr))
 	}

@@ -63,6 +63,39 @@ func TestStackSubmitStream(t *testing.T) {
 	}
 }
 
+// TestStackSubmitStreamAfterRun streams a second batch into a stack that
+// has already drained a first one: its arrivals count from the stack's
+// current virtual time, so they all come after the first batch ended.
+func TestStackSubmitStreamAfterRun(t *testing.T) {
+	stack, err := dias.NewStack(dias.StackConfig{Policy: core.PolicyNP(2), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := workload.NewPoissonMix([]float64{0.05, 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	source := workload.FixedJobs(stackJobs(t))
+	if err := stack.SubmitStream(mix, source, 20, 3); err != nil {
+		t.Fatal(err)
+	}
+	stack.Run()
+	firstEnd := stack.Sim.Now()
+	if err := stack.SubmitStream(mix, source, 20, 4); err != nil {
+		t.Fatal(err)
+	}
+	stack.Run()
+	recs := stack.Records()
+	if len(recs) != 40 {
+		t.Fatalf("%d records, want 40", len(recs))
+	}
+	for _, r := range recs[20:] {
+		if r.ArrivedAt <= firstEnd {
+			t.Fatalf("second-batch job arrived at %v, before the first batch ended at %v", r.ArrivedAt, firstEnd)
+		}
+	}
+}
+
 func TestStackInjectFailures(t *testing.T) {
 	stack, err := dias.NewStack(dias.StackConfig{
 		Policy: core.PolicyNP(2),
