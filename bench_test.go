@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dias"
@@ -330,20 +331,19 @@ func BenchmarkSynthesizeCorpus(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Partitions*cfg.PostsPerPartition), "ns/post")
 }
 
-// BenchmarkWaveLevelProcessingTime assembles the §4.2 wave-level PH of a
-// Figure 4 text job (20 slots, 50 map tasks at θ = 0.2, 10 reducers,
-// fitted setup, shuffle and wave times) and takes its mean: the model
-// layer's cold cost per predicted point.
-func BenchmarkWaveLevelProcessingTime(b *testing.B) {
+// figure4WaveConfig is the §4.2 wave-level model of a Figure 4 text job
+// (20 slots, 50 map tasks at θ = 0.2, 10 reducers, fitted setup, shuffle
+// and wave times): a 375-phase PH.
+func figure4WaveConfig(tb testing.TB) model.WaveLevelConfig {
 	fit := func(mean, scv float64) *phdist.PH {
 		p, err := phdist.FitMeanSCV(mean, scv)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return p
 	}
 	mapWave, redWave := fit(8.5, 0.02), fit(1.5, 0.02)
-	cfg := model.WaveLevelConfig{
+	return model.WaveLevelConfig{
 		Slots:       20,
 		MapTasks:    model.FixedTasks(50),
 		ReduceTasks: model.FixedTasks(10),
@@ -353,6 +353,13 @@ func BenchmarkWaveLevelProcessingTime(b *testing.B) {
 		MapWave:     func(int) *phdist.PH { return mapWave },
 		ReduceWave:  func(int) *phdist.PH { return redWave },
 	}
+}
+
+// BenchmarkWaveLevelProcessingTime assembles the wave-level PH of a
+// Figure 4 text job and takes its mean: the model layer's cold cost per
+// predicted point.
+func BenchmarkWaveLevelProcessingTime(b *testing.B) {
+	cfg := figure4WaveConfig(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ph, err := cfg.ProcessingTime()
@@ -362,6 +369,33 @@ func BenchmarkWaveLevelProcessingTime(b *testing.B) {
 		if _, err := ph.Mean(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWaveLevelProcessingTimeBytes pins what the benchmark above
+// allocates: the sparse triangular generators cost bytes in proportion to
+// their entries (about 33 KiB for the 375-phase job), where one dense
+// n×n matrix of it alone took 1.1 MB.
+func TestWaveLevelProcessingTimeBytes(t *testing.T) {
+	cfg := figure4WaveConfig(t)
+	const runs, ceiling = 20, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		ph, err := cfg.ProcessingTime()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ph.Order() != 375 {
+			t.Fatalf("Figure 4 job has %d phases, want 375", ph.Order())
+		}
+		if _, err := ph.Mean(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > ceiling {
+		t.Errorf("Figure 4 wave-level build and mean: %d bytes per run, ceiling %d", got, ceiling)
 	}
 }
 

@@ -1,7 +1,10 @@
-// Package matrix implements the small dense linear algebra kernel used by
-// the phase-type distribution and queueing model packages: dense storage,
-// vector products and LU-based solves (plus the explicit inverse the
-// moment tests compare the solves against).
+// Package matrix implements the small dense linear algebra the model
+// packages share: dense storage, in which the task-level model writes its
+// generator and phdist.New takes one, vector products, and an LU
+// factorisation with partial pivoting. phdist solves its acyclic
+// generators by back-substitution over sparse rows, so no live path
+// factorises: the LU solve is the reference its moments are tested
+// against bit for bit.
 //
 // Matrices are row-major float64 and are small (tens to a few hundreds of
 // rows), so clarity wins over blocking or SIMD tricks.
@@ -13,8 +16,8 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when a solve or inverse meets a (numerically)
-// singular matrix.
+// ErrSingular is returned when a factorisation meets a singular matrix,
+// and by phdist's moments for a generator with a phase it never leaves.
 var ErrSingular = errors.New("matrix: singular matrix")
 
 // Matrix is a dense row-major matrix. The zero value is an empty matrix;
@@ -55,11 +58,6 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	return New(m.rows, m.cols, m.data)
-}
-
 func sameShape(a, b *Matrix, op string) {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("matrix: %s shape mismatch %dx%d vs %dx%d", op, a.rows, a.cols, b.rows, b.cols))
@@ -69,9 +67,9 @@ func sameShape(a, b *Matrix, op string) {
 // Sub returns a-b.
 func Sub(a, b *Matrix) *Matrix {
 	sameShape(a, b, "Sub")
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
+	out := Zeros(a.rows, a.cols)
+	for i, v := range a.data {
+		out.data[i] = v - b.data[i]
 	}
 	return out
 }
@@ -86,7 +84,7 @@ func MulVec(a *Matrix, x []float64) []float64 {
 		var s float64
 		row := a.data[i*a.cols : (i+1)*a.cols]
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -100,7 +98,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i := range x {
-		s += x[i] * y[i]
+		s += float64(x[i] * y[i])
 	}
 	return s
 }
@@ -116,7 +114,7 @@ type LU struct {
 // Factorize computes the LU factorisation of a square matrix. It returns
 // ErrSingular when a pivot column is exactly zero. Eliminations whose
 // multiplier is zero are skipped, so an already upper-triangular matrix
-// (the generators phdist's Erlang, Convolve and Mixture build) costs O(n²).
+// (an acyclic PH generator) is left as it is and costs O(n²).
 func Factorize(a *Matrix) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: factorize non-square %dx%d", a.rows, a.cols)
@@ -156,7 +154,7 @@ func Factorize(a *Matrix) (*LU, error) {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				rowI[j] -= l * rowK[j]
+				rowI[j] -= float64(l * rowK[j])
 			}
 		}
 	}
@@ -178,7 +176,7 @@ func (f *LU) Solve(b []float64) []float64 {
 		row := f.data[i*n : i*n+i]
 		xi := x[i]
 		for j, l := range row {
-			xi -= l * x[j]
+			xi -= float64(l * x[j])
 		}
 		x[i] = xi
 	}
@@ -187,32 +185,11 @@ func (f *LU) Solve(b []float64) []float64 {
 		row := f.data[i*n : (i+1)*n]
 		xi := x[i]
 		for j := i + 1; j < n; j++ {
-			xi -= row[j] * x[j]
+			xi -= float64(row[j] * x[j])
 		}
 		x[i] = xi / row[i]
 	}
 	return x
-}
-
-// Inverse returns a⁻¹. Nothing in the model asks for a whole inverse any
-// more (phdist solves for its moments); it is kept as the independent
-// reference the moment property tests compare against.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.rows
-	out := Zeros(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		clear(e)
-		e[j] = 1
-		for i, v := range f.Solve(e) {
-			out.data[i*n+j] = v
-		}
-	}
-	return out, nil
 }
 
 // Ones returns a length-n vector of ones.

@@ -130,14 +130,19 @@ func (c TaskLevelConfig) validate() error {
 	if err := c.ReduceTasks.Validate(); err != nil {
 		return fmt.Errorf("reduce tasks: %w", err)
 	}
-	if c.MuMap <= 0 || c.MuReduce <= 0 {
+	if !(c.MuMap > 0 && c.MuMap <= math.MaxFloat64) || !(c.MuReduce > 0 && c.MuReduce <= math.MaxFloat64) {
 		return fmt.Errorf("model: task rates map=%g reduce=%g", c.MuMap, c.MuReduce)
 	}
-	if c.MuSetup < 0 || c.MuShuffle < 0 {
+	if !(c.MuSetup >= 0 && c.MuSetup <= math.MaxFloat64) || !(c.MuShuffle >= 0 && c.MuShuffle <= math.MaxFloat64) {
 		return fmt.Errorf("model: stage rates setup=%g shuffle=%g", c.MuSetup, c.MuShuffle)
 	}
-	if c.ThetaMap < 0 || c.ThetaMap >= 1 || c.ThetaReduce < 0 || c.ThetaReduce >= 1 {
-		return fmt.Errorf("model: drop ratios θm=%g θr=%g out of [0,1)", c.ThetaMap, c.ThetaReduce)
+	return validateDrops(c.ThetaMap, c.ThetaReduce)
+}
+
+// validateDrops checks both drop ratios lie in [0,1), NaN excluded.
+func validateDrops(thetaMap, thetaReduce float64) error {
+	if !(thetaMap >= 0 && thetaMap < 1) || !(thetaReduce >= 0 && thetaReduce < 1) {
+		return fmt.Errorf("model: drop ratios θm=%g θr=%g out of [0,1)", thetaMap, thetaReduce)
 	}
 	return nil
 }
@@ -180,6 +185,7 @@ func (c TaskLevelConfig) ProcessingTime() (*phdist.PH, error) {
 
 	f := matrix.Zeros(phases, phases)
 	add := func(i, j int, rate float64) {
+		rate = float64(rate) // round the product a caller passes: no fusion
 		f.Set(i, j, f.At(i, j)+rate)
 		f.Set(i, i, f.At(i, i)-rate)
 	}
@@ -303,10 +309,7 @@ func (c WaveLevelConfig) validate() error {
 	if c.MapWave == nil || c.ReduceWave == nil {
 		return errors.New("model: missing wave distributions")
 	}
-	if c.ThetaMap < 0 || c.ThetaMap >= 1 || c.ThetaReduce < 0 || c.ThetaReduce >= 1 {
-		return fmt.Errorf("model: drop ratios θm=%g θr=%g out of [0,1)", c.ThetaMap, c.ThetaReduce)
-	}
-	return nil
+	return validateDrops(c.ThetaMap, c.ThetaReduce)
 }
 
 // stagePH builds the PH of one stage: a q-weighted mixture over wave

@@ -92,6 +92,14 @@ func TestTaskLevelValidation(t *testing.T) {
 		{"zero mu map", func(c *TaskLevelConfig) { c.MuMap = 0 }},
 		{"negative shuffle", func(c *TaskLevelConfig) { c.MuShuffle = -1 }},
 		{"theta out of range", func(c *TaskLevelConfig) { c.ThetaMap = 1 }},
+		{"NaN mu map", func(c *TaskLevelConfig) { c.MuMap = math.NaN() }},
+		{"+Inf mu map", func(c *TaskLevelConfig) { c.MuMap = math.Inf(1) }},
+		{"NaN mu reduce", func(c *TaskLevelConfig) { c.MuReduce = math.NaN() }},
+		{"NaN mu setup", func(c *TaskLevelConfig) { c.MuSetup = math.NaN() }},
+		{"+Inf mu setup", func(c *TaskLevelConfig) { c.MuSetup = math.Inf(1) }},
+		{"NaN mu shuffle", func(c *TaskLevelConfig) { c.MuShuffle = math.NaN() }},
+		{"NaN theta map", func(c *TaskLevelConfig) { c.ThetaMap = math.NaN() }},
+		{"NaN theta reduce", func(c *TaskLevelConfig) { c.ThetaReduce = math.NaN() }},
 	}
 	for _, c := range cases {
 		cfg := baseTaskConfig()
@@ -291,6 +299,18 @@ func TestWaveLevelValidation(t *testing.T) {
 	bad.ThetaReduce = 1.2
 	if _, err := bad.ProcessingTime(); err == nil {
 		t.Fatal("theta out of range accepted")
+	}
+	for _, theta := range []float64{math.NaN(), -0.1, math.Inf(1)} {
+		bad = good
+		bad.ThetaMap = theta
+		if _, err := bad.ProcessingTime(); err == nil {
+			t.Errorf("θm = %g accepted", theta)
+		}
+		bad = good
+		bad.ThetaReduce = theta
+		if _, err := bad.ProcessingTime(); err == nil {
+			t.Errorf("θr = %g accepted", theta)
+		}
 	}
 }
 

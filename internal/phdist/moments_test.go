@@ -9,21 +9,42 @@ import (
 	"dias/internal/matrix"
 )
 
+// denseA expands p's sparse rows into the dense n×n sub-generator.
+func denseA(p *PH) *matrix.Matrix {
+	n := p.Order()
+	a := matrix.Zeros(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, p.diag[i])
+		cols, vals := p.row(i)
+		for k, c := range cols {
+			a.Set(i, int(c), vals[k])
+		}
+	}
+	return a
+}
+
 // inverseMoment is the textbook formula k!·α·(-A)⁻ᵏ·1 through an explicit
 // inverse — what Moment computed before it solved instead, kept here as
 // the independent reference.
 func inverseMoment(t *testing.T, p *PH, k int) float64 {
 	t.Helper()
 	n := p.Order()
+	a := denseA(p)
 	neg := matrix.Zeros(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			neg.Set(i, j, -p.a.At(i, j))
+			neg.Set(i, j, -a.At(i, j))
 		}
 	}
-	inv, err := matrix.Inverse(neg)
+	f, err := matrix.Factorize(neg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	inv := make([][]float64, n) // inv[c] is column c of (-A)⁻¹: (-A)·inv[c] = e_c
+	for c := range inv {
+		e := make([]float64, n)
+		e[c] = 1
+		inv[c] = f.Solve(e)
 	}
 	v := append([]float64(nil), p.alpha...)
 	fact := 1.0
@@ -31,7 +52,7 @@ func inverseMoment(t *testing.T, p *PH, k int) float64 {
 		next := make([]float64, n) // v·(-A)⁻¹
 		for r, vr := range v {
 			for c := range next {
-				next[c] += vr * inv.At(r, c)
+				next[c] += vr * inv[c][r]
 			}
 		}
 		v = next
@@ -44,17 +65,36 @@ func inverseMoment(t *testing.T, p *PH, k int) float64 {
 	return fact * sum
 }
 
-// randomPH draws a PH of order n with every phase exiting at a rate of
-// order one. Acyclic generators are upper triangular (the shape Erlang,
-// Convolve and Mixture build); cyclic ones are dense, so the factorisation
-// pivots and eliminates.
-func randomPH(t *testing.T, rng *rand.Rand, n int, cyclic bool) *PH {
+// luMoments is Moments as it was computed on the dense generator: one
+// partial-pivoting LU factorisation of A, then k solves from z₀ = 1. The
+// back-substitution must match it bit for bit.
+func luMoments(t *testing.T, p *PH, k int) []float64 {
+	t.Helper()
+	f, err := matrix.Factorize(denseA(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, k)
+	z := matrix.Ones(p.Order())
+	signedFact := 1.0
+	for i := 1; i <= k; i++ {
+		z = f.Solve(z)
+		signedFact *= -float64(i)
+		out[i-1] = signedFact * matrix.Dot(p.alpha, z)
+	}
+	return out
+}
+
+// randomPH draws an acyclic PH of order n — an upper-triangular generator,
+// the shape Erlang, Convolve and Mixture build — with every phase exiting
+// at a rate of order one.
+func randomPH(t *testing.T, rng *rand.Rand, n int) *PH {
 	t.Helper()
 	a := matrix.Zeros(n, n)
 	for i := 0; i < n; i++ {
 		out := 0.2 + rng.Float64() // exit rate
-		for j := 0; j < n; j++ {
-			if j == i || (!cyclic && j < i) || rng.Float64() < 0.3 {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < 0.3 {
 				continue
 			}
 			r := 3 * rng.Float64()
@@ -85,16 +125,15 @@ func TestPropertyMomentsMatchInverseFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + rng.Intn(59)
-		cyclic := trial%2 == 1
-		p := randomPH(t, rng, n, cyclic)
+		p := randomPH(t, rng, n)
 		ms, err := p.Moments(4)
 		if err != nil {
-			t.Fatalf("order %d cyclic=%v: %v", n, cyclic, err)
+			t.Fatalf("order %d: %v", n, err)
 		}
 		for k := 1; k <= 4; k++ {
 			want := inverseMoment(t, p, k)
 			if e := relErr(ms[k-1], want); e > 1e-12 {
-				t.Errorf("order %d cyclic=%v: E[X^%d] = %.17g, inverse formula %.17g (rel %.2g)", n, cyclic, k, ms[k-1], want, e)
+				t.Errorf("order %d: E[X^%d] = %.17g, inverse formula %.17g (rel %.2g)", n, k, ms[k-1], want, e)
 			}
 			// Every entry point reads the same solves.
 			if m, err := p.Moment(k); err != nil || m != ms[k-1] {
@@ -102,6 +141,120 @@ func TestPropertyMomentsMatchInverseFormula(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMomentsMatchDenseLU holds the back-substitution to the dense LU
+// solve it replaced, bit for bit, on every shape the model builds: random
+// acyclic generators, Erlang, hyperexponential and fitted-mixture waves,
+// convolution chains of up to about 500 phases, and the Figure 4 job.
+func TestMomentsMatchDenseLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	fit := func() *PH {
+		scv := []float64{0.02, 0.05, 0.31, 0.8, 1, 2.4}[rng.Intn(6)]
+		p, err := FitMeanSCV(0.5+10*rng.Float64(), scv*(0.9+0.2*rng.Float64()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	component := func() *PH {
+		switch rng.Intn(4) {
+		case 0:
+			return randomPH(t, rng, 1+rng.Intn(30))
+		case 1:
+			p, err := Erlang(1+rng.Intn(64), 0.1+5*rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		case 2:
+			w := rng.Float64()
+			p, err := HyperExponential([]float64{w, 1 - w}, []float64{0.1 + rng.Float64(), 1 + 9*rng.Float64()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		default:
+			return fit()
+		}
+	}
+	var cases []*PH
+	for range 40 {
+		cases = append(cases, component())
+	}
+	for range 40 {
+		var chain []*PH
+		for n := 0; n < 500; {
+			c := component()
+			if n > 0 && n+c.Order() > 500 {
+				break
+			}
+			chain = append(chain, c)
+			n += c.Order()
+			if rng.Intn(8) == 0 {
+				break
+			}
+		}
+		p, err := ConvolveAll(chain...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			w := rng.Float64()
+			if p, err = Mixture([]float64{w, 1 - w}, []*PH{p, component()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cases = append(cases, p)
+	}
+	cases = append(cases, figure4Job(t))
+	for ci, p := range cases {
+		got, err := p.Moments(4)
+		if err != nil {
+			t.Fatalf("case %d (order %d): %v", ci, p.Order(), err)
+		}
+		want := luMoments(t, p, 4)
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Errorf("case %d (order %d): E[X^%d] = %.17g, dense LU %.17g", ci, p.Order(), k+1, got[k], want[k])
+			}
+		}
+	}
+}
+
+// figure4Job assembles what the wave-level model builds for a Figure 4
+// text job (20 slots, 50 map tasks at θ = 0.2, 10 reducers): fitted setup
+// ⊕ two map waves ⊕ fitted shuffle ⊕ one reduce wave, each stage the
+// one-component mixture the model's stage builder returns — 375 phases.
+func figure4Job(t *testing.T) *PH {
+	t.Helper()
+	fit := func(mean, scv float64) *PH {
+		p, err := FitMeanSCV(mean, scv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stage := func(waves ...*PH) *PH {
+		conv, err := ConvolveAll(waves...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Mixture([]float64{1}, []*PH{conv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	mapWave, redWave := fit(8.5, 0.02), fit(1.5, 0.02)
+	p, err := ConvolveAll(fit(5, 0.05), stage(mapWave, mapWave), fit(1.2, 0.05), stage(redWave))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Order() != 375 {
+		t.Fatalf("Figure 4 job has %d phases, want 375", p.Order())
+	}
+	return p
 }
 
 func TestMomentClosedForms(t *testing.T) {
@@ -168,10 +321,11 @@ func TestMomentClosedForms(t *testing.T) {
 	})
 }
 
-// TestMomentOfDefectiveGenerator: a generator with a closed class never
-// absorbs, -A is singular, and every moment entry point says so.
+// TestMomentOfDefectiveGenerator: a chain with a phase it never leaves
+// never absorbs from there, -A is singular, and every moment entry point
+// says so.
 func TestMomentOfDefectiveGenerator(t *testing.T) {
-	p := MustNew([]float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 1, -1}))
+	p := MustNew([]float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 0, 0}))
 	if _, err := p.Moment(1); !errors.Is(err, matrix.ErrSingular) {
 		t.Errorf("Moment: %v, want ErrSingular", err)
 	}

@@ -77,8 +77,8 @@ type Class struct {
 // FromPH builds a Class from an arrival rate and a phase-type service
 // distribution, wiring both the moments and the sampler.
 func FromPH(rate float64, ph *phdist.PH) (Class, error) {
-	if rate < 0 {
-		return Class{}, fmt.Errorf("queueing: rate %g negative", rate)
+	if !(rate >= 0 && rate <= math.MaxFloat64) {
+		return Class{}, fmt.Errorf("queueing: rate %g negative or not finite", rate)
 	}
 	ms, err := ph.Moments(2)
 	if err != nil {
@@ -97,11 +97,14 @@ func validateClasses(classes []Class) error {
 		return errors.New("queueing: no classes")
 	}
 	for k, c := range classes {
-		if c.Rate < 0 {
+		if !(c.Rate >= 0 && c.Rate <= math.MaxFloat64) {
 			return fmt.Errorf("queueing: class %d rate %g", k, c.Rate)
 		}
-		if c.MeanService <= 0 {
+		if !(c.MeanService > 0 && c.MeanService <= math.MaxFloat64) {
 			return fmt.Errorf("queueing: class %d mean service %g", k, c.MeanService)
+		}
+		if !(c.M2Service <= math.MaxFloat64) {
+			return fmt.Errorf("queueing: class %d M2 %g not finite", k, c.M2Service)
 		}
 		if c.M2Service < c.MeanService*c.MeanService {
 			return fmt.Errorf("queueing: class %d M2 %g below mean² %g",
@@ -116,7 +119,7 @@ func validateClasses(classes []Class) error {
 func higherLoad(classes []Class, k int) float64 {
 	var rho float64
 	for i := k + 1; i < len(classes); i++ {
-		rho += classes[i].Rate * classes[i].MeanService
+		rho += float64(classes[i].Rate * classes[i].MeanService)
 	}
 	return rho
 }
@@ -136,11 +139,11 @@ func MeanResponseTimes(classes []Class, d Discipline) ([]float64, error) {
 		// Residual work from every class delays everyone.
 		var w0 float64
 		for _, c := range classes {
-			w0 += c.Rate * c.M2Service / 2
+			w0 += float64(c.Rate * c.M2Service / 2)
 		}
 		for k := 0; k < K; k++ {
 			h := higherLoad(classes, k)
-			rhoK := classes[k].Rate * classes[k].MeanService
+			rhoK := float64(classes[k].Rate * classes[k].MeanService)
 			if h+rhoK >= 1 {
 				out[k] = math.Inf(1)
 				continue
@@ -152,14 +155,14 @@ func MeanResponseTimes(classes []Class, d Discipline) ([]float64, error) {
 		// Lower-priority work is invisible to class k.
 		for k := 0; k < K; k++ {
 			h := higherLoad(classes, k)
-			rhoK := classes[k].Rate * classes[k].MeanService
+			rhoK := float64(classes[k].Rate * classes[k].MeanService)
 			if h+rhoK >= 1 {
 				out[k] = math.Inf(1)
 				continue
 			}
 			var w0k float64
 			for i := k; i < K; i++ {
-				w0k += classes[i].Rate * classes[i].M2Service / 2
+				w0k += float64(classes[i].Rate * classes[i].M2Service / 2)
 			}
 			out[k] = classes[k].MeanService/(1-h) + w0k/((1-h)*(1-h-rhoK))
 		}

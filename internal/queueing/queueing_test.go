@@ -46,6 +46,14 @@ func TestFromPH(t *testing.T) {
 	if _, err := FromPH(-1, ph); err == nil {
 		t.Fatal("negative rate accepted")
 	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := FromPH(rate, ph); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
+	}
+	if _, err := FromPH(0, ph); err != nil {
+		t.Errorf("rate 0: %v", err)
+	}
 }
 
 // TestFromPHReadsBothMomentsFromOneSolve: the class carries exactly what
@@ -73,7 +81,7 @@ func TestFromPHReadsBothMomentsFromOneSolve(t *testing.T) {
 	if c.MeanService != m1 || c.M2Service != m2 {
 		t.Fatalf("FromPH moments (%.17g, %.17g) differ from Moment(1), Moment(2) = (%.17g, %.17g)", c.MeanService, c.M2Service, m1, m2)
 	}
-	stuck := phdist.MustNew([]float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 1, -1}))
+	stuck := phdist.MustNew([]float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 0, 0}))
 	if _, err := FromPH(0.1, stuck); !errors.Is(err, matrix.ErrSingular) {
 		t.Fatalf("never-absorbing service: %v, want ErrSingular", err)
 	}
@@ -171,6 +179,30 @@ func TestMeanResponseTimesErrors(t *testing.T) {
 	bad := []Class{{Rate: 1, MeanService: 1, M2Service: 0.5}}
 	if _, err := MeanResponseTimes(bad, NonPreemptive); err == nil {
 		t.Fatal("M2 < mean² accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, c := range map[string]Class{
+		"NaN rate":         {Rate: nan, MeanService: 0.1, M2Service: 0.02},
+		"+Inf rate":        {Rate: inf, MeanService: 0.1, M2Service: 0.02},
+		"NaN mean":         {Rate: 1, MeanService: nan, M2Service: 0.02},
+		"+Inf mean":        {Rate: 1, MeanService: inf, M2Service: inf},
+		"NaN M2":           {Rate: 1, MeanService: 0.1, M2Service: nan},
+		"+Inf M2":          {Rate: 1, MeanService: 0.1, M2Service: inf},
+		"NaN moments":      {Rate: 1, MeanService: nan, M2Service: nan},
+		"+Inf moments":     {Rate: 0.5, MeanService: inf, M2Service: inf},
+		"-Inf mean and M2": {Rate: 1, MeanService: math.Inf(-1), M2Service: math.Inf(-1)},
+	} {
+		for _, d := range []Discipline{NonPreemptive, PreemptiveResume} {
+			if got, err := MeanResponseTimes([]Class{good[0], c}, d); err == nil {
+				t.Errorf("%s under %v accepted: %v", name, d, got)
+			}
+		}
+	}
+	// Finite inputs keep their verdicts: an overloaded class is +Inf, not
+	// an error.
+	over := []Class{{Rate: 20, MeanService: 0.1, M2Service: 0.02}}
+	if got, err := MeanResponseTimes(over, NonPreemptive); err != nil || !math.IsInf(got[0], 1) {
+		t.Errorf("overloaded class: %v, %v; want +Inf and no error", got, err)
 	}
 }
 

@@ -142,6 +142,6 @@ func Interpolate(x0, y0, x1, y1, x float64) float64 {
 		return y1
 	default:
 		f := (x - x0) / (x1 - x0)
-		return y0*(1-f) + y1*f
+		return float64(y0*(1-f)) + float64(y1*f)
 	}
 }
