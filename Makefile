@@ -21,8 +21,10 @@ test-short:
 	$(GO) test -short ./...
 
 # The race-detector lane: short workloads under -race. The
-# internal/runner fan-out and the stage memo concurrent cells share
-# through one job template are the concurrency-bearing paths this guards.
+# internal/runner fan-out, the stage memo concurrent cells share through
+# one job template, and the analytics pool of stage output arrays that
+# every engine draws from and hands back to are the concurrency-bearing
+# paths this guards.
 test-race:
 	$(GO) test -race -short ./...
 

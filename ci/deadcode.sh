@@ -19,7 +19,8 @@
 #     no longer declared, and an entry without a reason;
 #   - an export of package dias that ci/facaderoot does not use.
 # The allowlist is shared with TestEveryInternalExportHasACaller
-# (exports_test.go), which judges its entries that name top-level exports.
+# (exports_test.go), which judges its entries that name exported types,
+# vars and consts; functions and methods are this script's alone.
 #
 # Usage: ci/deadcode.sh   (or: make deadcode)
 set -euo pipefail

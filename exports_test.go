@@ -18,10 +18,10 @@ import (
 // with the linker-backed reachability gate (ci/deadcode.sh).
 const allowlistPath = "ci/unused-allowlist.txt"
 
-// readAllowlist returns the allowlist's keys that this test judges:
-// "pkg.Name" keys naming a top-level export, with the import path's last
-// element as pkg. Entries naming methods or unexported functions are the
-// reachability gate's to judge. Every entry needs a reason.
+// readAllowlist returns the allowlist's "pkg.Name" keys naming a
+// top-level export, with the import path's last element as pkg. Entries
+// naming methods or unexported functions are the reachability gate's
+// alone. Every entry needs a reason.
 func readAllowlist(t *testing.T) map[string]bool {
 	t.Helper()
 	data, err := os.ReadFile(allowlistPath)
@@ -48,15 +48,17 @@ func readAllowlist(t *testing.T) map[string]bool {
 	return entries
 }
 
-// TestEveryInternalExportHasACaller fails when a top-level exported func,
-// type, var or const of a package under internal/ is referenced by no
-// non-test Go file of the repository — benchmark/ and examples/ included —
-// and is not on the allowlist. A reference is a bare identifier inside the
+// TestEveryInternalExportHasACaller fails when a top-level exported type,
+// var or const of a package under internal/ is referenced by no non-test
+// Go file of the repository — benchmark/ and examples/ included — and is
+// not on the allowlist. A reference is a bare identifier inside the
 // declaring package (outside the declaration itself) or a pkg.Name
-// selector in a file that imports the package. Methods, and code whose
-// only callers are dead themselves, are out of its reach: the linker-backed
-// gate (ci/deadcode.sh) judges those. Allowlist entries that are
-// referenced after all, or no longer exist, fail the test too, so the list
+// selector in a file that imports the package. Functions and methods are
+// the linker-backed gate's (ci/deadcode.sh) to judge, because a reference
+// from dead code is no caller: an export only dead code calls is
+// unreached, and its allowlist entry must stand. Allowlist entries naming
+// a type, var or const that is referenced after all, and entries naming
+// any export that is no longer declared, fail the test too, so the list
 // stays exact.
 func TestEveryInternalExportHasACaller(t *testing.T) {
 	allowlist := readAllowlist(t)
@@ -95,8 +97,10 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exported top-level declarations of internal packages, by import path.
+	// Exported top-level declarations of internal packages, by import path,
+	// and which of them are functions ("importPath.Name").
 	declared := map[string]map[string]bool{}
+	funcs := map[string]bool{}
 	for importPath, pkg := range pkgs {
 		if !strings.HasPrefix(importPath, modPath+"/internal/") {
 			continue
@@ -104,9 +108,11 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		names := map[string]bool{}
 		for _, f := range pkg.files {
 			for _, decl := range f.Decls {
+				_, isFunc := decl.(*ast.FuncDecl)
 				for _, name := range declNames(decl) {
 					if ast.IsExported(name) {
 						names[name] = true
+						funcs[importPath+"."+name] = isFunc
 					}
 				}
 			}
@@ -162,6 +168,9 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		for name := range names {
 			key := path.Base(importPath) + "." + name
 			declaredKeys[key] = true
+			if funcs[importPath+"."+name] {
+				continue // the reachability gate's to judge
+			}
 			allowed := allowlist[key]
 			switch {
 			case !referenced[importPath+"."+name] && !allowed:

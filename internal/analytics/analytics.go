@@ -41,7 +41,7 @@ func WordPopularityJob(name string, corpus engine.Dataset, reducers int, sizeByt
 			},
 			{
 				Name: "aggregate", Kind: engine.Result, Deps: []int{0},
-				Compute: reduceWordCounts,
+				Compute: reduceWordCounts, Release: releaseRecords,
 			},
 		},
 	}
@@ -69,7 +69,9 @@ func mapWordCounts(in []engine.Record) []engine.Record {
 			counts[w]++
 		}
 	}
-	out := countsToRecords(counts)
+	// Stage 0's memo keeps this output, so it is a fresh array of exactly
+	// its size, never a pooled one.
+	out := countsToRecords(make([]engine.Record, 0, len(counts)), counts)
 	clear(counts)
 	countsPool.Put(counts)
 	return out
@@ -82,14 +84,15 @@ func reduceWordCounts(in []engine.Record) []engine.Record {
 			counts[r.Key] += v
 		}
 	}
-	out := countsToRecords(counts)
+	out := countsToRecords(pooledRecords(len(counts)), counts)
 	clear(counts)
 	countsPool.Put(counts)
 	return out
 }
 
-func countsToRecords(counts map[string]float64) []engine.Record {
-	out := make([]engine.Record, 0, len(counts))
+// countsToRecords appends counts to out as (word, count) records and
+// returns them sorted by word.
+func countsToRecords(out []engine.Record, counts map[string]float64) []engine.Record {
 	for k, v := range counts {
 		out = append(out, engine.Record{Key: k, Value: boxCount(v)})
 	}
@@ -318,10 +321,10 @@ func TriangleCountJob(name string, edges engine.Dataset, buckets int, sizeBytes 
 		SizeBytes: sizeBytes,
 		Stages: []engine.Stage{
 			{Name: "canonicalize", Kind: engine.ShuffleMap, OutPartitions: buckets, Compute: stageCanonicalize},
-			{Name: "dedup", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{0}, Compute: stageDedup},
-			{Name: "adjacency", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{1}, Compute: stageAdjacency},
-			{Name: "wedges", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{2}, Compute: stageWedges},
-			{Name: "join", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{3}, Compute: stageJoin},
+			{Name: "dedup", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{0}, Compute: stageDedup, Release: releaseRecords},
+			{Name: "adjacency", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{1}, Compute: stageAdjacency, Release: releaseRecords},
+			{Name: "wedges", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{2}, Compute: stageWedges, Release: releaseRecords},
+			{Name: "join", Kind: engine.ShuffleMap, OutPartitions: buckets, Deps: []int{3}, Compute: stageJoin, Release: releaseRecords},
 			{Name: "partial-count", Kind: engine.ShuffleMap, OutPartitions: 1, Deps: []int{4}, Compute: stagePartialCount},
 			{Name: "total", Kind: engine.Result, Deps: []int{5}, Compute: stageTotal},
 		},
@@ -367,9 +370,51 @@ func stageCanonicalize(in []engine.Record) []engine.Record {
 
 // The four hot stages below (dedup, adjacency, wedges, join) run ~100 tasks
 // of ~20 records each per job, so they group and de-duplicate through
-// small sorts and pooled open-addressed hash indexes rather than maps, and
-// they format each task's decimal keys into one backing string (the
-// engine's TaskFunc contract lets returned records share key storage).
+// small sorts and pooled open-addressed hash indexes rather than maps, they
+// format each task's decimal keys into one backing string (the engine's
+// TaskFunc contract lets returned records share key storage), and they
+// draw their output arrays from pooledRecords, which the engine hands back
+// through the stage's Release once it has bucketed the records.
+
+// recordPool holds released output arrays, cleared, each reached through
+// a *[]engine.Record holder; holderPool holds the holders of arrays in
+// use. Passing the holder between the two means that once both are warm
+// neither pooledRecords nor releaseRecords allocates.
+var recordPool, holderPool sync.Pool
+
+// pooledRecords returns an empty slice with room for n records, on a
+// released array when the pool offers one that large; a smaller one is
+// left to the collector, so the arrays in circulation grow to the largest
+// output asked of them. Every record of the array is zero: a stage that
+// writes past the length it returns clears that tail itself, as
+// stageDedup does.
+func pooledRecords(n int) []engine.Record {
+	if h, ok := recordPool.Get().(*[]engine.Record); ok {
+		out := *h
+		*h = nil
+		holderPool.Put(h)
+		if cap(out) >= n {
+			return out
+		}
+	}
+	return make([]engine.Record, 0, n)
+}
+
+// releaseRecords is the Release of every stage that draws its output from
+// pooledRecords. It clears the records, so a pooled array pins no key or
+// value of a finished task, and pools the array for the next call.
+func releaseRecords(out []engine.Record) {
+	if cap(out) == 0 {
+		return
+	}
+	clear(out)
+	h, ok := holderPool.Get().(*[]engine.Record)
+	if !ok {
+		h = new([]engine.Record)
+	}
+	*h = out[:0]
+	recordPool.Put(h)
+}
 
 // yieldToCollector lets the garbage collector's background mark worker
 // onto the processor; each of the four hot stages calls it on entry. The
@@ -378,10 +423,14 @@ func stageCanonicalize(in []engine.Record) []engine.Record {
 // schedules the collector's fractional mark worker only when that
 // goroutine enters the scheduler. Left to sysmon's forced preemption that
 // is 10–20 ms into a mark phase, and everything the stages allocate
-// meanwhile is allocated live: at the triangle job's ~270 MB/s one such
-// cycle overshoots the heap goal by 4 MB and doubles the next goal
-// (docs/BENCHMARKING.md, "peak_sys_mib anatomy"). A yield costs ~0.2 µs
-// against the ≥ 10 µs of a task.
+// meanwhile is allocated live: at the ~200 MB/s the triangle job allocated
+// before its output arrays were pooled, one such cycle overshot the heap
+// goal by 4 MB and doubled the next goal (docs/BENCHMARKING.md,
+// "peak_sys_mib anatomy"). It now allocates about 26 MB/s (31 KiB a job
+// at 810 jobs/s on stack-graph), so the overshoot would be a tenth of
+// that; whether the yields still pay is for a memory metric that does not
+// move in 4 MiB steps to show. A yield costs ~0.2 µs against the ≥ 10 µs
+// of a task.
 func yieldToCollector() { runtime.Gosched() }
 
 // triScratch is the scratch of one stageWedges or stageJoin call. Every
@@ -485,7 +534,7 @@ func compareKeys(a, b engine.Record) int { return strings.Compare(a.Key, b.Key) 
 // the output is sorted by key.
 func stageDedup(in []engine.Record) []engine.Record {
 	yieldToCollector()
-	out := make([]engine.Record, 0, len(in))
+	out := pooledRecords(len(in))
 	for _, r := range in {
 		if _, ok := edgeOf(r.Value); ok {
 			out = append(out, r)
@@ -511,7 +560,7 @@ func stageDedup(in []engine.Record) []engine.Record {
 // "v" are substrings of that key; otherwise the key is formatted afresh.
 func stageAdjacency(in []engine.Record) []engine.Record {
 	yieldToCollector()
-	out := make([]engine.Record, 0, 3*len(in))
+	out := pooledRecords(3 * len(in))
 	for _, r := range in {
 		e, ok := edgeOf(r.Value)
 		if !ok {
@@ -601,7 +650,7 @@ func stageWedges(in []engine.Record) []engine.Record {
 
 	var out []engine.Record
 	if markers+wedges > 0 {
-		out = make([]engine.Record, 0, markers+wedges)
+		out = pooledRecords(markers + wedges)
 		for _, r := range in {
 			if isMarker(r.Value, markerEdge) {
 				out = append(out, r)
@@ -673,7 +722,7 @@ func stageJoin(in []engine.Record) []engine.Record {
 	}
 	var out []engine.Record
 	if matched > 0 {
-		out = make([]engine.Record, 0, matched)
+		out = pooledRecords(matched)
 		for i, k := range edges {
 			if counts[i] > 0 {
 				out = append(out, engine.Record{Key: k, Value: boxCount(counts[i])})

@@ -618,10 +618,14 @@ var sinkValue any
 // float64 counts are whole and small, so they share the boxes of
 // countBoxes and cost nothing per record. A whole partial count returns a
 // shared record, and canonicalize returns an EdgeDataset partition itself.
+// Warm — each output handed back through its stage's Release before the
+// next call, as the engine does — the pooled stages allocate no output
+// array, so only the wedges' key block is left.
 func TestTriangleStageAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
 	}
+	stages := TriangleCountJob("alloc", nil, 1, 0).Stages
 	for _, edges := range []int{8, 64, 512} {
 		rng := rand.New(rand.NewSource(5))
 		var in []engine.Record
@@ -639,21 +643,29 @@ func TestTriangleStageAllocations(t *testing.T) {
 		wedged := stageWedges(adjacent)
 		joined := stageJoin(wedged)
 		for _, st := range []struct {
-			name    string
-			fn      engine.TaskFunc
-			in      []engine.Record
-			ceiling float64
+			stage      int
+			in         []engine.Record
+			cold, warm float64
 		}{
-			{"canonicalize", stageCanonicalize, EdgeDataset(list, 1)[0], 0},
-			{"dedup", stageDedup, canonical, 1},
-			{"adjacency", stageAdjacency, deduped, 1},
-			{"wedges", stageWedges, adjacent, 2},
-			{"join", stageJoin, wedged, 1},
-			{"partial-count", stagePartialCount, joined, 0},
+			{0, EdgeDataset(list, 1)[0], 0, 0},
+			{1, canonical, 1, 0},
+			{2, deduped, 1, 0},
+			{3, adjacent, 2, 1},
+			{4, wedged, 1, 0},
+			{5, joined, 0, 0},
 		} {
-			st.fn(st.in) // warm the scratch pool
-			if got := testing.AllocsPerRun(20, func() { st.fn(st.in) }); got > st.ceiling {
-				t.Errorf("%s over %d records: %v allocations per call, ceiling %v", st.name, len(st.in), got, st.ceiling)
+			s := &stages[st.stage]
+			s.Compute(st.in) // warm the scratch pool
+			if got := testing.AllocsPerRun(20, func() { s.Compute(st.in) }); got > st.cold {
+				t.Errorf("%s over %d records: %v allocations per call, ceiling %v", s.Name, len(st.in), got, st.cold)
+			}
+			call := func() { s.Compute(st.in) }
+			if s.Release != nil {
+				call = func() { s.Release(s.Compute(st.in)) }
+			}
+			call() // fill the output pool
+			if got := testing.AllocsPerRun(20, call); got > st.warm {
+				t.Errorf("%s over %d records, warm: %v allocations per call, ceiling %v", s.Name, len(st.in), got, st.warm)
 			}
 		}
 	}

@@ -69,6 +69,20 @@
 // retained per engine or per process. The engine never writes into a
 // memoized output, so a Compute that returns its own input makes the memo
 // entry an alias of the template's partition rather than a copy.
+//
+// # Handing outputs back
+//
+// A Compute may draw its output arrays from a pool of its own if its
+// Stage sets Release. The engine calls Release exactly once for each
+// output it got fresh from Compute and keeps in no memo, right after its
+// last read: after the bucket loop of a carrying ShuffleMap task, after
+// the append to the Result output, and after the count-only plane has
+// counted it. It never calls Release for an output a memo keeps, an output
+// served from a memo, or a nil Compute, so a stage whose Compute returns
+// its input or a shared immutable slice simply leaves Release nil. Records
+// are copied into buckets and the result by value, so a released array may
+// be cleared and reused at once; key storage a record points into is not
+// released with it.
 // Simulated task durations are priced by the cost model from input sizes,
 // so memoization changes no timing, only removes redundant host-CPU work.
 package engine

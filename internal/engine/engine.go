@@ -50,20 +50,20 @@ const (
 
 // TaskFunc transforms one input partition into output records. It must be
 // a pure, deterministic function of its input: it must not mutate the
-// input slice, and it must not retain or later mutate the returned slice.
-// The engine relies on this three ways: it memoizes input-reading stage
-// outputs on the Stage itself, per input partition (so a Stage's Compute
-// and OutPartitions and a template's input records must not change once
-// submitted, and any engine on any goroutine may serve the output from
-// another's call), it aliases shuffle outputs as downstream inputs without
-// defensive copying, and it does not call Compute at all for a stage whose
-// output nobody reads. The engine never writes into a returned slice: it
-// only reads memo entries and copies records into buckets and the result.
-// A TaskFunc may therefore return its own input, as the identity does, or
-// the same immutable slice from several calls. Returned records may share
-// one backing string for their keys (a task that formats its keys can
-// build them in one block); the engine treats keys as opaque values either
-// way.
+// input slice, and it must not retain or later mutate the returned slice,
+// except through its Stage's Release hook. The engine relies on this three
+// ways: it memoizes input-reading stage outputs on the Stage itself, per
+// input partition (so a Stage's Compute and OutPartitions and a template's
+// input records must not change once submitted, and any engine on any
+// goroutine may serve the output from another's call), it aliases shuffle
+// outputs as downstream inputs without defensive copying, and it does not
+// call Compute at all for a stage whose output nobody reads. The engine
+// never writes into a returned slice: it only reads memo entries and
+// copies records into buckets and the result. A TaskFunc may therefore
+// return its own input, as the identity does, or the same immutable slice
+// from several calls. Returned records may share one backing string for
+// their keys (a task that formats its keys can build them in one block);
+// the engine treats keys as opaque values either way.
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.
@@ -78,6 +78,14 @@ type Stage struct {
 	Deps []int
 	// Compute transforms a task's input records; nil is the identity.
 	Compute TaskFunc
+	// Release, when set, takes back an output of Compute once the engine
+	// has read it for the last time: it is called exactly once for each
+	// output the engine got fresh from Compute and keeps in no memo, right
+	// after the records were copied into buckets or the result, or
+	// counted. It is never called for a memoized output or with a nil
+	// Compute. A Compute that hands out reusable arrays sets it to take
+	// them back; the code that builds the Compute sets it, never a user.
+	Release func([]Record)
 	// OutPartitions is the shuffle fan-out of a ShuffleMap stage.
 	OutPartitions int
 	// PerRecordSec overrides CostModel.PerRecordSec for this stage's tasks
@@ -1118,14 +1126,22 @@ func (e *Engine) completeTask(t *task) {
 	switch carries := ex.carries[t.stage]; {
 	case s.Kind == ShuffleMap && carries:
 		buckets := ex.shuffle.outputs[t.stage]
-		for _, r := range taskOutput(t, s) {
+		out, fresh := taskOutput(t, s)
+		for _, r := range out {
 			b := bucketOf(r.Key, len(buckets))
 			buckets[b] = append(buckets[b], r)
+		}
+		if fresh {
+			s.release(out)
 		}
 	case s.Kind == ShuffleMap:
 		countOutput(t, s, ex.outCounts[t.stage])
 	case carries:
-		ex.resultOut = append(ex.resultOut, taskOutput(t, s)...)
+		out, fresh := taskOutput(t, s)
+		ex.resultOut = append(ex.resultOut, out...)
+		if fresh {
+			s.release(out)
+		}
 	default:
 		// A Result stage nobody reads: its output is never computed.
 	}
@@ -1141,23 +1157,32 @@ func (e *Engine) completeTask(t *task) {
 
 // taskOutput returns the records a finished task produced, from the
 // stage's memo when this partition was computed before by any engine.
-func taskOutput(t *task, s *Stage) []Record {
+// fresh reports that Compute made them for this call and no memo keeps
+// them, so they are the engine's to hand back through s.release once read.
+func taskOutput(t *task, s *Stage) (out []Record, fresh bool) {
 	if s.Compute == nil {
-		return t.input
+		return t.input, false
 	}
 	cell, e := memoEntryOf(t)
 	if cell == nil {
-		return s.Compute(t.input)
+		return s.Compute(t.input), true
 	}
 	if e != nil && e.hasOut {
-		return e.out
+		return e.out, false
 	}
 	filled := &memoEntry{data: &t.input[0], n: len(t.input), out: s.Compute(t.input), hasOut: true}
 	if e != nil {
 		filled.counts = e.counts
 	}
 	cell.Store(filled)
-	return filled.out
+	return filled.out, false
+}
+
+// release hands a fresh Compute output back to the stage, if it asked.
+func (s *Stage) release(out []Record) {
+	if s.Release != nil {
+		s.Release(out)
+	}
 }
 
 // countOutput adds a finished ShuffleMap task's output to its stage's
@@ -1166,12 +1191,15 @@ func taskOutput(t *task, s *Stage) []Record {
 func countOutput(t *task, s *Stage, counts []int) {
 	cell, e := memoEntryOf(t)
 	if cell == nil {
-		out := t.input
-		if s.Compute != nil {
+		out, fresh := t.input, s.Compute != nil
+		if fresh {
 			out = s.Compute(t.input)
 		}
 		for _, r := range out {
 			counts[bucketOf(r.Key, len(counts))]++
+		}
+		if fresh {
+			s.release(out)
 		}
 		return
 	}
@@ -1187,6 +1215,9 @@ func countOutput(t *task, s *Stage, counts []int) {
 		}
 		for _, r := range out {
 			filled.counts[bucketOf(r.Key, len(counts))]++
+		}
+		if e == nil {
+			s.release(out) // the memo keeps only the counts
 		}
 		cell.Store(filled)
 		e = filled
