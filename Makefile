@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race examples deadcode cover bench bench-smoke benchmark-smoke determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
+.PHONY: build test test-short test-race examples deadcode nofma cover bench bench-smoke benchmark-smoke determinism scale-smoke profile staticcheck fmt fmt-check vet experiments apicompat hypotheses hypotheses-check
 
 # The reduced figure set and scale of the smoke report. TestBenchReportPinned
 # (cmd/dias-experiments) pins the report's simulated fields at these
@@ -54,6 +54,13 @@ examples:
 # 2-core box).
 deadcode:
 	GO=$(GO) ./ci/deadcode.sh
+
+# The fusion gate (ci/nofma.sh): compiles phdist, model and queueing for
+# arm64 and fails on any fused multiply-add the compiler attributes to a
+# repo line, so the model's floats are the same on every platform. CI's
+# fast lane runs it after deadcode (~2 s).
+nofma:
+	GO=$(GO) ./ci/nofma.sh
 
 # Per-package coverage over the short suite: coverage.out (the profile)
 # plus coverage.txt (the per-function/per-package summary). CI's fast

@@ -54,15 +54,7 @@ type FederationAccumulator struct {
 // given member count and class count, expecting expectedRecords total
 // completions.
 func NewFederationAccumulator(clusters, classes, expectedRecords int, warmupFraction float64) *FederationAccumulator {
-	a := &FederationAccumulator{
-		skip:       int(float64(expectedRecords) * clampWarmup(warmupFraction)),
-		overall:    NewAccumulator(classes, 0, 0),
-		perCluster: make([]*Accumulator, clusters),
-	}
-	for i := range a.perCluster {
-		a.perCluster[i] = NewAccumulator(classes, 0, 0)
-	}
-	return a
+	return newFederationAccumulator(clusters, classes, expectedRecords, warmupFraction, false)
 }
 
 // NewBoundedFederationAccumulator is the strictly O(clusters × classes)
@@ -71,13 +63,17 @@ func NewFederationAccumulator(clusters, classes, expectedRecords int, warmupFrac
 // retained anywhere (P95, like P99, comes from the streaming log
 // histogram; counts stay exact).
 func NewBoundedFederationAccumulator(clusters, classes, expectedRecords int, warmupFraction float64) *FederationAccumulator {
+	return newFederationAccumulator(clusters, classes, expectedRecords, warmupFraction, true)
+}
+
+func newFederationAccumulator(clusters, classes, expectedRecords int, warmupFraction float64, bounded bool) *FederationAccumulator {
 	a := &FederationAccumulator{
 		skip:       int(float64(expectedRecords) * clampWarmup(warmupFraction)),
-		overall:    NewBoundedAccumulator(classes, 0, 0),
+		overall:    newAccumulator(classes, 0, 0, bounded),
 		perCluster: make([]*Accumulator, clusters),
 	}
 	for i := range a.perCluster {
-		a.perCluster[i] = NewBoundedAccumulator(classes, 0, 0)
+		a.perCluster[i] = newAccumulator(classes, 0, 0, bounded)
 	}
 	return a
 }

@@ -153,35 +153,7 @@ const (
 // NewAccumulator returns an accumulator for the given class count sized
 // for expectedRecords completions.
 func NewAccumulator(classes, expectedRecords int, warmupFraction float64) *Accumulator {
-	a := &Accumulator{
-		classes: classes,
-		skip:    int(float64(expectedRecords) * clampWarmup(warmupFraction)),
-		out:     make([]ClassStats, classes),
-		samples: make([]stats.Sample, classes),
-		resps:   make([]stats.Stream, classes),
-		queues:  make([]stats.Stream, classes),
-		execs:   make([]stats.Stream, classes),
-		drops:   make([]stats.Stream, classes),
-		hists:   make([]*stats.LogHistogram, classes),
-	}
-	for k := range a.out {
-		a.out[k].Class = k
-		h, err := stats.NewLogHistogram(respHistLo, respHistHi, respHistBuckets)
-		if err != nil {
-			panic(err) // constant, always-valid shape
-		}
-		a.hists[k] = h
-	}
-	// Pre-size the retained percentile samples from the expected total so
-	// long streaming runs do not regrow them per wave of completions. The
-	// per-class split is an estimate (class mixes are uneven); appends
-	// stay amortized past it.
-	if post := expectedRecords - a.skip; post > 0 && classes > 0 {
-		for k := range a.samples {
-			a.samples[k].Reserve(post / classes)
-		}
-	}
-	return a
+	return newAccumulator(classes, expectedRecords, warmupFraction, false)
 }
 
 // NewBoundedAccumulator returns an accumulator whose memory is strictly
@@ -194,10 +166,14 @@ func NewAccumulator(classes, expectedRecords int, warmupFraction float64) *Accum
 // million-job variant: use it whenever the run is too large to retain a
 // float per completion.
 func NewBoundedAccumulator(classes, expectedRecords int, warmupFraction float64) *Accumulator {
+	return newAccumulator(classes, expectedRecords, warmupFraction, true)
+}
+
+func newAccumulator(classes, expectedRecords int, warmupFraction float64, bounded bool) *Accumulator {
 	a := &Accumulator{
 		classes: classes,
 		skip:    int(float64(expectedRecords) * clampWarmup(warmupFraction)),
-		bounded: true,
+		bounded: bounded,
 		out:     make([]ClassStats, classes),
 		resps:   make([]stats.Stream, classes),
 		queues:  make([]stats.Stream, classes),
@@ -212,6 +188,19 @@ func NewBoundedAccumulator(classes, expectedRecords int, warmupFraction float64)
 			panic(err) // constant, always-valid shape
 		}
 		a.hists[k] = h
+	}
+	if bounded {
+		return a
+	}
+	// Pre-size the retained percentile samples from the expected total so
+	// long streaming runs do not regrow them per wave of completions. The
+	// per-class split is an estimate (class mixes are uneven); appends
+	// stay amortized past it.
+	a.samples = make([]stats.Sample, classes)
+	if post := expectedRecords - a.skip; post > 0 && classes > 0 {
+		for k := range a.samples {
+			a.samples[k].Reserve(post / classes)
+		}
 	}
 	return a
 }

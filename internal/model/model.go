@@ -1,9 +1,13 @@
 // Package model implements the paper's bottom-up stochastic models of job
 // processing times (§4): the task-level CTMC whose transition rates are
 // equation (1), and the wave-level model that strings per-wave phase-type
-// execution times into one PH representation. Both yield phase-type
-// distributions that plug directly into the queueing package to predict
-// per-priority response times, and into the deflator's drop-ratio search.
+// execution times into one PH representation. Both chains only move on to
+// later phases, so each generator is written as sparse upper-triangular
+// rows: the task-level model hands phdist.New its transitions as entries,
+// and the wave-level model composes PH closure operations. Both yield
+// phase-type distributions that plug directly into the queueing package to
+// predict per-priority response times, and into the deflator's drop-ratio
+// search.
 package model
 
 import (
@@ -11,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"dias/internal/matrix"
 	"dias/internal/phdist"
 	"dias/internal/queueing"
 	"dias/internal/stats"
@@ -44,19 +47,20 @@ func Waves(tasks, slots int) int {
 // the probability of having i+1 tasks (support starts at 1, as in §4.1).
 type TaskCountPMF []float64
 
-// Validate checks the PMF sums to one.
+// Validate checks the PMF's entries are nonnegative and sum to one; NaN
+// fails both checks.
 func (p TaskCountPMF) Validate() error {
 	if len(p) == 0 {
 		return errors.New("model: empty task-count distribution")
 	}
 	var sum float64
 	for i, v := range p {
-		if v < 0 {
-			return fmt.Errorf("model: negative probability %g at %d tasks", v, i+1)
+		if !(v >= 0) {
+			return fmt.Errorf("model: negative or NaN probability %g at %d tasks", v, i+1)
 		}
 		sum += v
 	}
-	if math.Abs(sum-1) > 1e-9 {
+	if !(math.Abs(sum-1) <= 1e-9) {
 		return fmt.Errorf("model: task-count probabilities sum to %g", sum)
 	}
 	return nil
@@ -183,14 +187,15 @@ func (c TaskLevelConfig) ProcessingTime() (*phdist.PH, error) {
 	}
 	redIdx := func(u int) int { return redBase + (nr - u) }
 
-	f := matrix.Zeros(phases, phases)
+	// A transition writes two entries, and there are fewer than two
+	// transitions per phase.
+	entries := make([]phdist.Entry, 0, 4*phases)
 	add := func(i, j int, rate float64) {
 		rate = float64(rate) // round the product a caller passes: no fusion
-		f.Set(i, j, f.At(i, j)+rate)
-		f.Set(i, i, f.At(i, i)-rate)
+		entries = append(entries, phdist.Entry{I: i, J: j, V: rate}, phdist.Entry{I: i, J: i, V: -rate})
 	}
 	addExit := func(i int, rate float64) {
-		f.Set(i, i, f.At(i, i)-rate)
+		entries = append(entries, phdist.Entry{I: i, J: i, V: -rate})
 	}
 
 	parallel := func(t int) float64 {
@@ -240,7 +245,7 @@ func (c TaskLevelConfig) ProcessingTime() (*phdist.PH, error) {
 	}
 	addExit(redIdx(1), c.MuReduce)
 
-	return phdist.New(alpha, f)
+	return phdist.New(alpha, entries)
 }
 
 // MeanProcessingTime is a convenience wrapper returning E[S].

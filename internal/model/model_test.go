@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dias/internal/matrix"
 	"dias/internal/phdist"
 	"dias/internal/queueing"
 )
@@ -55,6 +54,12 @@ func TestTaskCountPMF(t *testing.T) {
 	if err := (TaskCountPMF{-0.1, 1.1}).Validate(); err == nil {
 		t.Fatal("negative probability accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []TaskCountPMF{{nan, 0.5, 0.5}, {0.5, nan}, {nan}, {inf, 1}, {1, inf, -inf}} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%v accepted", p)
+		}
+	}
 }
 
 func TestEffectivePMF(t *testing.T) {
@@ -100,6 +105,8 @@ func TestTaskLevelValidation(t *testing.T) {
 		{"NaN mu shuffle", func(c *TaskLevelConfig) { c.MuShuffle = math.NaN() }},
 		{"NaN theta map", func(c *TaskLevelConfig) { c.ThetaMap = math.NaN() }},
 		{"NaN theta reduce", func(c *TaskLevelConfig) { c.ThetaReduce = math.NaN() }},
+		{"NaN map probability", func(c *TaskLevelConfig) { c.MapTasks = TaskCountPMF{math.NaN(), 0.5, 0.5} }},
+		{"NaN reduce probability", func(c *TaskLevelConfig) { c.ReduceTasks = TaskCountPMF{0.5, math.NaN(), 0.5} }},
 	}
 	for _, c := range cases {
 		cfg := baseTaskConfig()
@@ -240,6 +247,9 @@ func TestWaveCountPMF(t *testing.T) {
 	if _, err := WaveCountPMF(FixedTasks(5), 0, 0); err == nil {
 		t.Fatal("zero slots accepted")
 	}
+	if q, err := WaveCountPMF(TaskCountPMF{math.NaN(), 0.5, 0.5}, 0, 2); err == nil {
+		t.Fatalf("NaN probability accepted: q = %v", q)
+	}
 }
 
 func mustExp(t *testing.T, rate float64) *phdist.PH {
@@ -358,21 +368,21 @@ func TestWaveLevelMatchesPaperBlockMatrix(t *testing.T) {
 
 	// Paper's explicit 6-phase matrix: order O, M(1), M(2), S, R(1), R(2).
 	// One-wave jobs enter the *last* wave block (αm(2)·qm(1)).
-	a := matrix.Zeros(6, 6)
-	a.Set(0, 0, -muO)
-	a.Set(0, 1, muO*qm2) // needs 2 waves: start at wave 1
-	a.Set(0, 2, muO*qm1) // needs 1 wave: start at wave 2
-	a.Set(1, 1, -muM1)
-	a.Set(1, 2, muM1)
-	a.Set(2, 2, -muM2)
-	a.Set(2, 3, muM2)
-	a.Set(3, 3, -muS)
-	a.Set(3, 4, muS*qr2)
-	a.Set(3, 5, muS*qr1)
-	a.Set(4, 4, -muR1)
-	a.Set(4, 5, muR1)
-	a.Set(5, 5, -muR2)
-	want, err := phdist.New([]float64{1, 0, 0, 0, 0, 0}, a)
+	want, err := phdist.New([]float64{1, 0, 0, 0, 0, 0}, []phdist.Entry{
+		{I: 0, J: 0, V: -muO},
+		{I: 0, J: 1, V: muO * qm2}, // needs 2 waves: start at wave 1
+		{I: 0, J: 2, V: muO * qm1}, // needs 1 wave: start at wave 2
+		{I: 1, J: 1, V: -muM1},
+		{I: 1, J: 2, V: muM1},
+		{I: 2, J: 2, V: -muM2},
+		{I: 2, J: 3, V: muM2},
+		{I: 3, J: 3, V: -muS},
+		{I: 3, J: 4, V: muS * qr2},
+		{I: 3, J: 5, V: muS * qr1},
+		{I: 4, J: 4, V: -muR1},
+		{I: 4, J: 5, V: muR1},
+		{I: 5, J: 5, V: -muR2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,5 +516,27 @@ func TestPropertyTaskLevelValidPH(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkTaskLevelProcessingTime builds the task-level PH of the
+// model-level ablation's text job: 60 map tasks at θ = 0.2 and 10 reduce
+// tasks on 20 slots, with setup and shuffle stages.
+func BenchmarkTaskLevelProcessingTime(b *testing.B) {
+	cfg := TaskLevelConfig{
+		Slots:       20,
+		MapTasks:    FixedTasks(60),
+		ReduceTasks: FixedTasks(10),
+		MuMap:       1 / 8.5,
+		MuReduce:    1 / 1.5,
+		MuSetup:     1 / 5.0,
+		MuShuffle:   1 / 1.2,
+		ThetaMap:    0.2,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.ProcessingTime(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -5,23 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"dias/internal/matrix"
 )
-
-// denseA expands p's sparse rows into the dense n×n sub-generator.
-func denseA(p *PH) *matrix.Matrix {
-	n := p.Order()
-	a := matrix.Zeros(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, p.diag[i])
-		cols, vals := p.row(i)
-		for k, c := range cols {
-			a.Set(i, int(c), vals[k])
-		}
-	}
-	return a
-}
 
 // inverseMoment is the textbook formula k!·α·(-A)⁻ᵏ·1 through an explicit
 // inverse — what Moment computed before it solved instead, kept here as
@@ -29,14 +13,11 @@ func denseA(p *PH) *matrix.Matrix {
 func inverseMoment(t *testing.T, p *PH, k int) float64 {
 	t.Helper()
 	n := p.Order()
-	a := denseA(p)
-	neg := matrix.Zeros(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			neg.Set(i, j, -a.At(i, j))
-		}
+	neg := denseA(p)
+	for i, v := range neg {
+		neg[i] = -v
 	}
-	f, err := matrix.Factorize(neg)
+	f, err := factorize(n, neg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +25,7 @@ func inverseMoment(t *testing.T, p *PH, k int) float64 {
 	for c := range inv {
 		e := make([]float64, n)
 		e[c] = 1
-		inv[c] = f.Solve(e)
+		inv[c] = f.solve(e)
 	}
 	v := append([]float64(nil), p.alpha...)
 	fact := 1.0
@@ -70,17 +51,25 @@ func inverseMoment(t *testing.T, p *PH, k int) float64 {
 // back-substitution must match it bit for bit.
 func luMoments(t *testing.T, p *PH, k int) []float64 {
 	t.Helper()
-	f, err := matrix.Factorize(denseA(p))
+	n := p.Order()
+	f, err := factorize(n, denseA(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]float64, k)
-	z := matrix.Ones(p.Order())
+	z := make([]float64, n)
+	for i := range z {
+		z[i] = 1
+	}
 	signedFact := 1.0
 	for i := 1; i <= k; i++ {
-		z = f.Solve(z)
+		z = f.solve(z)
 		signedFact *= -float64(i)
-		out[i-1] = signedFact * matrix.Dot(p.alpha, z)
+		var dot float64
+		for j, a := range p.alpha {
+			dot += float64(a * z[j])
+		}
+		out[i-1] = signedFact * dot
 	}
 	return out
 }
@@ -90,7 +79,7 @@ func luMoments(t *testing.T, p *PH, k int) []float64 {
 // at a rate of order one.
 func randomPH(t *testing.T, rng *rand.Rand, n int) *PH {
 	t.Helper()
-	a := matrix.Zeros(n, n)
+	a := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		out := 0.2 + rng.Float64() // exit rate
 		for j := i + 1; j < n; j++ {
@@ -98,10 +87,10 @@ func randomPH(t *testing.T, rng *rand.Rand, n int) *PH {
 				continue
 			}
 			r := 3 * rng.Float64()
-			a.Set(i, j, r)
+			a[i*n+j] = r
 			out += r
 		}
-		a.Set(i, i, -out)
+		a[i*n+i] = -out
 	}
 	alpha := make([]float64, n)
 	var mass float64
@@ -112,11 +101,7 @@ func randomPH(t *testing.T, rng *rand.Rand, n int) *PH {
 	for i := range alpha {
 		alpha[i] *= 0.95 / mass // leaves an atom at zero
 	}
-	p, err := New(alpha, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return mustDense(t, alpha, n, a)
 }
 
 func relErr(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
@@ -314,7 +299,7 @@ func TestMomentClosedForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := moments(er, 3)
-	check("Convolve", moments(Convolve(he, er), 3), []float64{
+	check("convolve", moments(convolve(he, er), 3), []float64{
 		x[0] + y[0],
 		x[1] + 2*x[0]*y[0] + y[1],
 		x[2] + 3*x[1]*y[0] + 3*x[0]*y[1] + y[2],
@@ -325,11 +310,11 @@ func TestMomentClosedForms(t *testing.T) {
 // never absorbs from there, -A is singular, and every moment entry point
 // says so.
 func TestMomentOfDefectiveGenerator(t *testing.T) {
-	p := MustNew([]float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 0, 0}))
-	if _, err := p.Moment(1); !errors.Is(err, matrix.ErrSingular) {
+	p := mustDense(t, []float64{1, 0}, 2, []float64{-1, 1, 0, 0})
+	if _, err := p.Moment(1); !errors.Is(err, ErrSingular) {
 		t.Errorf("Moment: %v, want ErrSingular", err)
 	}
-	if _, err := p.Moments(2); !errors.Is(err, matrix.ErrSingular) {
+	if _, err := p.Moments(2); !errors.Is(err, ErrSingular) {
 		t.Errorf("Moments: %v, want ErrSingular", err)
 	}
 	if _, err := p.Moments(0); err == nil {
@@ -373,14 +358,14 @@ func BenchmarkPHMoments(b *testing.B) {
 // still never keep a caller's slice.
 func TestConstructorsDoNotAliasCallerData(t *testing.T) {
 	alpha := []float64{0.5, 0.5}
-	a := matrix.New(2, 2, []float64{-2, 1, 0, -3})
-	p, err := New(alpha, a)
+	entries := []Entry{{0, 0, -2}, {0, 1, 1}, {1, 1, -3}}
+	p, err := New(alpha, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := mustMean(t, p)
 	alpha[0], alpha[1] = 1, 0
-	a.Set(0, 0, -200)
+	entries[0].V, entries[1] = -200, Entry{0, 0, -5}
 	if got := mustMean(t, p); got != want {
 		t.Fatalf("mean moved from %g to %g when New's arguments were mutated", want, got)
 	}

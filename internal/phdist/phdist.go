@@ -11,18 +11,23 @@
 // higher-numbered phases, so A is upper triangular. It is stored as sparse
 // rows — the diagonal, then the non-zero entries right of it in ascending
 // column order — and the moments come from back-substitution over those
-// rows. The dense matrix package is only New's input format and, through
-// its LU solve, the reference the tests hold the moments to.
+// rows. New takes a generator as a list of entries, so no n×n matrix is
+// built anywhere; the tests hold the moments to a dense LU solve of their
+// own, bit for bit.
 package phdist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-
-	"dias/internal/matrix"
+	"slices"
 )
+
+// ErrSingular is returned by the moments of a generator with a phase it
+// never leaves: the chain need not absorb, and -A is singular.
+var ErrSingular = errors.New("phdist: singular generator")
 
 // PH is a phase-type distribution with initial vector alpha and transient
 // sub-generator A. Mass may be placed directly in the absorbing state by
@@ -51,42 +56,73 @@ func alloc(n, nnz int) *PH {
 	}
 }
 
-// New validates and builds a PH distribution from a dense sub-generator.
-// Alpha must be a sub-probability vector of the same order as the square
-// sub-generator a: off-diagonal entries nonnegative, diagonal
-// negative-or-zero, row sums <= 0 with at least one strictly negative exit
-// overall. The chain must be acyclic with its phases in order: an entry
-// below the diagonal is an error. Neither argument is retained.
-func New(alpha []float64, a *matrix.Matrix) (*PH, error) {
+// Entry adds V to A[I][J] of the sub-generator New builds.
+type Entry struct {
+	I, J int
+	V    float64
+}
+
+// New validates and builds a PH distribution from its initial vector and
+// the entries of its sub-generator A, of order len(alpha). Entries on one
+// cell sum in slice order from +0; a cell no entry names is zero, and an
+// off-diagonal cell whose entries sum to exactly zero is no entry. Alpha
+// must be a sub-probability vector; off-diagonal cells nonnegative,
+// diagonal negative-or-zero, row sums <= 0 with at least one strictly
+// negative exit overall. The chain must be acyclic with its phases in
+// order: an index out of range, or a non-zero entry below the diagonal, is
+// an error. Neither argument is retained.
+func New(alpha []float64, entries []Entry) (*PH, error) {
 	n := len(alpha)
-	if a.Rows() != n || a.Cols() != n {
-		return nil, fmt.Errorf("phdist: alpha has %d entries but A is %dx%d", n, a.Rows(), a.Cols())
-	}
-	nnz := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			if v := a.At(i, j); v != 0 {
-				return nil, fmt.Errorf("phdist: A[%d][%d] = %g below the diagonal: the chain is cyclic or its phases are out of order", i, j, v)
-			}
+	for _, e := range entries {
+		if e.I < 0 || e.I >= n || e.J < 0 || e.J >= n {
+			return nil, fmt.Errorf("phdist: entry A[%d][%d] out of range: alpha has %d entries", e.I, e.J, n)
 		}
-		for j := i + 1; j < n; j++ {
-			if a.At(i, j) != 0 {
-				nnz++
-			}
+		if e.J < e.I && e.V != 0 {
+			return nil, fmt.Errorf("phdist: A[%d][%d] = %g below the diagonal: the chain is cyclic or its phases are out of order", e.I, e.J, e.V)
 		}
 	}
+	// Sort a copy by row, then column, stably, and sum each cell's run of
+	// entries in place.
+	cells := slices.Clone(entries)
+	slices.SortStableFunc(cells, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
+	w, nnz := 0, 0
+	for k := 0; k < len(cells); {
+		c := cells[k]
+		var v float64
+		for ; k < len(cells) && cells[k].I == c.I && cells[k].J == c.J; k++ {
+			v += cells[k].V
+		}
+		if c.J < c.I || (c.J > c.I && v == 0) { // zeros off the diagonal
+			continue
+		}
+		if c.J > c.I {
+			nnz++
+		}
+		c.V = v
+		cells[w] = c
+		w++
+	}
+	cells = cells[:w]
 	p := alloc(n, nnz)
 	copy(p.alpha, alpha)
-	e := 0
-	for i := 0; i < n; i++ {
-		p.diag[i] = a.At(i, i)
-		for j := i + 1; j < n; j++ {
-			if v := a.At(i, j); v != 0 {
-				p.col[e], p.val[e] = int32(j), v
-				e++
-			}
+	for _, c := range cells {
+		if c.J == c.I {
+			p.diag[c.I] = c.V
+		} else {
+			p.next[c.I+1]++
 		}
-		p.next[i+1] = int32(e)
+	}
+	for i := range n {
+		p.next[i+1] += p.next[i]
+	}
+	e := 0
+	for _, c := range cells {
+		if c.J > c.I {
+			p.col[e], p.val[e] = int32(c.J), c.V
+			e++
+		}
 	}
 	return newOwned(p)
 }
@@ -123,16 +159,6 @@ func newOwned(p *PH) (*PH, error) {
 		}
 	}
 	return p, nil
-}
-
-// MustNew is New for statically known-valid representations; it panics on
-// error and is intended for tests.
-func MustNew(alpha []float64, a *matrix.Matrix) *PH {
-	ph, err := New(alpha, a)
-	if err != nil {
-		panic(err)
-	}
-	return ph
 }
 
 // Order returns the number of transient phases.
@@ -189,16 +215,23 @@ func (p *PH) Moments(k int) ([]float64, error) {
 	}
 	for _, d := range p.diag {
 		if d == 0 { // a phase that is never left: the chain need not absorb
-			return nil, fmt.Errorf("moment of defective generator: %w", matrix.ErrSingular)
+			return nil, fmt.Errorf("moment of defective generator: %w", ErrSingular)
 		}
 	}
 	out := make([]float64, k)
-	z := matrix.Ones(p.Order())
+	z := make([]float64, p.Order())
+	for i := range z {
+		z[i] = 1
+	}
 	signedFact := 1.0
 	for i := 1; i <= k; i++ {
 		p.solve(z)
 		signedFact *= -float64(i)
-		out[i-1] = signedFact * matrix.Dot(p.alpha, z)
+		var dot float64
+		for j, a := range p.alpha {
+			dot += float64(a * z[j])
+		}
+		out[i-1] = signedFact * dot
 	}
 	return out, nil
 }
@@ -327,63 +360,15 @@ func HyperExponential(probs, rates []float64) (*PH, error) {
 	return newOwned(p)
 }
 
-// Convolve returns the distribution of X+Y for independent PH X and Y:
-// the chain runs X to absorption, then starts Y.
-func Convolve(x, y *PH) *PH {
-	nx, ny := x.Order(), y.Order()
-	exit := x.ExitVector()
-	nnz := len(x.val) + len(y.val)
-	for _, ex := range exit {
-		for _, aj := range y.alpha {
-			if ex*aj != 0 {
-				nnz++
-			}
-		}
-	}
-	out := alloc(nx+ny, nnz)
-	e := 0
-	for i := 0; i < nx; i++ {
-		out.diag[i] = x.diag[i]
-		e = out.copyRow(e, x, i, 0)
-		for j, aj := range y.alpha {
-			if v := exit[i] * aj; v != 0 {
-				out.col[e], out.val[e] = int32(nx+j), v
-				e++
-			}
-		}
-		out.next[i+1] = int32(e)
-	}
-	for i := 0; i < ny; i++ {
-		out.diag[nx+i] = y.diag[i]
-		e = out.copyRow(e, y, i, nx)
-		out.next[nx+i+1] = int32(e)
-	}
-	copy(out.alpha, x.alpha)
-	// Atom at zero in X starts Y immediately.
-	var mass float64
-	for _, v := range x.alpha {
-		mass += v
-	}
-	if atom := 1 - mass; atom > 1e-12 {
-		for j, aj := range y.alpha {
-			out.alpha[nx+j] = atom * aj
-		}
-	}
-	p, err := newOwned(out)
-	if err != nil {
-		panic(err) // two valid representations convolve into a valid one
-	}
-	return p
-}
-
 // chainExits writes the entries a row gets from the components ps that
 // follow its own in a convolution chain, the first of them starting at
 // column off, into col and val, and returns how many there are; with col
 // nil it only counts them. sum is the row's sum so far in column order.
 // Each component receives the row's exit -sum split by its initial
 // vector, and the sum runs on over those entries as it does over a dense
-// row, so every exit is the float a pairwise Convolve fold computes. Once
-// the sum is zero the row has no exit left to pass on.
+// row, so every exit is the float a fold of pairwise convolutions (the
+// tests' oracle) computes. Once the sum is zero the row has no exit left
+// to pass on.
 func chainExits(sum float64, ps []*PH, off int, col []int32, val []float64) int {
 	e := 0
 	for _, q := range ps {
@@ -409,8 +394,9 @@ func chainExits(sum float64, ps []*PH, off int, col []int32, val []float64) int 
 
 // ConvolveAll returns the distribution of the sum of independent PH
 // variables: the chain runs each in turn to absorption. It writes the
-// chained generator once, bit for bit the one a pairwise Convolve fold
-// builds, sized by a first pass that counts each row's entries.
+// chained generator once, bit for bit the one a fold of pairwise
+// convolutions builds, sized by a first pass that counts each row's
+// entries.
 func ConvolveAll(ps ...*PH) (*PH, error) {
 	if len(ps) == 0 {
 		return nil, errors.New("phdist: ConvolveAll of nothing")
@@ -427,7 +413,7 @@ func ConvolveAll(ps ...*PH) (*PH, error) {
 		}
 	}
 	out := alloc(n, nnz)
-	var mass float64 // Σ alpha so far, summed in order as Convolve does
+	var mass float64 // Σ alpha so far, summed in order as the fold does
 	e, off := 0, 0
 	for c, p := range ps {
 		// An atom at zero of the chain so far starts p immediately.

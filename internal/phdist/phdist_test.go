@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"dias/internal/matrix"
 )
 
 func mustMean(t *testing.T, p *PH) float64 {
@@ -128,37 +126,92 @@ func TestHyperExponential(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name  string
 		alpha []float64
-		a     *matrix.Matrix
+		n     int
+		a     []float64
 	}{
-		{"dim mismatch", []float64{1}, matrix.Zeros(2, 2)},
-		{"negative alpha", []float64{-0.5, 1.5}, matrix.New(2, 2, []float64{-1, 0, 0, -1})},
-		{"alpha mass >1", []float64{0.9, 0.9}, matrix.New(2, 2, []float64{-1, 0, 0, -1})},
-		{"positive diagonal", []float64{1}, matrix.New(1, 1, []float64{2})},
-		{"negative off-diagonal", []float64{1, 0}, matrix.New(2, 2, []float64{-1, -1, 0, -1})},
-		{"positive row sum", []float64{1, 0}, matrix.New(2, 2, []float64{-1, 3, 0, -1})},
-		{"NaN alpha", []float64{math.NaN()}, matrix.New(1, 1, []float64{-1})},
-		{"NaN diagonal", []float64{1}, matrix.New(1, 1, []float64{math.NaN()})},
-		{"NaN off-diagonal", []float64{1, 0}, matrix.New(2, 2, []float64{-1, math.NaN(), 0, -1})},
-		{"infinite rates, NaN row sum", []float64{1, 0}, matrix.New(2, 2, []float64{math.Inf(-1), math.Inf(1), 0, -1})},
-		{"cyclic", []float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 1, -1})},
-		{"NaN below the diagonal", []float64{1, 0}, matrix.New(2, 2, []float64{-1, 0, math.NaN(), -1})},
+		{"empty", nil, 0, nil},
+		{"dim mismatch", []float64{1}, 2, []float64{-1, 0, 0, -1}},
+		{"negative alpha", []float64{-0.5, 1.5}, 2, []float64{-1, 0, 0, -1}},
+		{"alpha mass >1", []float64{0.9, 0.9}, 2, []float64{-1, 0, 0, -1}},
+		{"positive diagonal", []float64{1}, 1, []float64{2}},
+		{"negative off-diagonal", []float64{1, 0}, 2, []float64{-1, -1, 0, -1}},
+		{"positive row sum", []float64{1, 0}, 2, []float64{-1, 3, 0, -1}},
+		{"NaN alpha", []float64{nan}, 1, []float64{-1}},
+		{"NaN diagonal", []float64{1}, 1, []float64{nan}},
+		{"NaN off-diagonal", []float64{1, 0}, 2, []float64{-1, nan, 0, -1}},
+		{"infinite rates, NaN row sum", []float64{1, 0}, 2, []float64{-inf, inf, 0, -1}},
+		{"cyclic", []float64{1, 0}, 2, []float64{-1, 1, 1, -1}},
+		{"NaN below the diagonal", []float64{1, 0}, 2, []float64{-1, 0, nan, -1}},
 	}
 	for _, c := range cases {
-		if _, err := New(c.alpha, c.a); err == nil {
+		if _, err := dense(c.alpha, c.n, c.a); err == nil {
 			t.Errorf("%s: no error", c.name)
+		}
+	}
+}
+
+// TestNewSumsEntriesPerCell: entries on one cell sum in slice order from
+// +0 — the order shows in the last bit — rows come out in ascending
+// columns whatever order the entries name them in, and a cell whose
+// entries cancel is no entry.
+func TestNewSumsEntriesPerCell(t *testing.T) {
+	x, y, z := 0.1, 0.2, 0.3 // variables: constant sums would be exact
+	p, err := New([]float64{1, 0, 0}, []Entry{
+		{1, 2, 0.5}, {1, 1, -0.5}, // row 1 before row 0
+		{0, 2, x}, {0, 1, z}, {0, 2, y}, {0, 2, z}, // columns unsorted
+		{0, 0, -z}, {0, 0, -x}, {0, 0, -y}, {0, 0, -z},
+		{2, 1, 0}, {2, 2, -1}, {2, 2, 0}, // a zero below the diagonal is no entry
+		{1, 2, 0.25}, {1, 2, -0.25}, {1, 1, -0.25}, {1, 1, 0.25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustDense(t, []float64{1, 0, 0}, 3, []float64{
+		((-z + -x) + -y) + -z, z, (x + y) + z,
+		0, -0.5, 0.5,
+		0, 0, -1,
+	})
+	if err := identical(p, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.val[1]; got == (z+y)+x {
+		t.Fatalf("A[0][2] = %v: summed in reverse order", got)
+	}
+
+	q, err := New([]float64{1, 0}, []Entry{{0, 0, -1}, {0, 1, 0.5}, {0, 1, -0.5}, {1, 1, -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.val) != 0 {
+		t.Fatalf("cancelled cell kept: row 0 has entries %v", q.val)
+	}
+}
+
+// TestNewRejectsBadIndices: an entry outside the order of alpha, or a
+// non-zero one below the diagonal, is an error.
+func TestNewRejectsBadIndices(t *testing.T) {
+	for name, e := range map[string]Entry{
+		"row -1":              {-1, 0, -1},
+		"column -1":           {0, -1, 1},
+		"row n":               {2, 2, -1},
+		"column n":            {1, 2, 1},
+		"below the diagonal":  {1, 0, 1},
+		"-1 below diagonal":   {1, 0, -1},
+		"+Inf below diagonal": {1, 0, math.Inf(1)},
+	} {
+		if _, err := New([]float64{1, 0}, []Entry{{0, 0, -1}, {0, 1, 1}, {1, 1, -1}, e}); err == nil {
+			t.Errorf("%s: entry %+v accepted", name, e)
 		}
 	}
 }
 
 func TestAtomAtZero(t *testing.T) {
 	// alpha mass 0.7: P(X=0) = 0.3.
-	p, err := New([]float64{0.7}, matrix.New(1, 1, []float64{-1}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustDense(t, []float64{0.7}, 1, []float64{-1})
 	rng := rand.New(rand.NewSource(1))
 	zeros := 0
 	for range 10000 {
@@ -183,7 +236,7 @@ func TestConvolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := Convolve(x, y) // Erlang(2,1)
+	z := convolve(x, y) // Erlang(2,1)
 	if m := mustMean(t, z); math.Abs(m-2) > 1e-12 {
 		t.Fatalf("mean = %g, want 2", m)
 	}
@@ -211,15 +264,12 @@ func TestConvolve(t *testing.T) {
 
 func TestConvolveWithAtom(t *testing.T) {
 	// X has atom 0.5 at zero: E[X+Y] = 0.5·E[exp(1)] + E[exp(2)].
-	x, err := New([]float64{0.5}, matrix.New(1, 1, []float64{-1}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := mustDense(t, []float64{0.5}, 1, []float64{-1})
 	y, err := Exponential(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := Convolve(x, y)
+	z := convolve(x, y)
 	if m := mustMean(t, z); math.Abs(m-1.0) > 1e-12 {
 		t.Fatalf("mean = %g, want 1.0", m)
 	}
@@ -243,11 +293,11 @@ func TestConvolveAll(t *testing.T) {
 }
 
 // foldConvolve is ConvolveAll as it was first written, a pairwise
-// Convolve fold: kept as the reference the one-shot chain must match.
+// convolve fold: kept as the reference the one-shot chain must match.
 func foldConvolve(ps ...*PH) *PH {
 	out := ps[0]
 	for _, p := range ps[1:] {
-		out = Convolve(out, p)
+		out = convolve(out, p)
 	}
 	return out
 }
@@ -282,22 +332,8 @@ func TestConvolveAllMatchesFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := foldConvolve(ps...)
-		if got.Order() != want.Order() {
-			t.Fatalf("trial %d: order %d, fold %d", trial, got.Order(), want.Order())
-		}
-		for i, v := range want.alpha {
-			if math.Float64bits(got.alpha[i]) != math.Float64bits(v) {
-				t.Fatalf("trial %d: alpha[%d] = %v, fold %v", trial, i, got.alpha[i], v)
-			}
-		}
-		ga, wa := denseA(got), denseA(want)
-		for i := 0; i < want.Order(); i++ {
-			for j := 0; j < want.Order(); j++ {
-				if g, w := ga.At(i, j), wa.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("trial %d: A[%d][%d] = %v, fold %v", trial, i, j, g, w)
-				}
-			}
+		if err := identical(got, foldConvolve(ps...)); err != nil {
+			t.Fatalf("trial %d: %v against the fold", trial, err)
 		}
 	}
 }
@@ -489,7 +525,7 @@ func TestPropertyClosureMeans(t *testing.T) {
 		}
 		mx, _ := x.Mean()
 		my, _ := y.Mean()
-		conv := Convolve(x, y)
+		conv := convolve(x, y)
 		mc, err := conv.Mean()
 		if err != nil || math.Abs(mc-(mx+my)) > 1e-8 {
 			return false

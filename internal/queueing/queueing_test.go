@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dias/internal/matrix"
 	"dias/internal/phdist"
 )
 
@@ -68,7 +67,10 @@ func TestFromPHReadsBothMomentsFromOneSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := phdist.Convolve(setup, phdist.Convolve(wave, wave))
+	ph, err := phdist.ConvolveAll(setup, wave, wave)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := FromPH(0.1, ph)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +83,11 @@ func TestFromPHReadsBothMomentsFromOneSolve(t *testing.T) {
 	if c.MeanService != m1 || c.M2Service != m2 {
 		t.Fatalf("FromPH moments (%.17g, %.17g) differ from Moment(1), Moment(2) = (%.17g, %.17g)", c.MeanService, c.M2Service, m1, m2)
 	}
-	stuck := phdist.MustNew([]float64{1, 0}, matrix.New(2, 2, []float64{-1, 1, 0, 0}))
-	if _, err := FromPH(0.1, stuck); !errors.Is(err, matrix.ErrSingular) {
+	stuck, err := phdist.New([]float64{1, 0}, []phdist.Entry{{I: 0, J: 0, V: -1}, {I: 0, J: 1, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromPH(0.1, stuck); !errors.Is(err, phdist.ErrSingular) {
 		t.Fatalf("never-absorbing service: %v, want ErrSingular", err)
 	}
 }
