@@ -55,9 +55,10 @@ examples:
 deadcode:
 	GO=$(GO) ./ci/deadcode.sh
 
-# The fusion gate (ci/nofma.sh): compiles phdist, model and queueing for
-# arm64 and fails on any fused multiply-add the compiler attributes to a
-# repo line, so the model's floats are the same on every platform. CI's
+# The fusion gate (ci/nofma.sh): compiles phdist, model, queueing, engine
+# and cluster for arm64 and fails on any fused multiply-add the compiler
+# attributes to a repo line, so the model's floats and the simulated
+# durations, energy and busy time are the same on every platform. CI's
 # fast lane runs it after deadcode (~2 s).
 nofma:
 	GO=$(GO) ./ci/nofma.sh

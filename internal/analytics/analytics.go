@@ -426,10 +426,11 @@ func releaseRecords(out []engine.Record) {
 // meanwhile is allocated live: at the ~200 MB/s the triangle job allocated
 // before its output arrays were pooled, one such cycle overshot the heap
 // goal by 4 MB and doubled the next goal (docs/BENCHMARKING.md,
-// "peak_sys_mib anatomy"). It now allocates about 26 MB/s (31 KiB a job
-// at 810 jobs/s on stack-graph), so the overshoot would be a tenth of
-// that; whether the yields still pay is for a memory metric that does not
-// move in 4 MiB steps to show. A yield costs ~0.2 µs against the ≥ 10 µs
+// "peak_sys_mib anatomy"). It now allocates about 22 MB/s on stack-graph
+// (25 KiB a job at about 900 jobs/s on a 2-core VM, clean jobs replaying
+// their shuffle counts), so the overshoot would be a ninth of that;
+// whether the yields still pay is for a memory metric that does not move
+// in 4 MiB steps to show. A yield costs ~0.2 µs against the ≥ 10 µs
 // of a task.
 func yieldToCollector() { runtime.Gosched() }
 

@@ -390,9 +390,9 @@ func (c *Cluster) accrue() {
 		c.lastAccrual = now
 		return
 	}
-	c.energyJoules += c.power() * dt
-	c.busySlotSeconds += float64(c.busyCores) * dt
-	c.poweredNodeSeconds += float64(c.poweredNodes) * dt
+	c.energyJoules += float64(c.power() * dt)
+	c.busySlotSeconds += float64(float64(c.busyCores) * dt)
+	c.poweredNodeSeconds += float64(float64(c.poweredNodes) * dt)
 	c.lastAccrual = now
 }
 
@@ -406,7 +406,7 @@ func (c *Cluster) power() float64 {
 		active = c.cfg.SprintWatts
 	}
 	perCore := (active - c.cfg.IdleWatts) / float64(c.cfg.CoresPerNode)
-	return float64(c.poweredNodes)*c.cfg.IdleWatts + perCore*float64(c.busyCores)
+	return float64(float64(c.poweredNodes)*c.cfg.IdleWatts) + float64(perCore*float64(c.busyCores))
 }
 
 // EnergyJoules returns total energy consumed up to the current virtual time.

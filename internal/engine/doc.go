@@ -70,6 +70,29 @@
 // memoized output, so a Compute that returns its own input makes the memo
 // entry an alias of the template's partition rather than a copy.
 //
+// # Replaying clean executions
+//
+// An execution is clean when it discards its output, keeps every
+// partition of every stage (⌈n(1-θ)⌉ = n, the Dropper's own rule) and its
+// template has a Compute. Every stage of a clean execution then runs over
+// the template's own records, so its output is fixed by the template: in
+// Spark's terms each partition is a deterministic function of its
+// lineage. Its tasks still see their inputs in the order upstream tasks
+// completed, which depends on simulated timing, so a TaskFunc must also
+// put the same number of records in each bucket whatever the order of its
+// input (the analytics stages are held to this by a test that permutes
+// their inputs).
+//
+// A clean execution publishes each ShuffleMap stage's per-bucket output
+// totals on the Stage when the stage finishes, keyed by the job's input
+// (its first partition's address and its partition count, one entry per
+// count), under the memo's owner-and-atomic rules. Once every ShuffleMap
+// stage of a template holds totals for an input, a clean execution over
+// it replays them: it copies them into its count buffers at Submit,
+// carries nothing, opens no shuffle buffer and calls no Compute; its tasks
+// are priced from the same record counts, so every event, RNG draw and
+// StageStat is what recomputing would give.
+//
 // # Handing outputs back
 //
 // A Compute may draw its output arrays from a pool of its own if its
@@ -79,7 +102,8 @@
 // the append to the Result output, and after the count-only plane has
 // counted it. It never calls Release for an output a memo keeps, an output
 // served from a memo, or a nil Compute, so a stage whose Compute returns
-// its input or a shared immutable slice simply leaves Release nil. Records
+// its input or a shared immutable slice simply leaves Release nil. A
+// replayed execution calls neither Compute nor Release. Records
 // are copied into buckets and the result by value, so a released array may
 // be cleared and reused at once; key storage a record points into is not
 // released with it.

@@ -63,7 +63,11 @@ const (
 // return its own input, as the identity does, or the same immutable slice
 // from several calls. Returned records may share one backing string for
 // their keys (a task that formats its keys can build them in one block);
-// the engine treats keys as opaque values either way.
+// the engine treats keys as opaque values either way. Because a task's
+// input arrives in the order its upstream tasks completed, the number of
+// output records in each shuffle bucket must depend on the input multiset
+// alone, never on its order: a clean execution replays the per-bucket
+// totals another published instead of calling Compute.
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.
@@ -82,9 +86,10 @@ type Stage struct {
 	// has read it for the last time: it is called exactly once for each
 	// output the engine got fresh from Compute and keeps in no memo, right
 	// after the records were copied into buckets or the result, or
-	// counted. It is never called for a memoized output or with a nil
-	// Compute. A Compute that hands out reusable arrays sets it to take
-	// them back; the code that builds the Compute sets it, never a user.
+	// counted. It is never called for a memoized output, with a nil
+	// Compute, or in an execution that replays published shuffle totals.
+	// A Compute that hands out reusable arrays sets it to take them back;
+	// the code that builds the Compute sets it, never a user.
 	Release func([]Record)
 	// OutPartitions is the shuffle fan-out of a ShuffleMap stage.
 	OutPartitions int
@@ -97,6 +102,10 @@ type Stage struct {
 	// — shallow clones, workload.SubJob truncations — shares the entries,
 	// and they are collected with the template.
 	memo atomic.Pointer[stageMemo]
+	// totals is the slot for the per-bucket output totals clean executions
+	// of this ShuffleMap stage publish (see shuffleTotals); it is shared and
+	// owned like memo.
+	totals atomic.Pointer[shuffleTotals]
 }
 
 // JobID identifies a submitted job within an Engine.
@@ -206,17 +215,7 @@ func DefaultCostModel() CostModel {
 // (§3.3): given n partitions and a drop ratio theta it returns the indices
 // to actually compute, ⌈n(1-θ)⌉ of them chosen uniformly at random.
 func FindMissingPartitions(rng *rand.Rand, n int, theta float64) []int {
-	if theta < 0 {
-		theta = 0
-	}
-	if theta > 1 {
-		theta = 1
-	}
-	keep := int(math.Ceil(float64(n) * (1 - theta)))
-	if keep > n {
-		keep = n
-	}
-	idx := rng.Perm(n)[:keep]
+	idx := rng.Perm(n)[:keepCount(n, theta)]
 	// Keep deterministic per-rng but sorted for wave-order stability.
 	sortSubset(idx, make([]bool, n))
 	return idx
@@ -228,16 +227,7 @@ func FindMissingPartitions(rng *rand.Rand, n int, theta float64) []int {
 // allocation. The returned slice aliases the scratch and is only valid
 // until the next call.
 func (e *Engine) findMissingPartitions(n int, theta float64) []int {
-	if theta < 0 {
-		theta = 0
-	}
-	if theta > 1 {
-		theta = 1
-	}
-	keep := int(math.Ceil(float64(n) * (1 - theta)))
-	if keep > n {
-		keep = n
-	}
+	keep := keepCount(n, theta)
 	perm := growSlice(e.permScratch, n)
 	e.permScratch = perm
 	if keep == n {
@@ -263,6 +253,18 @@ func (e *Engine) findMissingPartitions(n int, theta float64) []int {
 	e.markScratch = resetSlice(e.markScratch, n)
 	sortSubset(selected, e.markScratch)
 	return selected
+}
+
+// keepCount is the Dropper's rule: of n partitions at drop ratio theta
+// (clamped to [0,1]) it keeps ⌈n(1-θ)⌉.
+func keepCount(n int, theta float64) int {
+	if theta < 0 {
+		theta = 0
+	}
+	if theta > 1 {
+		theta = 1
+	}
+	return min(int(math.Ceil(float64(n)*(1-theta))), n)
 }
 
 // sortSubset sorts xs, distinct values in [0, len(marks)), ascending in
@@ -404,6 +406,11 @@ type execution struct {
 	opts SubmitOptions
 
 	startedAt simtime.Time
+	// clean marks an execution whose every stage output is its template's
+	// own (see isClean): it publishes its shuffle totals on the template's
+	// Stages. replay marks a clean execution that found them all published
+	// at Submit: it carries nothing, and its tasks compute nothing.
+	clean, replay bool
 	// carries[s] reports whether stage s's output contents have a reader:
 	// a ShuffleMap consumer (which computes over them) or a Result stage
 	// whose output the submitter keeps. A stage that carries nothing keeps
@@ -605,6 +612,96 @@ func memoEntryOf(t *task) (*atomic.Pointer[memoEntry], *memoEntry) {
 		return cell, e
 	}
 	return cell, nil
+}
+
+// shuffleTotals holds the per-bucket output totals of one ShuffleMap
+// Stage, as clean executions published them: one entry per input
+// partition count, so workload.SubJob truncations of one template keep
+// theirs side by side. With every partition of every stage kept, a stage's
+// output is a function of the template alone, and so are its totals (the
+// TaskFunc contract makes them independent of input order too). A set is
+// immutable once published and replaced whole; it is honoured only at its
+// owner's address, like a stageMemo.
+type shuffleTotals struct {
+	owner   *Stage
+	entries []totalsEntry
+}
+
+// totalsEntry is the totals of one clean execution over a job input, named
+// by the address of its first partition and its partition count.
+type totalsEntry struct {
+	input  *Partition
+	n      int
+	totals []int
+}
+
+// totalsFor returns the totals s published for input, or nil.
+func (s *Stage) totalsFor(input Dataset) []int {
+	if ts := s.totals.Load(); ts != nil && ts.owner == s {
+		for _, e := range ts.entries {
+			if e.input == &input[0] && e.n == len(input) {
+				return e.totals
+			}
+		}
+	}
+	return nil
+}
+
+// replayOff switches replaying published totals off, so tests can hold a
+// replayed run to one that computes everything.
+var replayOff bool
+
+// replayTotals copies into outCounts the totals that every ShuffleMap stage
+// of ex's template published for its input, and reports whether all had.
+func (ex *execution) replayTotals() bool {
+	for si := range ex.job.Stages {
+		s := &ex.job.Stages[si]
+		if s.Kind != ShuffleMap {
+			continue
+		}
+		totals := s.totalsFor(ex.job.Input)
+		if totals == nil {
+			return false
+		}
+		ex.outCounts[si] = append(ex.outCounts[si][:0], totals...)
+	}
+	return true
+}
+
+// publishTotals publishes the per-bucket totals of stage si, which a clean
+// execution has just finished, unless an entry for its input is there
+// already; an entry for another input of the same partition count makes
+// way.
+func (ex *execution) publishTotals(si int) {
+	s, in := &ex.job.Stages[si], ex.job.Input
+	var totals []int
+	for {
+		old := s.totals.Load()
+		var kept []totalsEntry
+		if old != nil && old.owner == s {
+			for _, e := range old.entries {
+				if e.n != len(in) {
+					kept = append(kept, e)
+				} else if e.input == &in[0] {
+					return
+				}
+			}
+		}
+		if totals == nil {
+			totals = make([]int, s.OutPartitions)
+			for b := range totals {
+				if ex.carries[si] {
+					totals[b] = len(ex.shuffle.outputs[si][b])
+				} else {
+					totals[b] = ex.outCounts[si][b]
+				}
+			}
+		}
+		next := &shuffleTotals{owner: s, entries: append(kept, totalsEntry{input: &in[0], n: len(in), totals: totals})}
+		if s.totals.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // newTask takes a task struct off the freelist (or allocates one with its
@@ -853,6 +950,11 @@ func (e *Engine) Submit(job *Job, opts SubmitOptions) (JobID, error) {
 		}
 	}
 	ex := e.newExecution(job, opts)
+	ex.clean = ex.isClean()
+	ex.replay = ex.clean && !replayOff && ex.replayTotals()
+	if ex.replay {
+		clear(ex.carries)
+	}
 	for si := range job.Stages {
 		ex.stageStats[si].Name = job.Stages[si].Name
 		ex.stageStats[si].Kind = job.Stages[si].Kind
@@ -867,9 +969,26 @@ func (e *Engine) Submit(job *Job, opts SubmitOptions) (JobID, error) {
 	// Job setup (overhead stage O). Setup time shrinks with stage-0 drop,
 	// matching the paper's observation that overhead depends on data size.
 	theta0 := ex.drop(0)
-	setup := e.cost.SetupBaseSec + e.cost.SetupPerByte*float64(job.SizeBytes)*(1-theta0)
+	setup := e.cost.SetupBaseSec + float64(e.cost.SetupPerByte*float64(job.SizeBytes)*(1-theta0))
 	e.afterDelay(ex, setup, ex.setupFn)
 	return ex.id, nil
+}
+
+// isClean reports whether ex discards its output, keeps every partition of
+// every stage and has a Compute to skip: then every stage output is the
+// template's own.
+func (ex *execution) isClean() bool {
+	if !ex.opts.DiscardOutput {
+		return false
+	}
+	computes := false
+	for si := range ex.job.Stages {
+		if n := ex.partitions(si); keepCount(n, ex.drop(si)) != n {
+			return false
+		}
+		computes = computes || ex.job.Stages[si].Compute != nil
+	}
+	return computes
 }
 
 func (ex *execution) drop(stage int) float64 {
@@ -956,7 +1075,8 @@ func (e *Engine) startStage(ex *execution, si int) {
 	s := &ex.job.Stages[si]
 	// A Result stage nobody reads is the one stage that never looks at its
 	// input records: its tasks are priced by their input counts alone.
-	readsInput := s.Kind == ShuffleMap || ex.carries[si]
+	// A replayed execution reads none: its shuffle totals are published.
+	readsInput := !ex.replay && (s.Kind == ShuffleMap || ex.carries[si])
 	var in Dataset
 	if readsInput {
 		in = ex.stageInput(si)
@@ -970,12 +1090,13 @@ func (e *Engine) startStage(ex *execution, si int) {
 		e.tracer.StageStarted(e.sim.Now(), ex.opts.Span, si, s.Name, len(selected), n-len(selected))
 	}
 	ex.pendingTasks[si] = len(selected)
-	if s.Kind == ShuffleMap {
-		if ex.carries[si] {
-			ex.openShuffleOutput(si, s.OutPartitions)
-		} else {
-			ex.outCounts[si] = resetSlice(ex.outCounts[si], s.OutPartitions)
-		}
+	switch {
+	case s.Kind != ShuffleMap, ex.replay:
+		// Nothing to collect: a replay's counts were copied at Submit.
+	case ex.carries[si]:
+		ex.openShuffleOutput(si, s.OutPartitions)
+	default:
+		ex.outCounts[si] = resetSlice(ex.outCounts[si], s.OutPartitions)
 	}
 	if len(selected) == 0 {
 		e.finishStage(ex, si)
@@ -1042,7 +1163,7 @@ func (e *Engine) dispatch() {
 
 // taskWork returns the task's duration in seconds at speed 1.
 func (e *Engine) taskWork(t *task) float64 {
-	work := e.cost.TaskOverheadSec + t.exec.perRecordSec[t.stage]*float64(t.records)
+	work := e.cost.TaskOverheadSec + float64(t.exec.perRecordSec[t.stage]*float64(t.records))
 	// Stage-0 tasks backed by a dfs file pay the block fetch, priced by
 	// the locality of the slot they landed on.
 	if t.stage == 0 && e.fs != nil && t.partition < len(t.exec.inputBlocks) {
@@ -1092,7 +1213,7 @@ func (e *Engine) rescaleRunning(oldSpeed, newSpeed float64) {
 	for _, ex := range e.execOrder {
 		for _, t := range ex.running {
 			elapsed := now.Sub(t.lastUpdate).Seconds()
-			t.remainingWork -= elapsed * oldSpeed
+			t.remainingWork -= float64(elapsed * oldSpeed)
 			if t.remainingWork < 0 {
 				t.remainingWork = 0
 			}
@@ -1124,6 +1245,8 @@ func (e *Engine) completeTask(t *task) {
 
 	s := &ex.job.Stages[t.stage]
 	switch carries := ex.carries[t.stage]; {
+	case ex.replay:
+		// The stage's totals are already in outCounts.
 	case s.Kind == ShuffleMap && carries:
 		buckets := ex.shuffle.outputs[t.stage]
 		out, fresh := taskOutput(t, s)
@@ -1347,7 +1470,10 @@ func (e *Engine) finishStage(ex *execution, si int) {
 			shuffled += c
 		}
 	}
-	delay := e.cost.ShuffleBaseSec + e.cost.ShufflePerRecordSec*float64(shuffled)
+	if ex.clean && !ex.replay {
+		ex.publishTotals(si)
+	}
+	delay := e.cost.ShuffleBaseSec + float64(e.cost.ShufflePerRecordSec*float64(shuffled))
 	e.afterDelay(ex, delay, ex.shuffleFns[si])
 }
 

@@ -21,18 +21,16 @@ import (
 )
 
 // EffectiveTasks returns ⌈n(1-θ)⌉, the number of tasks executed after
-// dropping at ratio θ (the paper's n̄).
-func EffectiveTasks(n int, theta float64) int {
+// dropping at ratio θ (the paper's n̄). Like the models, it rejects a θ
+// outside [0,1), NaN included.
+func EffectiveTasks(n int, theta float64) (int, error) {
+	if err := validateDrop(theta); err != nil {
+		return 0, err
+	}
 	if n <= 0 {
-		return 0
+		return 0, nil
 	}
-	if theta <= 0 {
-		return n
-	}
-	if theta >= 1 {
-		return 0
-	}
-	return int(math.Ceil(float64(n) * (1 - theta)))
+	return int(math.Ceil(float64(n) * (1 - theta))), nil
 }
 
 // Waves returns ⌈tasks/slots⌉, the paper's wave count.
@@ -84,15 +82,18 @@ func (p TaskCountPMF) Max() int {
 }
 
 // effectivePMF maps the PMF through ⌈t(1-θ)⌉: entry t̄ (1-based via index
-// t̄-1) of the result is P(effective tasks = t̄).
-func (p TaskCountPMF) effectivePMF(theta float64) TaskCountPMF {
-	maxEff := EffectiveTasks(p.Max(), 0) // upper bound before drop
-	out := make(TaskCountPMF, maxEff)
+// t̄-1) of the result is P(effective tasks = t̄). A valid PMF has a positive
+// entry, so a θ EffectiveTasks rejects is rejected here too.
+func (p TaskCountPMF) effectivePMF(theta float64) (TaskCountPMF, error) {
+	out := make(TaskCountPMF, p.Max()) // dropping never adds tasks
 	for i, pr := range p {
 		if pr == 0 {
 			continue
 		}
-		eff := EffectiveTasks(i+1, theta)
+		eff, err := EffectiveTasks(i+1, theta)
+		if err != nil {
+			return nil, err
+		}
 		if eff >= 1 {
 			out[eff-1] += pr
 		}
@@ -104,7 +105,7 @@ func (p TaskCountPMF) effectivePMF(theta float64) TaskCountPMF {
 			last = i + 1
 		}
 	}
-	return out[:last]
+	return out[:last], nil
 }
 
 // --- Task-level model (§4.1) ---------------------------------------------
@@ -145,8 +146,17 @@ func (c TaskLevelConfig) validate() error {
 
 // validateDrops checks both drop ratios lie in [0,1), NaN excluded.
 func validateDrops(thetaMap, thetaReduce float64) error {
-	if !(thetaMap >= 0 && thetaMap < 1) || !(thetaReduce >= 0 && thetaReduce < 1) {
+	if validateDrop(thetaMap) != nil || validateDrop(thetaReduce) != nil {
 		return fmt.Errorf("model: drop ratios θm=%g θr=%g out of [0,1)", thetaMap, thetaReduce)
+	}
+	return nil
+}
+
+// validateDrop checks a drop ratio lies in [0,1), NaN excluded: dropping
+// every task leaves no job to model.
+func validateDrop(theta float64) error {
+	if !(theta >= 0 && theta < 1) {
+		return fmt.Errorf("model: drop ratio θ=%g out of [0,1)", theta)
 	}
 	return nil
 }
@@ -158,8 +168,14 @@ func (c TaskLevelConfig) ProcessingTime() (*phdist.PH, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	pmEff := c.MapTasks.effectivePMF(c.ThetaMap)
-	prEff := c.ReduceTasks.effectivePMF(c.ThetaReduce)
+	pmEff, err := c.MapTasks.effectivePMF(c.ThetaMap)
+	if err != nil {
+		return nil, err
+	}
+	prEff, err := c.ReduceTasks.effectivePMF(c.ThetaReduce)
+	if err != nil {
+		return nil, err
+	}
 	nm := len(pmEff) // N̄m
 	nr := len(prEff) // N̄r
 	if nm == 0 || nr == 0 {
@@ -288,7 +304,10 @@ func WaveCountPMF(tasks TaskCountPMF, theta float64, slots int) ([]float64, erro
 	if slots <= 0 {
 		return nil, fmt.Errorf("model: %d slots", slots)
 	}
-	eff := tasks.effectivePMF(theta)
+	eff, err := tasks.effectivePMF(theta)
+	if err != nil {
+		return nil, err
+	}
 	maxWaves := Waves(len(eff), slots)
 	q := make([]float64, maxWaves)
 	for tb := 1; tb <= len(eff); tb++ {

@@ -17,11 +17,18 @@ func TestEffectiveTasks(t *testing.T) {
 		want  int
 	}{
 		{50, 0, 50}, {50, 0.2, 40}, {50, 0.9, 5}, {3, 0.5, 2},
-		{1, 0.9, 1}, {10, 1, 0}, {0, 0.5, 0}, {10, -1, 10},
+		{1, 0.9, 1}, {0, 0.5, 0},
 	}
 	for _, c := range cases {
-		if got := EffectiveTasks(c.n, c.theta); got != c.want {
-			t.Fatalf("EffectiveTasks(%d, %g) = %d, want %d", c.n, c.theta, got, c.want)
+		if got, err := EffectiveTasks(c.n, c.theta); err != nil || got != c.want {
+			t.Fatalf("EffectiveTasks(%d, %g) = %d, %v; want %d", c.n, c.theta, got, err, c.want)
+		}
+	}
+	// θ outside [0,1) is rejected as the models reject it; NaN once came
+	// back as math.MinInt64.
+	for _, theta := range []float64{math.NaN(), -1, -0.1, 1, 1.5, math.Inf(1)} {
+		if got, err := EffectiveTasks(10, theta); err == nil {
+			t.Fatalf("EffectiveTasks(10, %g) = %d, accepted", theta, got)
 		}
 	}
 }
@@ -64,15 +71,15 @@ func TestTaskCountPMF(t *testing.T) {
 
 func TestEffectivePMF(t *testing.T) {
 	// 10 tasks with θ=0.5 -> 5 effective.
-	p := FixedTasks(10).effectivePMF(0.5)
-	if len(p) != 5 || math.Abs(p[4]-1) > 1e-12 {
-		t.Fatalf("effectivePMF = %v", p)
+	p, err := FixedTasks(10).effectivePMF(0.5)
+	if err != nil || len(p) != 5 || math.Abs(p[4]-1) > 1e-12 {
+		t.Fatalf("effectivePMF = %v, %v", p, err)
 	}
 	// Mixed counts collapsing onto the same effective value.
-	mixed := TaskCountPMF{0, 0.5, 0.5} // 2 or 3 tasks, half each
-	eff := mixed.effectivePMF(0.4)     // ⌈2·0.6⌉=2, ⌈3·0.6⌉=2
-	if len(eff) != 2 || math.Abs(eff[1]-1) > 1e-12 {
-		t.Fatalf("collapsed effectivePMF = %v", eff)
+	mixed := TaskCountPMF{0, 0.5, 0.5}  // 2 or 3 tasks, half each
+	eff, err := mixed.effectivePMF(0.4) // ⌈2·0.6⌉=2, ⌈3·0.6⌉=2
+	if err != nil || len(eff) != 2 || math.Abs(eff[1]-1) > 1e-12 {
+		t.Fatalf("collapsed effectivePMF = %v, %v", eff, err)
 	}
 }
 
@@ -249,6 +256,12 @@ func TestWaveCountPMF(t *testing.T) {
 	}
 	if q, err := WaveCountPMF(TaskCountPMF{math.NaN(), 0.5, 0.5}, 0, 2); err == nil {
 		t.Fatalf("NaN probability accepted: q = %v", q)
+	}
+	// A θ outside [0,1) once gave an empty q and no error.
+	for _, theta := range []float64{math.NaN(), 1.5, 1, -0.2} {
+		if q, err := WaveCountPMF(FixedTasks(40), theta, 20); err == nil {
+			t.Fatalf("drop ratio %g accepted: q = %v", theta, q)
+		}
 	}
 }
 

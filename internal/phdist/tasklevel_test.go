@@ -18,7 +18,11 @@ func taskLevelDense(c model.TaskLevelConfig) ([]float64, int, []float64) {
 		out := make([]float64, len(p))
 		for i, pr := range p {
 			if pr != 0 {
-				out[model.EffectiveTasks(i+1, theta)-1] += pr
+				n, err := model.EffectiveTasks(i+1, theta)
+				if err != nil {
+					panic(err)
+				}
+				out[n-1] += pr
 			}
 		}
 		for len(out) > 0 && out[len(out)-1] == 0 {
